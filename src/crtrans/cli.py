@@ -434,9 +434,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     degree = args.degree if args.degree is not None else 10
     conv = _convention(args.complexify or "2i")
+    try:
+        if args.command == "verify":
+            body = _run_verify(args.suite, degree, conv, args.seed)
+        else:
+            body = _run_examples(degree, conv, args.seed)
+    except CrtransError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     if args.command == "verify":
-        report = _run_verify(args.suite, degree, conv, args.seed)
-        report = {"schema": SCHEMA, "version": _version(), "command": "verify", **report}
+        report = {"schema": SCHEMA, "version": _version(), "command": "verify", **body}
         counts = report["counts"]
         _emit(
             report,
@@ -450,7 +458,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if report["falsified"] else 0
 
     if args.command == "examples":
-        body = _run_examples(degree, conv, args.seed)
         report = {
             "schema": SCHEMA,
             "version": _version(),

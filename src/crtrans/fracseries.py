@@ -56,15 +56,9 @@ def _monomial_floor(s: Series) -> tuple:
 def _strip_common_monomial(num: Series, den: Series) -> tuple:
     """Divide out the largest monomial dividing both; display-only convenience."""
     g = tuple(map(min, _monomial_floor(num), _monomial_floor(den)))
-    if not any(g):
-        return num, den
-    shift = lambda s: Series._raw(
-        s.arity,
-        s.degree,
-        {tuple(k - d for k, d in zip(key, g)): v for key, v in s.terms.items()},
-        s.exact,
-    )
-    return shift(num), shift(den)
+    for var, amount in enumerate(g):
+        num, den = num.shift_down(var, amount), den.shift_down(var, amount)
+    return num, den
 
 
 class FracSeries:

@@ -771,16 +771,7 @@ def evaluate(node: ExprNode, layout: Dict[str, int], arity: int, degree: int) ->
     if isinstance(node, Exp):
         return exp_series(evaluate(node.arg, layout, arity, degree))
     if isinstance(node, Pow):
-        base = evaluate(node.base, layout, arity, degree)
-        out = Series.one(arity, degree)
-        k = node.exponent
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return evaluate(node.base, layout, arity, degree) ** node.exponent
     if isinstance(node, BinOp):
         left = evaluate(node.left, layout, arity, degree)
         right = evaluate(node.right, layout, arity, degree)

@@ -6,20 +6,31 @@ operation here: the coefficients of the result, up to the result's truncation
 degree, are exactly those of the untruncated computation. Binary operations
 truncate at the minimum of the operands' degrees.
 
+Representation: Gaussian-integer numerators over one shared denominator. A
+Series holds a dict `idx -> (re, im)` of Python ints for its nonzero terms
+and one positive int denominator `den`; the coefficient at idx is
+(re + im*i) / den. The pair is always in lowest terms: the gcd of `den` and
+every numerator part is 1, and the zero series has den 1. That form is
+canonical, so equality compares ints. `terms` is a read-only
+`idx -> GaussianRational` view built on demand; GaussianRational stays the
+type every public query returns.
+
 The `exact` flag records when the stored terms are known to be the whole
 series (a polynomial). It is metadata, not part of equality; consumers use it
 to upgrade "zero up to truncation" into certified vanishing. Operations
 propagate it conservatively: when in doubt the flag is dropped, never invented.
 
-Series objects are immutable by convention; do not mutate `terms`.
+Series objects are immutable by convention; `terms` is a read-only view.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -35,13 +46,111 @@ from .scalar import ONE, ZERO, GaussianRational, ScalarLike
 Order = Union[int, float]  # math.inf marks "no visible nonzero term"
 INFINITE_ORDER: float = math.inf
 
-TermMap = Dict[MultiIndex, GaussianRational]
+NumMap = Dict[MultiIndex, Tuple[int, int]]  # idx -> Gaussian-integer numerator (re, im)
+
+
+def _split(c: GaussianRational) -> Tuple[int, int, int]:
+    """(re, im, den) in lowest terms with c == (re + im*i) / den."""
+    rd, idn = c.re.denominator, c.im.denominator
+    den = rd * idn // math.gcd(rd, idn)
+    return c.re.numerator * (den // rd), c.im.numerator * (den // idn), den
+
+
+def _scalar(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _lowest(num: NumMap, den: int) -> Tuple[NumMap, int]:
+    """Divide the numerators and the denominator by their common content."""
+    if not num:
+        return num, 1
+    g = den
+    for re, im in num.values():
+        g = math.gcd(g, re, im)
+        if g == 1:
+            return num, den
+    return {k: (re // g, im // g) for k, (re, im) in num.items()}, den // g
+
+
+def _product(f: NumMap, g: NumMap, d: int, arity: int) -> NumMap:
+    """Numerators of the Cauchy product f*g through total degree d.
+
+    Exponent tuples are packed into ints in base d+1 for the inner loop: a
+    product term kept has degree at most d, so no digit carries and the
+    packed sum of two keys is the packed key of their sum.
+    """
+    base = d + 1
+
+    def pack(k: MultiIndex) -> int:
+        p = 0
+        for e in k:
+            p = p * base + e
+        return p
+
+    g_sorted = sorted((idx_degree(k), pack(k), re, im) for k, (re, im) in g.items())
+    g_degrees = [t[0] for t in g_sorted]
+    g_terms = [t[1:] for t in g_sorted]
+    acc: Dict[int, Tuple[int, int]] = {}
+    get = acc.get
+    for ka, (a, b) in f.items():
+        room = d - idx_degree(ka)
+        if room < 0:
+            continue
+        pa = pack(ka)
+        for pb, c, e in g_terms[: bisect_right(g_degrees, room)]:
+            k = pa + pb
+            cur = get(k)
+            if cur is None:
+                acc[k] = (a * c - b * e, a * e + b * c)
+            else:
+                acc[k] = (cur[0] + a * c - b * e, cur[1] + a * e + b * c)
+    out: NumMap = {}
+    for p, v in acc.items():
+        if v[0] or v[1]:
+            idx = [0] * arity
+            for i in range(arity - 1, -1, -1):
+                p, idx[i] = divmod(p, base)
+            out[tuple(idx)] = v
+    return out
+
+
+class _Terms(Mapping):
+    """Read-only `idx -> GaussianRational` view of a Series' nonzero terms."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: NumMap, den: int) -> None:
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, idx: MultiIndex) -> GaussianRational:
+        re, im = self._num[idx]
+        return _scalar(re, im, self._den)
+
+    def __iter__(self) -> Iterator[MultiIndex]:
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def __contains__(self, idx: object) -> bool:
+        return idx in self._num
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Terms):
+            return self._num == other._num and self._den == other._den
+        return Mapping.__eq__(self, other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class Series:
     """Sparse truncated power series in `arity` variables."""
 
-    __slots__ = ("arity", "degree", "terms", "exact")
+    __slots__ = ("arity", "degree", "_num", "_den", "exact")
 
     def __init__(
         self,
@@ -52,7 +161,7 @@ class Series:
     ) -> None:
         if arity < 0 or degree < 0:
             raise StructureError("arity and truncation degree must be non-negative")
-        clean: TermMap = {}
+        parts: Dict[MultiIndex, Tuple[int, int, int]] = {}
         dropped = False
         if terms:
             for idx, value in terms.items():
@@ -65,36 +174,59 @@ class Series:
                 if idx_degree(idx) > degree:
                     dropped = True
                     continue
-                clean[idx] = c
+                parts[idx] = _split(c)
+        # every coefficient is in lowest terms, so over the lcm of their
+        # denominators the whole series is too
+        den = math.lcm(*(p[2] for p in parts.values()))
         self.arity = arity
         self.degree = degree
-        self.terms = clean
+        self._num = {k: (re * (den // d), im * (den // d)) for k, (re, im, d) in parts.items()}
+        self._den = den
         self.exact = bool(exact) and not dropped
 
     @classmethod
-    def _raw(cls, arity: int, degree: int, terms: TermMap, exact: bool) -> "Series":
-        """Trusted constructor: terms already clean (no zeros, degrees in range)."""
+    def _make(cls, arity: int, degree: int, num: NumMap, den: int, exact: bool) -> "Series":
+        """Trusted constructor: no zero or over-degree terms, (num, den) in lowest terms."""
         out = object.__new__(cls)
         out.arity = arity
         out.degree = degree
-        out.terms = terms
+        out._num = num
+        out._den = den
         out.exact = exact
         return out
+
+    @classmethod
+    def _reduced(cls, arity: int, degree: int, num: NumMap, den: int, exact: bool) -> "Series":
+        """Trusted constructor that first brings (num, den) to lowest terms."""
+        num, den = _lowest(num, den)
+        return cls._make(arity, degree, num, den, exact)
+
+    def _with_exact(self, exact: bool) -> "Series":
+        """The same terms and truncation degree under another `exact` flag."""
+        return Series._make(self.arity, self.degree, self._num, self._den, exact)
+
+    @property
+    def terms(self) -> Mapping[MultiIndex, GaussianRational]:
+        """Read-only view of the nonzero coefficients, built on demand."""
+        return _Terms(self._num, self._den)
 
     # ---------------- constructors ----------------
 
     @classmethod
     def zero(cls, arity: int, degree: int, exact: bool = True) -> "Series":
-        return cls._raw(arity, degree, {}, exact)
+        return cls._make(arity, degree, {}, 1, exact)
 
     @classmethod
     def constant(cls, value: ScalarLike, arity: int, degree: int) -> "Series":
         c = GaussianRational.coerce(value)
-        return cls._raw(arity, degree, {(0,) * arity: c} if c else {}, True)
+        if not c:
+            return cls.zero(arity, degree)
+        re, im, den = _split(c)
+        return cls._make(arity, degree, {(0,) * arity: (re, im)}, den, True)
 
     @classmethod
     def one(cls, arity: int, degree: int) -> "Series":
-        return cls.constant(1, arity, degree)
+        return cls._make(arity, degree, {(0,) * arity: (1, 0)}, 1, True)
 
     @classmethod
     def variable(cls, var: int, arity: int, degree: int) -> "Series":
@@ -102,7 +234,7 @@ class Series:
             raise StructureError(f"variable index {var} out of range for arity {arity}")
         if degree < 1:
             raise TruncationMismatch("a variable needs truncation degree at least 1")
-        return cls._raw(arity, degree, {unit(arity, var): ONE}, True)
+        return cls._make(arity, degree, {unit(arity, var): (1, 0)}, 1, True)
 
     @classmethod
     def polynomial(
@@ -114,22 +246,26 @@ class Series:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     @property
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * self.arity, ZERO)
+        return self._coefficient((0,) * self.arity)
 
     @property
     def is_pointed(self) -> bool:
-        return not self.constant_term
+        return (0,) * self.arity not in self._num
 
     @property
     def poly_degree(self) -> int:
         """Largest total degree among stored terms (0 for the zero series)."""
-        if not self.terms:
+        if not self._num:
             return 0
-        return max(idx_degree(k) for k in self.terms)
+        return max(map(idx_degree, self._num))
+
+    def _coefficient(self, idx: MultiIndex) -> GaussianRational:
+        c = self._num.get(idx)
+        return ZERO if c is None else _scalar(c[0], c[1], self._den)
 
     def coefficient(self, idx: MultiIndex) -> GaussianRational:
         idx = tuple(idx)
@@ -139,26 +275,26 @@ class Series:
             raise TruncationMismatch(
                 f"coefficient at {idx} lies beyond truncation degree {self.degree}"
             )
-        return self.terms.get(idx, ZERO)
+        return self._coefficient(idx)
 
     def order(self) -> Order:
         """Total vanishing order; infinity when zero up to truncation."""
-        if not self.terms:
+        if not self._num:
             return INFINITE_ORDER
-        return min(idx_degree(k) for k in self.terms)
+        return min(idx_degree(k) for k in self._num)
 
     def order_in(self, variables: Sequence[int]) -> Order:
         """Vanishing order counting only the listed variables."""
-        if not self.terms:
+        if not self._num:
             return INFINITE_ORDER
         vs = tuple(variables)
-        return min(sum(k[i] for i in vs) for k in self.terms)
+        return min(sum(k[i] for i in vs) for k in self._num)
 
     def leading_index(self) -> Optional[MultiIndex]:
         """Graded-lex minimal index with nonzero coefficient, None if zero."""
-        if not self.terms:
+        if not self._num:
             return None
-        return min(self.terms, key=grlex_key)
+        return min(self._num, key=grlex_key)
 
     def sorted_terms(self) -> Iterable[Tuple[MultiIndex, GaussianRational]]:
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
@@ -169,7 +305,8 @@ class Series:
         return (
             self.arity == other.arity
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self._num == other._num
+            and self._den == other._den
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -184,33 +321,27 @@ class Series:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
 
     def __neg__(self) -> "Series":
-        return Series._raw(
-            self.arity, self.degree, {k: -v for k, v in self.terms.items()}, self.exact
-        )
+        num = {k: (-re, -im) for k, (re, im) in self._num.items()}
+        return Series._make(self.arity, self.degree, num, self._den, self.exact)
 
     def _add_signed(self, other: "Series", sign: int) -> "Series":
         self._check_arity(other)
         d = min(self.degree, other.degree)
-        out: TermMap = {}
-        dropped = False
-        for k, v in self.terms.items():
-            if idx_degree(k) > d:
-                dropped = True
-                continue
-            out[k] = v
-        for k, v in other.terms.items():
-            if idx_degree(k) > d:
-                dropped = True
-                continue
-            if sign < 0:
-                v = -v
+        a = self.truncate(d)
+        b = other.truncate(d)
+        den = math.lcm(a._den, b._den)
+        fa, fb = den // a._den, sign * (den // b._den)
+        out = {k: (re * fa, im * fa) for k, (re, im) in a._num.items()} if fa != 1 else dict(a._num)
+        for k, (re, im) in b._num.items():
+            re, im = re * fb, im * fb
             cur = out.get(k)
-            nv = v if cur is None else cur + v
-            if nv:
-                out[k] = nv
-            elif cur is not None:
-                del out[k]
-        return Series._raw(self.arity, d, out, self.exact and other.exact and not dropped)
+            if cur is not None:
+                re, im = cur[0] + re, cur[1] + im
+                if not (re or im):
+                    del out[k]
+                    continue
+            out[k] = (re, im)
+        return Series._reduced(self.arity, d, out, den, a.exact and b.exact)
 
     def __add__(self, other: Union["Series", ScalarLike]) -> "Series":
         if not isinstance(other, Series):
@@ -231,9 +362,9 @@ class Series:
         c = GaussianRational.coerce(value)
         if not c:
             return Series.zero(self.arity, self.degree)
-        return Series._raw(
-            self.arity, self.degree, {k: v * c for k, v in self.terms.items()}, self.exact
-        )
+        cr, ci, cd = _split(c)
+        num = {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self._num.items()}
+        return Series._reduced(self.arity, self.degree, num, self._den * cd, self.exact)
 
     def __mul__(self, other: Union["Series", ScalarLike]) -> "Series":
         if not isinstance(other, Series):
@@ -243,27 +374,10 @@ class Series:
         # exactly-zero absorbs the unknown tail of the other factor
         if (self.is_zero and self.exact) or (other.is_zero and other.exact):
             return Series.zero(self.arity, d)
-        f, g = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        g_sorted = sorted(((idx_degree(k), k, v) for k, v in g.terms.items()))
-        out: TermMap = {}
-        for ka, va in f.terms.items():
-            da = idx_degree(ka)
-            room = d - da
-            if room < 0:
-                continue
-            for db, kb, vb in g_sorted:
-                if db > room:
-                    break
-                kk = tuple(x + y for x, y in zip(ka, kb))
-                prod = va * vb
-                cur = out.get(kk)
-                nv = prod if cur is None else cur + prod
-                if nv:
-                    out[kk] = nv
-                elif cur is not None:
-                    del out[kk]
+        f, g = (self, other) if len(self._num) <= len(other._num) else (other, self)
+        out = _product(f._num, g._num, d, self.arity)
         exact = self.exact and other.exact and (self.poly_degree + other.poly_degree <= d)
-        return Series._raw(self.arity, d, out, exact)
+        return Series._reduced(self.arity, d, out, self._den * other._den, exact)
 
     __rmul__ = __mul__
 
@@ -272,43 +386,44 @@ class Series:
         return self.scale(ONE / c)
 
     def __pow__(self, power: int) -> "Series":
+        """Square-and-multiply; values and `exact` match repeated multiplication."""
         if power < 0:
             raise StructureError("negative series powers live in the fraction field")
         out = Series.one(self.arity, self.degree)
-        for _ in range(power):
-            out = out * self
+        base = self
+        while power:
+            if power & 1:
+                out = out * base
+            power >>= 1
+            if power:
+                base = base * base
         return out
 
     # ---------------- coefficient reshaping ----------------
 
     def conjugate(self) -> "Series":
         """Conjugate every coefficient; variables are untouched."""
-        return Series._raw(
-            self.arity,
-            self.degree,
-            {k: v.conjugate() for k, v in self.terms.items()},
-            self.exact,
-        )
+        num = {k: (re, -im) for k, (re, im) in self._num.items()}
+        return Series._make(self.arity, self.degree, num, self._den, self.exact)
 
     def derivative(self, var: int) -> "Series":
         if not 0 <= var < self.arity:
             raise StructureError(f"variable index {var} out of range")
         d = max(self.degree - 1, 0)
-        out: TermMap = {}
-        for k, v in self.terms.items():
+        out: NumMap = {}
+        for k, (re, im) in self._num.items():
             e = k[var]
             if e == 0:
                 continue
-            kk = k[:var] + (e - 1,) + k[var + 1 :]
-            out[kk] = v * e
+            out[k[:var] + (e - 1,) + k[var + 1 :]] = (re * e, im * e)
         exact = self.exact if (self.degree > 0 or self.exact) else False
-        return Series._raw(self.arity, d, out, exact)
+        return Series._reduced(self.arity, d, out, self._den, exact)
 
     def set_zero(self, variables: Sequence[int]) -> "Series":
         """Substitute 0 for the listed variables (arity is preserved)."""
         vs = tuple(variables)
-        out = {k: v for k, v in self.terms.items() if all(k[i] == 0 for i in vs)}
-        return Series._raw(self.arity, self.degree, out, self.exact)
+        out = {k: v for k, v in self._num.items() if all(k[i] == 0 for i in vs)}
+        return Series._reduced(self.arity, self.degree, out, self._den, self.exact)
 
     def coefficient_series(
         self, variables: Sequence[int], alpha: MultiIndex
@@ -329,37 +444,37 @@ class Series:
             )
         keep = [i for i in range(self.arity) if i not in vs]
         want = dict(zip(vs, alpha))
-        out: TermMap = {}
-        for k, v in self.terms.items():
+        out: NumMap = {}
+        for k, v in self._num.items():
             if all(k[i] == e for i, e in want.items()):
                 out[tuple(k[i] for i in keep)] = v
-        return Series._raw(len(keep), self.degree - a, out, self.exact)
+        return Series._reduced(len(keep), self.degree - a, out, self._den, self.exact)
 
     def shift_down(self, var: int, amount: int) -> "Series":
         """Divide by x_var^amount; every term must carry that factor."""
         if amount == 0:
             return self
-        out: TermMap = {}
-        for k, v in self.terms.items():
+        out: NumMap = {}
+        for k, v in self._num.items():
             if k[var] < amount:
                 raise StructureError(
                     f"term {k} lacks the factor x_{var}^{amount} being divided out"
                 )
             out[k[:var] + (k[var] - amount,) + k[var + 1 :]] = v
-        return Series._raw(self.arity, self.degree - amount, out, self.exact)
+        return Series._make(self.arity, self.degree - amount, out, self._den, self.exact)
 
     def permute(self, new_positions: Sequence[int]) -> "Series":
         """Send old variable i to position new_positions[i]."""
         pos = tuple(new_positions)
         if sorted(pos) != list(range(self.arity)):
             raise StructureError(f"{pos} is not a permutation of range({self.arity})")
-        out: TermMap = {}
-        for k, v in self.terms.items():
+        out: NumMap = {}
+        for k, v in self._num.items():
             kk = [0] * self.arity
             for i, e in enumerate(k):
                 kk[pos[i]] = e
             out[tuple(kk)] = v
-        return Series._raw(self.arity, self.degree, out, self.exact)
+        return Series._make(self.arity, self.degree, out, self._den, self.exact)
 
     def embed(self, arity: int, positions: Sequence[int]) -> "Series":
         """View this series inside a larger ring; old var i becomes positions[i]."""
@@ -368,13 +483,13 @@ class Series:
             raise StructureError("positions must be distinct and cover every variable")
         if any(not 0 <= p < arity for p in pos):
             raise StructureError("embedding positions out of range")
-        out: TermMap = {}
-        for k, v in self.terms.items():
+        out: NumMap = {}
+        for k, v in self._num.items():
             kk = [0] * arity
             for i, e in enumerate(k):
                 kk[pos[i]] = e
             out[tuple(kk)] = v
-        return Series._raw(arity, self.degree, out, self.exact)
+        return Series._make(arity, self.degree, out, self._den, self.exact)
 
     def truncate(self, d: int) -> "Series":
         if d > self.degree:
@@ -383,14 +498,10 @@ class Series:
             )
         if d == self.degree:
             return self
-        out: TermMap = {}
-        dropped = False
-        for k, v in self.terms.items():
-            if idx_degree(k) > d:
-                dropped = True
-            else:
-                out[k] = v
-        return Series._raw(self.arity, d, out, self.exact and not dropped)
+        if self.poly_degree <= d:
+            return Series._make(self.arity, d, self._num, self._den, self.exact)
+        out = {k: v for k, v in self._num.items() if idx_degree(k) <= d}
+        return Series._reduced(self.arity, d, out, self._den, False)
 
     def lift(self, d: int) -> "Series":
         """Re-declare a higher truncation degree; sound only for exact series."""
@@ -400,7 +511,7 @@ class Series:
             return self
         if not self.exact:
             raise TruncationMismatch("cannot lift a series that is only known truncated")
-        return Series._raw(self.arity, d, dict(self.terms), True)
+        return Series._make(self.arity, d, self._num, self._den, True)
 
     def evaluate(self, point: Sequence[ScalarLike]) -> GaussianRational:
         """Value of the stored polynomial part at an exact point."""
@@ -421,7 +532,7 @@ class Series:
     def to_str(self, names: Optional[Sequence[str]] = None) -> str:
         if names is None:
             names = [f"x{i}" for i in range(self.arity)]
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for k, v in self.sorted_terms():
@@ -538,7 +649,7 @@ def compose(f: Series, components: Union[FormalMap, Sequence[Series]]) -> Series
         term = Series.constant(c, arity, d) if prod is None else prod.scale(c)
         acc = acc + term
     if tail_unknown and acc.exact:
-        acc = Series._raw(acc.arity, acc.degree, acc.terms, False)
+        acc = acc._with_exact(False)
     return acc
 
 
@@ -558,8 +669,7 @@ def invert_unit(f: Series) -> Series:
             break
         acc = acc + p
     out = acc / c0
-    exact = f.exact and f.poly_degree == 0
-    return Series._raw(out.arity, out.degree, out.terms, exact)
+    return out._with_exact(f.exact and f.poly_degree == 0)
 
 
 def solve_implicit(rhs: Series) -> Series:
@@ -605,5 +715,5 @@ def exp_series(f: Series) -> Series:
         fact *= j
         acc = acc + p.scale(Fraction(1, fact))
     if not f.is_zero:
-        acc = Series._raw(acc.arity, acc.degree, acc.terms, False)
+        acc = acc._with_exact(False)
     return acc

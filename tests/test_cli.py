@@ -192,6 +192,22 @@ def test_missing_file_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--degree", "6"],
+        ["verify", "--degree", "6", "--suite", "easystuff"],
+        ["examples", "--degree", "6"],
+    ],
+)
+def test_registry_degree_too_low_exits_two(capsys, argv):
+    # the blowup models need truncation degree 7; the error is reported, not raised
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "truncation degree" in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

@@ -6,6 +6,7 @@ path inside this file or are classical sequences checked by hand.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,32 @@ def test_pow():
     assert [s.coefficient((k,)) for k in range(4)] == [1, 3, 3, 1]
     with pytest.raises(StructureError):
         x ** -1
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        Series.polynomial(2, 6, {(1, 0): qr(1, 2), (0, 1): Fraction(1, 3), (0, 0): 2}),
+        Series.polynomial(2, 6, {(1, 1): I, (2, 0): 1}),
+        Series(2, 6, {(1, 0): 1, (0, 0): qr(0, 1)}, exact=False),
+        Series.zero(2, 6),
+        Series.zero(2, 6, exact=False),
+        Series.constant(qr(2, -1), 2, 6),
+    ],
+)
+def test_pow_matches_repeated_multiplication(base):
+    slow = Series.one(2, 6)
+    for k in range(9):
+        fast = base**k
+        assert fast == slow and fast.exact == slow.exact
+        slow = slow * base
+
+
+def test_huge_power_returns_at_once():
+    start = time.perf_counter()
+    p = Series.variable(0, 1, 10) ** 10**9
+    assert time.perf_counter() - start < 1.0
+    assert p.is_zero and not p.exact and p.degree == 10
 
 
 def test_arity_mismatch_raises():

@@ -1,0 +1,198 @@
+"""Integer series kernels against a schoolbook GaussianRational reference.
+
+`Ref` keeps a series as a dict of GaussianRational terms, and the `ref_*`
+functions below are the dict-of-GaussianRational kernels the integer-backed
+Series replaced. A property test checks values, `exact` flags, canonical form
+and equality against them. Needs the optional `hypothesis` package (the `test`
+extra); the module is skipped without it.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from crtrans import multiindex as mi  # noqa: E402
+from crtrans.scalar import ONE, ZERO, GaussianRational, qr  # noqa: E402
+from crtrans.series import Series, compose  # noqa: E402
+
+
+class Ref:
+    """A series as a dict of GaussianRational terms, with the schoolbook kernels below."""
+
+    def __init__(self, arity, degree, terms, exact):
+        self.arity, self.degree, self.terms, self.exact = arity, degree, terms, exact
+
+
+def ref_build(arity, degree, raw, exact):
+    """What Series(arity, degree, raw, exact) must hold."""
+    terms, dropped = {}, False
+    for k, v in raw.items():
+        c = GaussianRational.coerce(v)
+        if not c:
+            continue
+        if sum(k) > degree:
+            dropped = True
+            continue
+        terms[k] = c
+    return Ref(arity, degree, terms, exact and not dropped)
+
+
+def ref_poly_degree(f):
+    return max((sum(k) for k in f.terms), default=0)
+
+
+def ref_truncate(f, d):
+    kept = {k: v for k, v in f.terms.items() if sum(k) <= d}
+    return Ref(f.arity, d, kept, f.exact and len(kept) == len(f.terms))
+
+
+def ref_add(f, g, sign=1):
+    d = min(f.degree, g.degree)
+    f, g = ref_truncate(f, d), ref_truncate(g, d)
+    out = dict(f.terms)
+    for k, v in g.terms.items():
+        v = out.get(k, ZERO) + (v if sign > 0 else -v)
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return Ref(f.arity, d, out, f.exact and g.exact)
+
+
+def ref_mul(f, g):
+    d = min(f.degree, g.degree)
+    if (not f.terms and f.exact) or (not g.terms and g.exact):
+        return Ref(f.arity, d, {}, True)
+    out = {}
+    for ka, va in f.terms.items():
+        for kb, vb in g.terms.items():
+            kk = tuple(a + b for a, b in zip(ka, kb))
+            if sum(kk) <= d:
+                out[kk] = out.get(kk, ZERO) + va * vb
+    exact = f.exact and g.exact and ref_poly_degree(f) + ref_poly_degree(g) <= d
+    return Ref(f.arity, d, {k: v for k, v in out.items() if v}, exact)
+
+
+def ref_scale(f, c):
+    if not c:
+        return Ref(f.arity, f.degree, {}, True)
+    return Ref(f.arity, f.degree, {k: v * c for k, v in f.terms.items()}, f.exact)
+
+
+def ref_derivative(f, var):
+    out = {}
+    for k, v in f.terms.items():
+        if k[var]:
+            out[k[:var] + (k[var] - 1,) + k[var + 1 :]] = v * k[var]
+    return Ref(f.arity, max(f.degree - 1, 0), out, f.exact)
+
+
+def ref_set_zero(f, vs):
+    out = {k: v for k, v in f.terms.items() if all(k[i] == 0 for i in vs)}
+    return Ref(f.arity, f.degree, out, f.exact)
+
+
+def ref_coefficient_series(f, vs, alpha):
+    keep = [i for i in range(f.arity) if i not in vs]
+    out = {
+        tuple(k[i] for i in keep): v
+        for k, v in f.terms.items()
+        if all(k[i] == e for i, e in zip(vs, alpha))
+    }
+    return Ref(len(keep), f.degree - sum(alpha), out, f.exact)
+
+
+def ref_compose(f, comps):
+    arity = comps[0].arity
+    d = min([f.degree] + [c.degree for c in comps])
+    acc = Ref(arity, d, {}, True)
+    tail_unknown = not f.exact
+    for alpha, c in sorted(f.terms.items(), key=lambda kv: mi.grlex_key(kv[0])):
+        if sum(alpha) > d:
+            tail_unknown = True
+            continue
+        zero = next((i for i, e in enumerate(alpha) if e and not comps[i].terms), None)
+        if zero is not None:
+            tail_unknown |= not comps[zero].exact
+            continue
+        prod = Ref(arity, d, {(0,) * arity: ONE}, True)
+        for i, e in enumerate(alpha):
+            for _ in range(e):
+                prod = ref_mul(prod, comps[i])
+        acc = ref_add(acc, ref_scale(prod, c))
+    return Ref(arity, d, acc.terms, acc.exact and not tail_unknown)
+
+
+def assert_canonical(s):
+    """Nonzero Gaussian-integer numerators over a positive denominator, in lowest terms."""
+    parts = [x for c in s._num.values() for x in c]
+    assert s._den > 0
+    assert math.gcd(s._den, *parts) == 1
+    assert all(c != (0, 0) for c in s._num.values())
+    assert all(sum(k) <= s.degree for k in s._num)
+    assert s._num or s._den == 1
+
+
+COEFFS = st.builds(
+    lambda a, b, c, d: qr(Fraction(a, b), Fraction(c, d)),
+    st.integers(-12, 12),
+    st.integers(1, 12),
+    st.integers(-12, 12),
+    st.integers(1, 12),
+)
+
+
+@st.composite
+def raw_series(draw, arity, degree, pointed=False):
+    """Constructor arguments; some terms lie one degree past the truncation."""
+    indices = list(mi.iter_up_to(arity, degree + 1))[1 if pointed else 0 :]
+    keys = draw(st.lists(st.sampled_from(indices), max_size=8, unique=True))
+    return arity, degree, {k: draw(COEFFS) for k in keys}, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_integer_kernels_match_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    ra = data.draw(raw_series(arity, data.draw(st.integers(0, 6))))
+    rb = data.draw(raw_series(arity, data.draw(st.integers(0, 6))))
+    a, b, A, B = Series(*ra), Series(*rb), ref_build(*ra), ref_build(*rb)
+    c = data.draw(COEFFS)
+    var = data.draw(st.integers(0, arity - 1))
+    cut = data.draw(st.integers(0, a.degree))
+    inner = data.draw(st.integers(1, 3))
+    raw_comps = [
+        data.draw(raw_series(inner, data.draw(st.integers(0, 6)), pointed=True))
+        for _ in range(arity)
+    ]
+    comps = [Series(*r) for r in raw_comps]
+    cases = [
+        (a, A),
+        (b, B),
+        (a * b, ref_mul(A, B)),
+        (a + b, ref_add(A, B)),
+        (a - b, ref_add(A, B, -1)),
+        (a.scale(c), ref_scale(A, c)),
+        (compose(a, comps), ref_compose(A, [ref_build(*r) for r in raw_comps])),
+        (a.derivative(var), ref_derivative(A, var)),
+        (a.truncate(cut), ref_truncate(A, cut)),
+        (a.set_zero([var]), ref_set_zero(A, [var])),
+        (a.coefficient_series([var], (cut,)), ref_coefficient_series(A, [var], (cut,))),
+    ]
+    for got, want in cases:
+        assert (got.arity, got.degree, got.exact) == (want.arity, want.degree, want.exact)
+        assert dict(got.terms) == want.terms
+        assert_canonical(got)
+
+    results = [got for got, _ in cases]
+    results += [b + a, b * a, a / 2, Series(*ra[:2], dict(a.terms))]
+    for x, y in itertools.combinations(results, 2):
+        same = dict(x.terms) == dict(y.terms)
+        assert (x.terms == y.terms) == same
+        if (x.arity, x.degree) == (y.arity, y.degree):
+            assert (x == y) == same
