@@ -15,19 +15,7 @@ from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import grammar
-from .crmap import (
-    CRMap,
-    basid_check,
-    is_automorphism,
-    is_cr_transversal,
-    is_jacobian_nonzero,
-    is_not_totally_degenerate,
-    is_transversally_flat,
-    normal_component_reality_check,
-    sends_into,
-    transversal_order,
-    trord_bound_check,
-)
+from .crmap import CRMap, InstanceAnalysis, sends_into
 from .errors import CrtransError, GrammarError
 from .fracseries import FracSeries
 from .hypersurface import (
@@ -43,7 +31,14 @@ from .hypersurface import (
 )
 from .models import blowup_hypersurface, exp_model, heisenberg, m_psi
 from .prolongation import ProlongationInstance, forward_expand, minimal_ordered_nonzero, prolongation_solve
-from .verify import build_registry, run_all, suite_easystuff, suite_finite_type, suite_infinite_type
+from .verify import (
+    build_registry,
+    run_all,
+    suite_easystuff,
+    suite_finite_type,
+    suite_infinite_type,
+    suite_report,
+)
 
 SCHEMA = "crtrans-report/1"
 
@@ -150,30 +145,25 @@ def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: Convention
     hname, h = _realize_map(task.map, env, degree)
     sname, src = _realize_surface(task.source, env, degree, conv)
     tname, tgt = _realize_surface(task.target, env, degree, conv)
-    equidim = h.source_n == h.target_n
-    self_map = src.n == tgt.n and src.convention is tgt.convention and src.q == tgt.q
-    result = {
+    a = InstanceAnalysis(h, src, tgt, seed)
+    equidim = a.equidimensional.is_true
+    # fields are decided in this order, so a failing document reports its first error
+    return {
         "task": "check_map",
         "map": hname,
         "source": sname,
         "target": tname,
-        "sends_into": sends_into(h, src, tgt).to_json(),
-        "transversal_order": transversal_order(h).to_json(),
-        "transversally_flat": is_transversally_flat(h).to_json(),
-        "cr_transversal": is_cr_transversal(h).to_json(),
-        "not_totally_degenerate": is_not_totally_degenerate(h, seed=seed).to_json(),
-        "normal_unit_reality": normal_component_reality_check(h, src, tgt).to_json(),
-        "order_bound": trord_bound_check(h, src, tgt).to_json(),
-        "jacobian_nonzero": None,
-        "automorphism": None,
-        "unit_scale_law": None,
+        "sends_into": a.sends_into.to_json(),
+        "transversal_order": a.transversal_order.to_json(),
+        "transversally_flat": a.transversally_flat.to_json(),
+        "cr_transversal": a.cr_transversal.to_json(),
+        "not_totally_degenerate": a.not_totally_degenerate.to_json(),
+        "normal_unit_reality": a.normal_unit_reality.to_json(),
+        "order_bound": a.order_bound.to_json(),
+        "jacobian_nonzero": a.jacobian_nonzero.to_json() if equidim else None,
+        "automorphism": a.automorphism.to_json() if equidim else None,
+        "unit_scale_law": a.unit_scale_law.to_json() if a.self_map.is_true else None,
     }
-    if equidim:
-        result["jacobian_nonzero"] = is_jacobian_nonzero(h).to_json()
-        result["automorphism"] = is_automorphism(h).to_json()
-    if self_map:
-        result["unit_scale_law"] = basid_check(h, src).to_json()
-    return result
 
 
 def _run_prolong(task: grammar.ProlongTask, env, degree: int) -> dict:
@@ -223,19 +213,7 @@ def _run_verify(suite: Optional[str], degree: int, conv: Convention, seed: int) 
         "infinite_type": lambda: suite_infinite_type(maps, seed=seed),
         "easystuff": lambda: suite_easystuff(easy, seed=seed),
     }[suite]()
-    counts = {"confirmed": 0, "hypothesis_not_certified": 0, "falsified": 0}
-    for r in rows:
-        counts[
-            "falsified" if r.status.value == "FALSIFIED" else r.status.value
-        ] += 1
-    return {
-        "degree": degree,
-        "convention": conv.value,
-        "seed": seed,
-        "suites": {suite: [r.to_json() for r in rows]},
-        "counts": counts,
-        "falsified": counts["falsified"] > 0,
-    }
+    return suite_report({suite: rows}, degree, conv, seed)
 
 
 _FAMILIES = [

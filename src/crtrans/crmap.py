@@ -9,15 +9,24 @@ the degree actually used, which every verdict records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .errors import ArityMismatch, StructureError, TruncationMismatch
-from .hypersurface import NormalHypersurface, classify_type, infinite_unit_part
+from .hypersurface import (
+    NormalHypersurface,
+    TypeClassification,
+    classify_type,
+    infinite_unit_part,
+    is_class_c,
+    is_class_cm,
+    is_holomorphically_nondegenerate,
+)
 from .linalg import determinant, generic_rank, scalar_determinant
 from .multiindex import grlex_key, unit
-from .scalar import ZERO, GaussianRational
+from .scalar import ZERO
 from .series import Series, compose
-from .verdict import Verdict, certified_false, certified_true, unknown
+from .verdict import Verdict, certified_false, certified_true, unknown, vanishes
 
 
 @dataclass(frozen=True)
@@ -110,15 +119,7 @@ def is_cr_transversal(h: CRMap) -> Verdict:
 
 def is_transversally_flat(h: CRMap) -> Verdict:
     """Does the map send everything into the hypersurface w = 0?"""
-    g = h.g
-    if g.is_zero:
-        return certified_true(
-            {"note": "normal component vanishes", "exact": g.exact}, g.degree
-        )
-    lead = g.leading_index()
-    return certified_false(
-        {"index": list(lead), "value": str(g.coefficient(lead))}, g.degree
-    )
+    return vanishes(h.g, {"note": "normal component vanishes", "exact": h.g.exact})
 
 
 def is_not_totally_degenerate(h: CRMap, seed: int = 0) -> Verdict:
@@ -235,125 +236,207 @@ def sends_into(h: CRMap, m: NormalHypersurface, mp: NormalHypersurface) -> Verdi
 
     rhs = compose(mp.q, f_push + f_conj + [g_conj])
     diff = lhs - rhs
-    if diff.is_zero:
-        return certified_true({"exact": diff.exact}, diff.degree)
-    lead = diff.leading_index()
-    return certified_false(
-        {"index": list(lead), "value": str(diff.coefficient(lead))}, diff.degree
+    return vanishes(diff, {"exact": diff.exact})
+
+
+# ---------------- one analysis per instance ----------------
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceAnalysis:
+    """Every verdict about one instance h: source -> target, each decided at
+    most once. The gated conclusions read the cached hypotheses, so the suites
+    and check-map never decide a hypothesis twice."""
+
+    h: CRMap
+    source: NormalHypersurface
+    target: NormalHypersurface
+    seed: int = 0
+
+    # the analyzers are looked up at call time, so wrapping a module function
+    # (as perfbench/tracer.py does) also sees the calls made from here
+    source_type = cached_property(lambda self: classify_type(self.source))
+    target_type = cached_property(lambda self: classify_type(self.target))
+    sends_into = cached_property(lambda self: sends_into(self.h, self.source, self.target))
+    transversal_order = cached_property(lambda self: transversal_order(self.h))
+    transversally_flat = cached_property(lambda self: is_transversally_flat(self.h))
+    cr_transversal = cached_property(lambda self: is_cr_transversal(self.h))
+    not_totally_degenerate = cached_property(
+        lambda self: is_not_totally_degenerate(self.h, seed=self.seed)
     )
+    automorphism = cached_property(lambda self: is_automorphism(self.h))
+    source_class_c = cached_property(lambda self: is_class_c(self.source, seed=self.seed))
+    source_holomorphically_nondegenerate = cached_property(
+        lambda self: is_holomorphically_nondegenerate(self.source, seed=self.seed)
+    )
+
+    @cached_property
+    def source_class_cm(self) -> Verdict:
+        if not self.source_type.is_infinite:
+            return unknown({"note": "source type not certified infinite"})
+        return is_class_cm(self.source, seed=self.seed)
+
+    @cached_property
+    def equidimensional(self) -> Verdict:
+        h = self.h
+        ok = h.source_n == h.target_n
+        wit = {"source_n": h.source_n, "target_n": h.target_n}
+        return certified_true(wit, h.degree) if ok else certified_false(wit, h.degree)
+
+    @cached_property
+    def self_map(self) -> Verdict:
+        m, mp = self.source, self.target
+        same = m.n == mp.n and m.convention is mp.convention and m.q == mp.q
+        wit = {"note": "target coincides with source" if same else "target differs from source"}
+        return certified_true(wit, m.degree) if same else certified_false(wit, m.degree)
+
+    @cached_property
+    def jacobian_nonzero(self) -> Verdict:
+        if not self.equidimensional.is_true:
+            return unknown({"note": "not equidimensional"})
+        return is_jacobian_nonzero(self.h)
+
+    # ---------------- gated conclusions ----------------
+
+    def _gate(self, hypotheses: Sequence[Tuple[str, bool]]) -> Optional[Verdict]:
+        """The unknown verdict naming the first hypothesis that fails, if any."""
+        for name, holds in hypotheses:
+            if not holds:
+                return unknown({"failed_hypothesis": name}, self.h.degree)
+        return None
+
+    @cached_property
+    def _nonflat_between_infinite_types(self) -> Optional[Verdict]:
+        """Gate of the reality check and the order bound; the transversal
+        order is read only once the first three hypotheses hold."""
+        return self._gate(
+            (
+                ("source_infinite_type", self.source_type.is_infinite),
+                ("target_infinite_type", self.target_type.is_infinite),
+                ("sends_into", self.sends_into.is_true),
+            )
+        ) or self._gate((("not_transversally_flat", not self.transversal_order.is_flat),))
+
+    @cached_property
+    def normal_unit_reality(self) -> Verdict:
+        """For maps between infinite-type models, the lowest w-coefficient of G
+        must be a nonzero real constant: G = c w^k + higher order in w."""
+        gated = self._nonflat_between_infinite_types
+        if gated is not None:
+            return gated
+        h = self.h
+        k = self.transversal_order.value
+        coeff = h.g.coefficient_series([h.w_index], (k,))
+        c0 = coeff.constant_term
+        tail = coeff - Series.constant(c0, coeff.arity, coeff.degree)
+        if not tail.is_zero:
+            lead = tail.leading_index()
+            return certified_false(
+                {
+                    "note": "w^k coefficient depends on z",
+                    "order": k,
+                    "index": list(lead),
+                    "value": str(tail.coefficient(lead)),
+                },
+                coeff.degree,
+            )
+        if not c0:
+            return certified_false({"note": "w^k coefficient vanishes at 0", "order": k},
+                                   coeff.degree)
+        if not c0.is_real:
+            return certified_false(
+                {"note": "w^k coefficient is not real", "order": k, "value": str(c0)},
+                coeff.degree,
+            )
+        return certified_true({"order": k, "value": str(c0)}, coeff.degree)
+
+    @cached_property
+    def order_bound(self) -> Verdict:
+        """Inequality (m' - 1) k <= m - 1 between infinite types and the order of G."""
+        gated = self._nonflat_between_infinite_types
+        if gated is not None:
+            return gated
+        m, mp = self.source_type.m, self.target_type.m
+        k = self.transversal_order.value
+        lhs = (mp - 1) * k
+        rhs = m - 1
+        witness = {
+            "m_source": m,
+            "m_target": mp,
+            "transversal_order": k,
+            "bound_lhs": lhs,
+            "bound_rhs": rhs,
+        }
+        d = min(self.h.degree, self.source.degree, self.target.degree)
+        if lhs <= rhs:
+            return certified_true(witness, d)
+        return certified_false(witness, d)
+
+    @cached_property
+    def unit_scale_law(self) -> Verdict:
+        """Transformation law of the unit part under a CR-transversal self-map:
+        Qt(z, chi, 0) = (dG/dw(0))^(m-1) * Qt(F(z,0), conj F(chi,0), 0)."""
+        if not self.self_map.is_true:
+            return unknown({"note": "not a self-map"})
+        if not self.equidimensional.is_true:
+            raise ArityMismatch("the transformation law concerns self-maps")
+        # a self-map has Q' == Q in degree and terms, so sends_into(h, m, m)
+        # certifies exactly when the cached sends_into(h, m, m') does
+        infinite = self.source_type.is_infinite
+        gated = self._gate(
+            (
+                ("infinite_type", infinite),
+                ("sends_into", infinite and self.sends_into.is_true),
+                ("cr_transversal", self.cr_transversal.is_true),
+            )
+        )
+        if gated is not None:
+            return gated
+
+        h, m = self.h, self.source
+        mm, qt = infinite_unit_part(m)
+        n = m.n
+        arity = 2 * n + 1
+        lhs = qt.set_zero([m.tau_index])
+
+        f0 = [c.set_zero([h.w_index]).embed(arity, list(range(n)) + [2 * n]) for c in h.f]
+        f0_conj = [
+            c.conjugate().set_zero([h.w_index]).embed(arity, list(range(n, 2 * n)) + [2 * n])
+            for c in h.f
+        ]
+        zero_tau = Series.zero(arity, lhs.degree)
+        gw0 = h.g.terms.get(unit(h.g.arity, h.w_index), ZERO)
+        rhs = compose(lhs, f0 + f0_conj + [zero_tau]).scale(gw0 ** (mm - 1))
+
+        diff = lhs - rhs
+        if diff.is_zero:
+            return certified_true(
+                {"m": mm, "unit_scale": str(gw0 ** (mm - 1))}, diff.degree
+            )
+        lead = diff.leading_index()
+        return certified_false(
+            {"m": mm, "index": list(lead), "value": str(diff.coefficient(lead))},
+            diff.degree,
+        )
+
+
+# ---------------- the gated conclusions on their own ----------------
 
 
 def normal_component_reality_check(
     h: CRMap, m: NormalHypersurface, mp: NormalHypersurface
 ) -> Verdict:
-    """For maps between infinite-type models, the lowest w-coefficient of G
-    must be a nonzero real constant: G = c w^k + higher order in w."""
-    for name, hypo in (
-        ("source_infinite_type", classify_type(m).is_infinite),
-        ("target_infinite_type", classify_type(mp).is_infinite),
-        ("sends_into", sends_into(h, m, mp).is_true),
-    ):
-        if not hypo:
-            return unknown({"failed_hypothesis": name}, h.degree)
-    order = transversal_order(h)
-    if order.is_flat:
-        return unknown({"failed_hypothesis": "not_transversally_flat"}, h.degree)
-
-    k = order.value
-    coeff = h.g.coefficient_series([h.w_index], (k,))
-    c0 = coeff.constant_term
-    tail = coeff - Series.constant(c0, coeff.arity, coeff.degree)
-    if not tail.is_zero:
-        lead = tail.leading_index()
-        return certified_false(
-            {
-                "note": "w^k coefficient depends on z",
-                "order": k,
-                "index": list(lead),
-                "value": str(tail.coefficient(lead)),
-            },
-            coeff.degree,
-        )
-    if not c0:
-        return certified_false({"note": "w^k coefficient vanishes at 0", "order": k},
-                               coeff.degree)
-    if not c0.is_real:
-        return certified_false(
-            {"note": "w^k coefficient is not real", "order": k, "value": str(c0)},
-            coeff.degree,
-        )
-    return certified_true({"order": k, "value": str(c0)}, coeff.degree)
+    """InstanceAnalysis.normal_unit_reality of h: m -> mp."""
+    return InstanceAnalysis(h, m, mp).normal_unit_reality
 
 
 def trord_bound_check(
     h: CRMap, m: NormalHypersurface, mp: NormalHypersurface
 ) -> Verdict:
-    """Inequality (m' - 1) k <= m - 1 between infinite types and the order of G."""
-    cls = classify_type(m)
-    cls_p = classify_type(mp)
-    for name, hypo in (
-        ("source_infinite_type", cls.is_infinite),
-        ("target_infinite_type", cls_p.is_infinite),
-        ("sends_into", sends_into(h, m, mp).is_true),
-    ):
-        if not hypo:
-            return unknown({"failed_hypothesis": name}, h.degree)
-    order = transversal_order(h)
-    if order.is_flat:
-        return unknown({"failed_hypothesis": "not_transversally_flat"}, h.degree)
-
-    k = order.value
-    lhs = (cls_p.m - 1) * k
-    rhs = cls.m - 1
-    witness = {
-        "m_source": cls.m,
-        "m_target": cls_p.m,
-        "transversal_order": k,
-        "bound_lhs": lhs,
-        "bound_rhs": rhs,
-    }
-    d = min(h.degree, m.degree, mp.degree)
-    if lhs <= rhs:
-        return certified_true(witness, d)
-    return certified_false(witness, d)
+    """InstanceAnalysis.order_bound of h: m -> mp."""
+    return InstanceAnalysis(h, m, mp).order_bound
 
 
 def basid_check(h: CRMap, m: NormalHypersurface) -> Verdict:
-    """Transformation law of the unit part under a CR-transversal self-map:
-    Qt(z, chi, 0) = (dG/dw(0))^(m-1) * Qt(F(z,0), conj F(chi,0), 0)."""
-    if h.target_n != h.source_n:
-        raise ArityMismatch("the transformation law concerns self-maps")
-    cls = classify_type(m)
-    hypotheses = (
-        ("infinite_type", cls.is_infinite),
-        ("sends_into", cls.is_infinite and sends_into(h, m, m).is_true),
-        ("cr_transversal", is_cr_transversal(h).is_true),
-    )
-    for name, hypo in hypotheses:
-        if not hypo:
-            return unknown({"failed_hypothesis": name}, h.degree)
-
-    mm, qt = infinite_unit_part(m)
-    n = m.n
-    arity = 2 * n + 1
-    lhs = qt.set_zero([m.tau_index])
-
-    f0 = [c.set_zero([h.w_index]).embed(arity, list(range(n)) + [2 * n]) for c in h.f]
-    f0_conj = [
-        c.conjugate().set_zero([h.w_index]).embed(arity, list(range(n, 2 * n)) + [2 * n])
-        for c in h.f
-    ]
-    zero_tau = Series.zero(arity, lhs.degree)
-    gw0 = h.g.terms.get(unit(h.g.arity, h.w_index), ZERO)
-    rhs = compose(lhs, f0 + f0_conj + [zero_tau]).scale(gw0 ** (mm - 1))
-
-    diff = lhs - rhs
-    if diff.is_zero:
-        return certified_true(
-            {"m": mm, "unit_scale": str(gw0 ** (mm - 1))}, diff.degree
-        )
-    lead = diff.leading_index()
-    return certified_false(
-        {"m": mm, "index": list(lead), "value": str(diff.coefficient(lead))},
-        diff.degree,
-    )
+    """InstanceAnalysis.unit_scale_law of the self-map h: m -> m."""
+    return InstanceAnalysis(h, m, m).unit_scale_law

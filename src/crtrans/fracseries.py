@@ -116,10 +116,6 @@ class FracSeries:
     def valuation(self):
         return self.num.order() - self.den.order()
 
-    @property
-    def certified_degree(self) -> Cert:
-        return self.cert
-
     def __repr__(self) -> str:
         return f"<FracSeries ({self.num.to_str()}) / ({self.den.to_str()})>"
 

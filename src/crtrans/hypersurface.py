@@ -23,7 +23,7 @@ from .errors import ArityMismatch, ConstructionError, StructureError
 from .linalg import generic_rank
 from .scalar import GaussianRational
 from .series import Series, compose, identity_components, solve_implicit
-from .verdict import Status, Verdict, certified_false, certified_true, unknown
+from .verdict import Status, Verdict, certified_false, certified_true, unknown, vanishes
 
 
 class Convention(enum.Enum):
@@ -348,14 +348,7 @@ class ExceptionalLocus:
     def contains_image(self, normal_component: Series) -> Verdict:
         """Does a map with this normal component send everything into w = 0?"""
         g = normal_component
-        if g.is_zero:
-            return certified_true(
-                {"note": "normal component vanishes", "exact": g.exact}, g.degree
-            )
-        lead = g.leading_index()
-        return certified_false(
-            {"index": list(lead), "value": str(g.coefficient(lead))}, g.degree
-        )
+        return vanishes(g, {"note": "normal component vanishes", "exact": g.exact})
 
 
 def exceptional_hypersurface(m: NormalHypersurface) -> ExceptionalLocus:

@@ -18,10 +18,6 @@ def degree(idx: MultiIndex) -> int:
     return sum(idx)
 
 
-def lex_key(idx: MultiIndex) -> MultiIndex:
-    return idx
-
-
 def grlex_key(idx: MultiIndex) -> Tuple[int, MultiIndex]:
     return (sum(idx), idx)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -282,13 +281,6 @@ class Series:
         if not self._num:
             return INFINITE_ORDER
         return min(idx_degree(k) for k in self._num)
-
-    def order_in(self, variables: Sequence[int]) -> Order:
-        """Vanishing order counting only the listed variables."""
-        if not self._num:
-            return INFINITE_ORDER
-        vs = tuple(variables)
-        return min(sum(k[i] for i in vs) for k in self._num)
 
     def leading_index(self) -> Optional[MultiIndex]:
         """Graded-lex minimal index with nonzero coefficient, None if zero."""
@@ -560,39 +552,11 @@ class Series:
         return text
 
 
-@dataclass(frozen=True)
-class FormalMap:
-    """An ordered tuple of series sharing one source ring."""
-
-    components: Tuple[Series, ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise StructureError("a formal map needs at least one component")
-        a = self.components[0].arity
-        if any(c.arity != a for c in self.components):
-            raise ArityMismatch("map components live in different rings")
-
-    @property
-    def arity(self) -> int:
-        return self.components[0].arity
-
-    @property
-    def is_pointed(self) -> bool:
-        return all(c.is_pointed for c in self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-
 def identity_components(arity: int, degree: int) -> Tuple[Series, ...]:
     return tuple(Series.variable(i, arity, degree) for i in range(arity))
 
 
-def compose(f: Series, components: Union[FormalMap, Sequence[Series]]) -> Series:
+def compose(f: Series, components: Sequence[Series]) -> Series:
     """Substitute pointed series for the variables of f.
 
     Result truncation degree is the minimum over f and all components; the

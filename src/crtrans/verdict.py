@@ -10,8 +10,11 @@ truncation degree that was actually used.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Mapping, Optional
+
+if TYPE_CHECKING:
+    from .series import Series
 
 
 class Status(str, enum.Enum):
@@ -56,6 +59,15 @@ def certified_false(witness: Optional[Mapping[str, Any]] = None, degree: Optiona
 
 def unknown(witness: Optional[Mapping[str, Any]] = None, degree: Optional[int] = None) -> Verdict:
     return Verdict(Status.UNKNOWN_AT_TRUNCATION, witness, degree)
+
+
+def vanishes(s: "Series", witness: Mapping[str, Any]) -> Verdict:
+    """certified_true(witness) when s is zero up to its degree, else
+    certified_false at the graded-lex leading coefficient of s."""
+    if s.is_zero:
+        return certified_true(witness, s.degree)
+    lead = s.leading_index()
+    return certified_false({"index": list(lead), "value": str(s.coefficient(lead))}, s.degree)
 
 
 def _jsonable(value: Any) -> Any:

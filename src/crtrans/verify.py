@@ -14,30 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .crmap import (
-    CRMap,
-    basid_check,
-    identity_map,
-    is_automorphism,
-    is_cr_transversal,
-    is_jacobian_nonzero,
-    is_not_totally_degenerate,
-    is_transversally_flat,
-    normal_component_reality_check,
-    sends_into,
-    transversal_order,
-    trord_bound_check,
-)
-from .hypersurface import (
-    Convention,
-    NormalHypersurface,
-    TypeKind,
-    _gradient_family_rank,
-    classify_type,
-    is_class_c,
-    is_class_cm,
-    is_holomorphically_nondegenerate,
-)
+from .crmap import CRMap, InstanceAnalysis, identity_map
+from .hypersurface import Convention, NormalHypersurface, TypeKind, _gradient_family_rank
 from .linalg import scalar_determinant
 from .models import (
     blowup_hypersurface,
@@ -52,7 +30,7 @@ from .models import (
 )
 from .scalar import GaussianRational, qr
 from .series import Series, compose, exp_series
-from .verdict import Status, Verdict, certified_false, certified_true, unknown
+from .verdict import Verdict, certified_false, certified_true, unknown, vanishes
 
 __all__ = [
     "SuiteStatus",
@@ -63,6 +41,7 @@ __all__ = [
     "suite_finite_type",
     "suite_infinite_type",
     "suite_easystuff",
+    "suite_report",
     "run_all",
 ]
 
@@ -191,19 +170,7 @@ def _row(
     )
 
 
-# ---------------- structural hypothesis verdicts ----------------
-
-
-def _equidimensional(h: CRMap) -> Verdict:
-    ok = h.source_n == h.target_n
-    wit = {"source_n": h.source_n, "target_n": h.target_n}
-    return certified_true(wit, h.degree) if ok else certified_false(wit, h.degree)
-
-
-def _self_map(m: NormalHypersurface, mp: NormalHypersurface) -> Verdict:
-    same = m.n == mp.n and m.convention is mp.convention and m.q == mp.q
-    wit = {"note": "target coincides with source" if same else "target differs from source"}
-    return certified_true(wit, m.degree) if same else certified_false(wit, m.degree)
+# ---------------- type hypothesis verdicts ----------------
 
 
 def _infinite(cls) -> Verdict:
@@ -377,27 +344,23 @@ def suite_finite_type(instances: Sequence[MapInstance], seed: int = 0) -> List[T
     for inst in instances:
         if inst.realm != "finite":
             continue
-        h, m, mp = inst.h, inst.source, inst.target
-        class_c = is_class_c(m, seed=seed)
-        hnd = is_holomorphically_nondegenerate(m, seed=seed)
-        sends = sends_into(h, m, mp)
-        equi = _equidimensional(h)
-        nonflat = _negate(is_transversally_flat(h))
-        transversal = is_cr_transversal(h)
-        nondeg = is_not_totally_degenerate(h, seed=seed)
-        jac = is_jacobian_nonzero(h) if equi.is_true else unknown({"note": "not equidimensional"})
+        a = InstanceAnalysis(inst.h, inst.source, inst.target, seed)
+        nonflat = _negate(a.transversally_flat)
 
         out.append(
             _row(
                 "nonflat_map_is_nondegenerate_and_transversal",
                 inst.id,
                 {
-                    "source_class_c": class_c,
-                    "sends_into": sends,
-                    "equidimensional": equi,
+                    "source_class_c": a.source_class_c,
+                    "sends_into": a.sends_into,
+                    "equidimensional": a.equidimensional,
                     "transversally_nonflat": nonflat,
                 },
-                _both("not_totally_degenerate", nondeg, "cr_transversal", transversal),
+                _both(
+                    "not_totally_degenerate", a.not_totally_degenerate,
+                    "cr_transversal", a.cr_transversal,
+                ),
             )
         )
         out.append(
@@ -405,20 +368,27 @@ def suite_finite_type(instances: Sequence[MapInstance], seed: int = 0) -> List[T
                 "nonzero_jacobian_forces_transversality",
                 inst.id,
                 {
-                    "source_class_c": class_c,
-                    "sends_into": sends,
-                    "equidimensional": equi,
-                    "jacobian_nonzero": jac,
+                    "source_class_c": a.source_class_c,
+                    "sends_into": a.sends_into,
+                    "equidimensional": a.equidimensional,
+                    "jacobian_nonzero": a.jacobian_nonzero,
                 },
-                transversal,
+                a.cr_transversal,
             )
         )
         out.append(
             _row(
                 "transversality_equals_nondegeneracy",
                 inst.id,
-                {"source_class_c": class_c, "sends_into": sends, "equidimensional": equi},
-                _agree("cr_transversal", transversal, "not_totally_degenerate", nondeg),
+                {
+                    "source_class_c": a.source_class_c,
+                    "sends_into": a.sends_into,
+                    "equidimensional": a.equidimensional,
+                },
+                _agree(
+                    "cr_transversal", a.cr_transversal,
+                    "not_totally_degenerate", a.not_totally_degenerate,
+                ),
             )
         )
         out.append(
@@ -426,12 +396,12 @@ def suite_finite_type(instances: Sequence[MapInstance], seed: int = 0) -> List[T
                 "nonflat_map_has_nonzero_jacobian",
                 inst.id,
                 {
-                    "source_holomorphically_nondegenerate": hnd,
-                    "sends_into": sends,
-                    "equidimensional": equi,
+                    "source_holomorphically_nondegenerate": a.source_holomorphically_nondegenerate,
+                    "sends_into": a.sends_into,
+                    "equidimensional": a.equidimensional,
                     "transversally_nonflat": nonflat,
                 },
-                jac,
+                a.jacobian_nonzero,
             )
         )
     out.sort(key=lambda r: (r.theorem, r.instance))
@@ -445,20 +415,10 @@ def suite_infinite_type(
     for inst in instances:
         if inst.realm != "infinite":
             continue
-        h, m, mp = inst.h, inst.source, inst.target
-        cls_src = classify_type(m)
-        cls_tgt = classify_type(mp)
-        src_inf = _infinite(cls_src)
-        tgt_inf = _infinite(cls_tgt)
-        sends = sends_into(h, m, mp)
-        equi = _equidimensional(h)
-        selfmap = _self_map(m, mp)
-        flat = is_transversally_flat(h)
-        nonflat = _negate(flat)
-        transversal = is_cr_transversal(h)
-        class_cm = is_class_cm(m, seed=seed) if src_inf.is_true else unknown(
-            {"note": "source type not certified infinite"}
-        )
+        a = InstanceAnalysis(inst.h, inst.source, inst.target, seed)
+        src_inf = _infinite(a.source_type)
+        tgt_inf = _infinite(a.target_type)
+        nonflat = _negate(a.transversally_flat)
 
         out.append(
             _row(
@@ -467,10 +427,10 @@ def suite_infinite_type(
                 {
                     "source_infinite_type": src_inf,
                     "target_infinite_type": tgt_inf,
-                    "sends_into": sends,
+                    "sends_into": a.sends_into,
                     "transversally_nonflat": nonflat,
                 },
-                normal_component_reality_check(h, m, mp),
+                a.normal_unit_reality,
             )
         )
         out.append(
@@ -480,10 +440,10 @@ def suite_infinite_type(
                 {
                     "source_infinite_type": src_inf,
                     "target_infinite_type": tgt_inf,
-                    "sends_into": sends,
+                    "sends_into": a.sends_into,
                     "transversally_nonflat": nonflat,
                 },
-                trord_bound_check(h, m, mp),
+                a.order_bound,
             )
         )
         out.append(
@@ -491,11 +451,13 @@ def suite_infinite_type(
                 "self_map_transversal_or_exceptional",
                 inst.id,
                 {
-                    "self_map": selfmap,
-                    "type_at_least_2": _infinite_at_least(cls_src, 2),
-                    "sends_into": sends,
+                    "self_map": a.self_map,
+                    "type_at_least_2": _infinite_at_least(a.source_type, 2),
+                    "sends_into": a.sends_into,
                 },
-                _either("cr_transversal", transversal, "transversally_flat", flat),
+                _either(
+                    "cr_transversal", a.cr_transversal, "transversally_flat", a.transversally_flat
+                ),
             )
         )
         out.append(
@@ -503,11 +465,13 @@ def suite_infinite_type(
                 "window_map_transversal_or_exceptional",
                 inst.id,
                 {
-                    "order_window": _order_window(cls_src, cls_tgt),
-                    "sends_into": sends,
-                    "equidimensional": equi,
+                    "order_window": _order_window(a.source_type, a.target_type),
+                    "sends_into": a.sends_into,
+                    "equidimensional": a.equidimensional,
                 },
-                _either("cr_transversal", transversal, "transversally_flat", flat),
+                _either(
+                    "cr_transversal", a.cr_transversal, "transversally_flat", a.transversally_flat
+                ),
             )
         )
         out.append(
@@ -515,12 +479,12 @@ def suite_infinite_type(
                 "unit_scale_transformation_law",
                 inst.id,
                 {
-                    "self_map": selfmap,
+                    "self_map": a.self_map,
                     "source_infinite_type": src_inf,
-                    "sends_into": sends,
-                    "cr_transversal": transversal,
+                    "sends_into": a.sends_into,
+                    "cr_transversal": a.cr_transversal,
                 },
-                basid_check(h, m) if selfmap.is_true else unknown({"note": "not a self-map"}),
+                a.unit_scale_law,
             )
         )
         out.append(
@@ -528,12 +492,12 @@ def suite_infinite_type(
                 "transversal_self_map_is_automorphism",
                 inst.id,
                 {
-                    "self_map": selfmap,
-                    "source_class_cm": class_cm,
-                    "sends_into": sends,
-                    "cr_transversal": transversal,
+                    "self_map": a.self_map,
+                    "source_class_cm": a.source_class_cm,
+                    "sends_into": a.sends_into,
+                    "cr_transversal": a.cr_transversal,
                 },
-                is_automorphism(h),
+                a.automorphism,
             )
         )
         out.append(
@@ -541,12 +505,12 @@ def suite_infinite_type(
                 "self_map_flat_or_automorphism",
                 inst.id,
                 {
-                    "self_map": selfmap,
-                    "source_class_cm": class_cm,
-                    "type_at_least_2": _infinite_at_least(cls_src, 2),
-                    "sends_into": sends,
+                    "self_map": a.self_map,
+                    "source_class_cm": a.source_class_cm,
+                    "type_at_least_2": _infinite_at_least(a.source_type, 2),
+                    "sends_into": a.sends_into,
                 },
-                _either("transversally_flat", flat, "automorphism", is_automorphism(h)),
+                _either("transversally_flat", a.transversally_flat, "automorphism", a.automorphism),
             )
         )
     out.sort(key=lambda r: (r.theorem, r.instance))
@@ -558,14 +522,8 @@ def _relation_holds(inst: IntertwinedInstance) -> Verdict:
     a, b = inst.a, inst.b
     args = [c.embed(2 * n, list(range(n))) for c in b]
     args += [c.conjugate().embed(2 * n, list(range(n, 2 * n))) for c in b]
-    rhs = compose(a, args).scale(inst.r)
-    diff = a - rhs
-    if diff.is_zero:
-        return certified_true({"exact": diff.exact}, diff.degree)
-    lead = diff.leading_index()
-    return certified_false(
-        {"index": list(lead), "value": str(diff.coefficient(lead))}, diff.degree
-    )
+    diff = a - compose(a, args).scale(inst.r)
+    return vanishes(diff, {"exact": diff.exact})
 
 
 def suite_easystuff(
@@ -603,13 +561,13 @@ def suite_easystuff(
 # ---------------- entry point ----------------
 
 
-def run_all(degree: int = 10, convention: Convention = Convention.TWO_I, seed: int = 0) -> dict:
-    maps, easy = build_registry(degree, convention)
-    suites = {
-        "finite_type": suite_finite_type(maps, seed=seed),
-        "infinite_type": suite_infinite_type(maps, seed=seed),
-        "easystuff": suite_easystuff(easy, seed=seed),
-    }
+def suite_report(
+    suites: Mapping[str, Sequence[TheoremSuiteResult]],
+    degree: int,
+    convention: Convention,
+    seed: int,
+) -> dict:
+    """The rows of the named suites with their status counts."""
     counts = {"confirmed": 0, "hypothesis_not_certified": 0, "falsified": 0}
     for rows in suites.values():
         for r in rows:
@@ -619,14 +577,23 @@ def run_all(degree: int = 10, convention: Convention = Convention.TWO_I, seed: i
                 counts["falsified"] += 1
             else:
                 counts["hypothesis_not_certified"] += 1
-    notes = {inst.id: inst.note for inst in maps if inst.note}
-    notes.update({inst.id: inst.note for inst in easy if inst.note})
     return {
         "degree": degree,
         "convention": convention.value,
         "seed": seed,
         "suites": {name: [r.to_json() for r in rows] for name, rows in suites.items()},
-        "instance_notes": notes,
         "counts": counts,
         "falsified": counts["falsified"] > 0,
     }
+
+
+def run_all(degree: int = 10, convention: Convention = Convention.TWO_I, seed: int = 0) -> dict:
+    maps, easy = build_registry(degree, convention)
+    suites = {
+        "finite_type": suite_finite_type(maps, seed=seed),
+        "infinite_type": suite_infinite_type(maps, seed=seed),
+        "easystuff": suite_easystuff(easy, seed=seed),
+    }
+    notes = {inst.id: inst.note for inst in maps if inst.note}
+    notes.update({inst.id: inst.note for inst in easy if inst.note})
+    return {**suite_report(suites, degree, convention, seed), "instance_notes": notes}

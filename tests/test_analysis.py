@@ -1,0 +1,121 @@
+"""One analysis per map instance: report digests and hypothesis call counts.
+
+The digests were recorded before the suites and check-map shared one
+InstanceAnalysis per instance; they pin every report byte of the registry
+suites and of the check-map shapes the benchmark runs.
+"""
+
+import hashlib
+import io
+import json
+import sys
+
+import pytest
+
+from crtrans import crmap, grammar
+from crtrans.cli import _run_checkmap, _run_verify, main
+from crtrans.hypersurface import Convention
+from crtrans.verify import build_registry, run_all
+
+
+def digest(body) -> str:
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+RUN_ALL = {
+    Convention.TWO_I: "4d8de3c5eba992744cbd2086798b1477fafcae5c256a893d9aa384f3bf3e046a",
+    Convention.I: "eacbc15f6c370061b242887321c509b8409526469c5865b65387be8acb4c3c36",
+}
+
+SINGLE_SUITE = {
+    "finite_type": "85c68a719fc8bed1071118a50fbe5a58f96df4080a8af3f752546d8e7d130c22",
+    "infinite_type": "e5ad64b2ad2b8c5cf400bc0cb9dc242732eda6a4356b1de3770c69eebfaa83a4",
+    "easystuff": "e7411bb997e5876234e174a89cb17dc908dd37ff721773d8d06c2a4656b8629e",
+}
+
+# (map, source, target) -> digest of the check-map result at degree 12; the
+# two conventions give the same result for these shapes
+CHECKMAPS = {
+    ("map(F = z*w, G = w)", "blowup(4, 4)", "blowup(3, 4)"):
+        "35491a942dd84ad9237db76db68eab02bed4fbfe0520d77d8246ea4b1b0f3a6c",
+    ("map(F = z*w, G = w)", "blowup(3, 1)", "blowup(2, 1)"):
+        "908c8eb5848aa76fcf82f24d6db343e1801534c0b28eb95bae9aa278babb1050",
+    ("map(F = z, G = w^2)", "exp_model(2)", "exp_model(1)"):
+        "c98bb04c4f4f3524662a72909975483533eabf26c5a4234f213375c1b03c0643",
+    ("map(F = z, G = w^3)", "exp_model(3)", "exp_model(1)"):
+        "07e5cf02bee1a4d12c0a3b5819f3e002d18eaba9e40794898f14cde7b463f0f7",
+    ("map(F = 2*z, G = w^4)", "exp_model(1)", "exp_model(1)"):
+        "60126ab877c4e0ab3c8ed451783811c7dec2f345cc28d19afe4d7d140b295aae",
+}
+
+
+def checkmap(shape, conv: Convention) -> dict:
+    hmap, src, tgt = shape
+    doc = grammar.parse(f"checkmap {hmap} : {src} -> {tgt}\n")
+    env = {d.name: d for d in doc.declarations}
+    return _run_checkmap(doc.tasks[0], env, 12, conv, 0)
+
+
+@pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
+def test_run_all_report_is_byte_stable(conv):
+    assert digest(run_all(degree=10, convention=conv)) == RUN_ALL[conv]
+
+
+@pytest.mark.parametrize("suite", sorted(SINGLE_SUITE))
+def test_single_suite_report_is_byte_stable(suite):
+    body = _run_verify(suite, 10, Convention.TWO_I, 0)
+    assert "instance_notes" not in body
+    assert digest(body) == SINGLE_SUITE[suite]
+
+
+@pytest.mark.parametrize("shape", sorted(CHECKMAPS), ids=lambda s: f"{s[1]}->{s[2]}")
+@pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
+def test_checkmap_result_is_byte_stable(shape, conv):
+    assert digest(checkmap(shape, conv)) == CHECKMAPS[shape]
+
+
+def test_checkmap_reports_the_first_error_of_each_task(capsys, monkeypatch):
+    doc = (
+        "checkmap map(F = z, G = w) : heisenberg(2) -> heisenberg(2)\n"
+        "checkmap map(F = z, G = w + z*w + z) : heisenberg(1) -> heisenberg(1)\n"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert main(["check-map"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["results"] == []
+    assert [e["error"] for e in rep["errors"]] == [
+        "source has n = 2 but the map uses 1",
+        "normal component has a monomial with no w factor; "
+        "the map cannot send a normal-form source into a normal-form target",
+    ]
+
+
+@pytest.fixture
+def sends_into_calls(monkeypatch):
+    """Replace sends_into in every crtrans module that holds it; record the calls."""
+    original = crmap.sends_into
+    calls = []
+
+    def counting(h, m, mp):
+        calls.append((id(h), id(m), id(mp)))
+        return original(h, m, mp)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "crtrans" or name.startswith("crtrans."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_run_all_decides_containment_once_per_map_instance(sends_into_calls):
+    maps, _ = build_registry(8)
+    run_all(degree=8)
+    assert len(sends_into_calls) == len(maps)
+    assert len(set(sends_into_calls)) == len(sends_into_calls)
+
+
+@pytest.mark.parametrize("shape", sorted(CHECKMAPS), ids=lambda s: f"{s[1]}->{s[2]}")
+def test_checkmap_decides_containment_once_per_task(sends_into_calls, shape):
+    checkmap(shape, Convention.TWO_I)
+    assert len(sends_into_calls) == 1

@@ -81,9 +81,6 @@ def test_order_is_total_degree():
     assert s.order() == 3
     t = Series.polynomial(3, 6, {(2, 0, 0): 1, (0, 0, 3): 1})
     assert t.order() == 2
-    assert s.order_in([2]) == 0
-    assert t.order_in([0]) == 0
-    assert Series.polynomial(3, 6, {(0, 0, 3): 1}).order_in([2]) == 3
 
 
 def test_leading_index_is_grlex_minimal():
