@@ -27,7 +27,6 @@ from .hypersurface import (
     is_class_c,
     is_class_cm,
     is_holomorphically_nondegenerate,
-    validate,
 )
 from .models import blowup_hypersurface, exp_model, heisenberg, m_psi
 from .prolongation import ProlongationInstance, forward_expand, minimal_ordered_nonzero, prolongation_solve
@@ -131,7 +130,7 @@ def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: Convention
         "name": name,
         "n": m.n,
         "classification": cls.to_json(),
-        "validate": validate(m).to_json(),
+        "validate": m.validity.to_json(),
         "class_c": is_class_c(m, seed=seed).to_json(),
         "holomorphically_nondegenerate": is_holomorphically_nondegenerate(m, seed=seed).to_json(),
         "class_cm": None,

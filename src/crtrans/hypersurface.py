@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
@@ -120,6 +121,11 @@ class NormalHypersurface:
         swap = list(range(self.n, 2 * self.n)) + list(range(self.n)) + [2 * self.n]
         return self.q.conjugate().permute(swap)
 
+    @cached_property
+    def validity(self) -> Verdict:
+        """`validate(self)`, decided once per surface."""
+        return validate(self)
+
 
 def validate(m: NormalHypersurface) -> Verdict:
     """Check normality and the reality condition up to the truncation degree."""
@@ -191,7 +197,7 @@ def from_graph(
     q = solve_implicit(rhs)
 
     m = NormalHypersurface(n, q, convention)
-    verdict = validate(m)
+    verdict = m.validity
     if not verdict.is_true:
         raise ConstructionError(f"graph data produced an invalid normal form: {verdict.witness}")
     return m

@@ -506,18 +506,37 @@ class Series:
         return Series._make(self.arity, d, self._num, self._den, True)
 
     def evaluate(self, point: Sequence[ScalarLike]) -> GaussianRational:
-        """Value of the stored polynomial part at an exact point."""
+        """Value of the stored polynomial part at an exact point.
+
+        Computed on the integer form. Write coordinate i as g_i / d_i with g_i
+        a Gaussian integer, and let E_i be the highest power of variable i
+        among the stored terms. Every term then lies over the one denominator
+        den * prod d_i^E_i, with g_i^e * d_i^(E_i - e) in place of the e-th
+        power of the coordinate; a single GaussianRational is built at the end.
+        """
         if len(point) != self.arity:
             raise ArityMismatch("evaluation point has wrong length")
-        pt = [GaussianRational.coerce(p) for p in point]
-        total = ZERO
-        for k, v in self.terms.items():
-            term = v
+        top = [0] * self.arity
+        for k in self._num:
+            top = [max(t, e) for t, e in zip(top, k)]
+        den = self._den
+        powers = []  # powers[i][e] = g_i^e * d_i^(E_i - e) as (re, im)
+        for p, t in zip(point, top):
+            gr, gi, d = _split(GaussianRational.coerce(p))
+            g = [(1, 0)]
+            for _ in range(t):
+                a, b = g[-1]
+                g.append((a * gr - b * gi, a * gi + b * gr))
+            powers.append([(a * d ** (t - e), b * d ** (t - e)) for e, (a, b) in enumerate(g)])
+            den *= d ** t
+        total_re = total_im = 0
+        for k, (re, im) in self._num.items():
             for i, e in enumerate(k):
-                if e:
-                    term = term * (pt[i] ** e)
-            total = total + term
-        return total
+                a, b = powers[i][e]
+                re, im = re * a - im * b, re * b + im * a
+            total_re += re
+            total_im += im
+        return _scalar(total_re, total_im, den)
 
     # ---------------- display ----------------
 

@@ -1,0 +1,221 @@
+"""Integer rank kernels against the GaussianRational kernels they replaced.
+
+The `ref_*` functions below are the earlier code kept as references:
+`Series.evaluate` term by term in GaussianRational, Gauss elimination for the
+scalar rank, the permutation expansion for the scalar determinant, and the
+minor scan over every row and column. Derandomized property tests check the
+Bareiss kernel, the integer `evaluate` and the scan that skips exact-zero rows
+and columns against them, and against sympy over Q(i) when it is installed.
+Needs the optional `hypothesis` package (the `test` extra); the module is
+skipped without it.
+"""
+
+import itertools
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from crtrans import linalg  # noqa: E402
+from crtrans import multiindex as mi  # noqa: E402
+from crtrans.linalg import (  # noqa: E402
+    SeriesMatrix,
+    _det,
+    _scalar_rank,
+    _scan_minors,
+    generic_rank,
+    scalar_determinant,
+)
+from crtrans.scalar import ZERO, GaussianRational, qr  # noqa: E402
+from crtrans.series import Series  # noqa: E402
+
+
+# ---------------- references ----------------
+
+
+def ref_evaluate(s, point):
+    pt = [GaussianRational.coerce(p) for p in point]
+    total = ZERO
+    for k, v in s.terms.items():
+        term = v
+        for i, e in enumerate(k):
+            if e:
+                term = term * (pt[i] ** e)
+        total = total + term
+    return total
+
+
+def ref_scalar_rank(rows):
+    mat = [[GaussianRational.coerce(x) for x in r] for r in rows]
+    if not mat or not mat[0]:
+        return 0
+    nr, nc = len(mat), len(mat[0])
+    rank = 0
+    for col in range(nc):
+        piv = next((r for r in range(rank, nr) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, nr):
+            if mat[r][col]:
+                f = mat[r][col] / pv
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def ref_scalar_determinant(rows):
+    n = len(rows)
+    acc = GaussianRational(0)
+    for perm in itertools.permutations(range(n)):
+        inv = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = GaussianRational(1) if inv % 2 == 0 else GaussianRational(-1)
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        acc = acc + term
+    return acc
+
+
+def ref_scan_minors(mat, size):
+    all_exact = True
+    for rows in itertools.combinations(range(mat.nrows), size):
+        for cols in itertools.combinations(range(mat.ncols), size):
+            det = _det([[mat.entry(i, j) for j in cols] for i in rows])
+            if det.is_zero:
+                all_exact = all_exact and det.exact
+            else:
+                lead = det.leading_index()
+                return (
+                    {
+                        "rows": list(rows),
+                        "cols": list(cols),
+                        "minor_index": list(lead),
+                        "minor_value": str(det.coefficient(lead)),
+                    },
+                    all_exact,
+                )
+    return None, all_exact
+
+
+def ref_rank_at_point(m, point):
+    mat = linalg._as_matrix(m)
+    return ref_scalar_rank([[ref_evaluate(e, point) for e in row] for row in mat.rows])
+
+
+# ---------------- strategies ----------------
+
+
+def gaussian(bound=6, den=6):
+    return st.builds(
+        lambda a, b, c, d: qr(Fraction(a, b), Fraction(c, d)),
+        st.integers(-bound, bound),
+        st.integers(1, den),
+        st.integers(-bound, bound),
+        st.integers(1, den),
+    )
+
+
+ENTRIES = st.one_of(st.just(ZERO), gaussian())
+
+
+@st.composite
+def scalar_matrix(draw, square=False):
+    """Rows of Gaussian rationals, with dependent rows drawn often."""
+    nr = draw(st.integers(0, 4))
+    nc = nr if square else draw(st.integers(0, 4))
+    rows = []
+    for _ in range(nr):
+        if rows and draw(st.booleans()):
+            coeffs = [draw(st.one_of(st.just(ZERO), gaussian(3, 3))) for _ in rows]
+            rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), ZERO)
+                         for j in range(nc)])
+        else:
+            rows.append([draw(ENTRIES) for _ in range(nc)])
+    return rows
+
+
+@st.composite
+def series(draw, arity, degree, exact=None):
+    indices = list(mi.iter_up_to(arity, degree))
+    keys = draw(st.lists(st.sampled_from(indices), max_size=5, unique=True))
+    flag = draw(st.booleans()) if exact is None else exact
+    return Series(arity, degree, {k: draw(gaussian()) for k in keys}, exact=flag)
+
+
+@st.composite
+def series_matrix(draw):
+    """A series matrix with exact-zero rows and columns and inexact-zero rows inserted."""
+    arity = draw(st.integers(1, 2))
+    degree = draw(st.integers(1, 3))
+    nr, nc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [[draw(series(arity, degree)) for _ in range(nc)] for _ in range(nr)]
+    zero = Series.zero(arity, degree)
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, len(rows[0])))
+        rows = [r[:j] + [zero] + r[j:] for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        exact = draw(st.booleans())
+        i = draw(st.integers(0, len(rows)))
+        rows.insert(i, [Series.zero(arity, degree, exact=exact)] * len(rows[0]))
+    return SeriesMatrix(tuple(tuple(r) for r in rows))
+
+
+# ---------------- properties ----------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_evaluate_matches_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    s = data.draw(series(arity, data.draw(st.integers(0, 6))))
+    point = [data.draw(st.one_of(st.just(ZERO), gaussian(9, 9), st.integers(-3, 3)))
+             for _ in range(arity)]
+    assert s.evaluate(point) == ref_evaluate(s, point)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scalar_matrix(), scalar_matrix(square=True))
+def test_rank_and_determinant_match_reference(rows, square):
+    assert _scalar_rank(rows) == ref_scalar_rank(rows)
+    assert scalar_determinant(square) == ref_scalar_determinant(square)
+
+
+def _sympy_matrix(sp, rows):
+    def conv(c):
+        c = GaussianRational.coerce(c)
+        return sp.Rational(c.re.numerator, c.re.denominator) + sp.I * sp.Rational(
+            c.im.numerator, c.im.denominator
+        )
+
+    return sp.Matrix([[conv(x) for x in r] for r in rows])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scalar_matrix(), scalar_matrix(square=True))
+def test_rank_and_determinant_match_sympy(rows, square):
+    sp = pytest.importorskip("sympy")
+    if rows and rows[0]:
+        assert _scalar_rank(rows) == _sympy_matrix(sp, rows).rank()
+    if square:
+        det = sp.expand(_sympy_matrix(sp, square).det())
+        want = qr(Fraction(str(sp.re(det))), Fraction(str(sp.im(det))))
+        assert scalar_determinant(square) == want
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(series_matrix(), st.integers(0, 3))
+def test_generic_rank_matches_reference_scan(mat, seed):
+    for size in range(1, min(mat.nrows, mat.ncols) + 1):
+        assert _scan_minors(mat, size) == ref_scan_minors(mat, size)
+    got = generic_rank(mat, seed=seed).to_json()
+    with mock.patch.object(linalg, "_scan_minors", ref_scan_minors), \
+            mock.patch.object(linalg, "rank_at_point", ref_rank_at_point):
+        want = generic_rank(mat, seed=seed).to_json()
+    assert got == want
+
