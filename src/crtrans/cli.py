@@ -14,7 +14,7 @@ import sys
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import grammar
+from . import __version__, grammar
 from .crmap import CRMap, InstanceAnalysis, sends_into
 from .errors import CrtransError, GrammarError
 from .fracseries import FracSeries
@@ -22,7 +22,6 @@ from .hypersurface import (
     Convention,
     NormalHypersurface,
     TypeKind,
-    classify_type,
     from_graph,
     is_class_c,
     is_class_cm,
@@ -42,15 +41,6 @@ from .verify import (
 SCHEMA = "crtrans-report/1"
 
 __all__ = ["main", "SCHEMA"]
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("crtrans")
-    except Exception:
-        return "0.0.0"
 
 
 def _convention(tag: str) -> Convention:
@@ -124,7 +114,7 @@ def _realize_map(
 
 def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: Convention, seed: int) -> dict:
     name, m = _realize_surface(task.target, env, degree, conv)
-    cls = classify_type(m)
+    cls = m.classification
     result = {
         "task": "classify",
         "name": name,
@@ -331,7 +321,7 @@ def _document_command(args, kinds, runner) -> int:
             errors.append({"task": grammar._render_task(task), "error": str(exc)})
     report = {
         "schema": SCHEMA,
-        "version": _version(),
+        "version": __version__,
         "command": args.command,
         "input_digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "degree": degree,
@@ -421,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if args.command == "verify":
-        report = {"schema": SCHEMA, "version": _version(), "command": "verify", **body}
+        report = {"schema": SCHEMA, "version": __version__, "command": "verify", **body}
         counts = report["counts"]
         _emit(
             report,
@@ -437,7 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "examples":
         report = {
             "schema": SCHEMA,
-            "version": _version(),
+            "version": __version__,
             "command": "examples",
             "degree": degree,
             "convention": conv.value,

@@ -8,7 +8,6 @@ the degree actually used, which every verdict records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -16,7 +15,6 @@ from .errors import ArityMismatch, StructureError, TruncationMismatch
 from .hypersurface import (
     NormalHypersurface,
     TypeClassification,
-    classify_type,
     infinite_unit_part,
     is_class_c,
     is_class_cm,
@@ -24,13 +22,13 @@ from .hypersurface import (
 )
 from .linalg import determinant, generic_rank, scalar_determinant
 from .multiindex import grlex_key, unit
+from .record import Record
 from .scalar import ZERO
 from .series import Series, compose
 from .verdict import Verdict, certified_false, certified_true, unknown, vanishes
 
 
-@dataclass(frozen=True)
-class CRMap:
+class CRMap(Record):
     """(F, G) with F the tangential components and G the normal one."""
 
     f: Tuple[Series, ...]
@@ -158,8 +156,7 @@ def is_jacobian_nonzero(h: CRMap) -> Verdict:
     return unknown({"note": "Jacobian vanishes up to truncation"}, det.degree)
 
 
-@dataclass(frozen=True)
-class TransversalOrder:
+class TransversalOrder(Record):
     """Order of vanishing of G along w; None when flat to truncation."""
 
     value: Optional[int]
@@ -242,8 +239,7 @@ def sends_into(h: CRMap, m: NormalHypersurface, mp: NormalHypersurface) -> Verdi
 # ---------------- one analysis per instance ----------------
 
 
-@dataclass(frozen=True, eq=False)
-class InstanceAnalysis:
+class InstanceAnalysis(Record, eq=False):
     """Every verdict about one instance h: source -> target, each decided at
     most once. The gated conclusions read the cached hypotheses, so the suites
     and check-map never decide a hypothesis twice."""
@@ -254,9 +250,10 @@ class InstanceAnalysis:
     seed: int = 0
 
     # the analyzers are looked up at call time, so wrapping a module function
-    # (as perfbench/tracer.py does) also sees the calls made from here
-    source_type = cached_property(lambda self: classify_type(self.source))
-    target_type = cached_property(lambda self: classify_type(self.target))
+    # (as perfbench/tracer.py does) also sees the calls made from here; a
+    # surface shared by several instances is classified once, on the surface
+    source_type = property(lambda self: self.source.classification)
+    target_type = property(lambda self: self.target.classification)
     sends_into = cached_property(lambda self: sends_into(self.h, self.source, self.target))
     transversal_order = cached_property(lambda self: transversal_order(self.h))
     transversally_flat = cached_property(lambda self: is_transversally_flat(self.h))

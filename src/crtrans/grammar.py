@@ -8,10 +8,10 @@ and ``render`` prints the canonical form; parse(render(doc)) == doc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import GrammarError, StructureError
+from .record import Record
 from .scalar import qr
 from .series import Series, exp_series
 
@@ -111,41 +111,34 @@ _CTOR_KEYWORDS = ("hypersurface", "graph", "heisenberg", "blowup", "exp_model", 
 # ---------------- expression AST ----------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: int
 
 
-@dataclass(frozen=True)
-class Imag:
+class Imag(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     arg: "ExprNode"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str  # one of + - * /
     left: "ExprNode"
     right: "ExprNode"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: "ExprNode"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Exp:
+class Exp(Record):
     arg: "ExprNode"
 
 
@@ -155,21 +148,18 @@ ExprNode = Union[Num, Imag, Var, Neg, BinOp, Pow, Exp]
 # ---------------- declarations, references, tasks ----------------
 
 
-@dataclass(frozen=True)
-class SeriesDecl:
+class SeriesDecl(Record):
     name: str
     expr: ExprNode
 
 
-@dataclass(frozen=True)
-class SurfaceDecl:
+class SurfaceDecl(Record):
     name: str
     kind: str  # q | graph | heisenberg | blowup | exp_model | m_psi
     args: Tuple
 
 
-@dataclass(frozen=True)
-class MapDecl:
+class MapDecl(Record):
     name: str
     components: Tuple[ExprNode, ...]
     normal: ExprNode
@@ -178,13 +168,11 @@ class MapDecl:
 Declaration = Union[SeriesDecl, SurfaceDecl, MapDecl]
 
 
-@dataclass(frozen=True)
-class NameRef:
+class NameRef(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class CtorRef:
+class CtorRef(Record):
     kind: str
     args: Tuple
 
@@ -192,40 +180,34 @@ class CtorRef:
 Ref = Union[NameRef, CtorRef]
 
 
-@dataclass(frozen=True)
-class ClassifyTask:
+class ClassifyTask(Record):
     target: Ref
 
 
-@dataclass(frozen=True)
-class CheckMapTask:
+class CheckMapTask(Record):
     map: Ref
     source: Ref
     target: Ref
 
 
-@dataclass(frozen=True)
-class ProlongTask:
+class ProlongTask(Record):
     a: str
     components: Tuple[str, ...]
     alpha: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VerifyTask:
+class VerifyTask(Record):
     suite: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ExamplesTask:
+class ExamplesTask(Record):
     pass
 
 
 Task = Union[ClassifyTask, CheckMapTask, ProlongTask, VerifyTask, ExamplesTask]
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Record):
     declarations: Tuple[Declaration, ...]
     tasks: Tuple[Task, ...]
     degree: Optional[int] = None
@@ -235,12 +217,18 @@ class InputDocument:
 # ---------------- tokenizer ----------------
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # INT, NAME, SYM, NEWLINE, EOF
-    text: str
-    line: int
-    column: int
+    """Not a Record: the parser builds and reads several hundred tokens per
+    document, and a slotted class with a plain `__init__` is cheaper there
+    than the generic `Record.__init__`."""
+
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self.kind = kind  # INT, NAME, SYM, NEWLINE, EOF
+        self.text = text
+        self.line = line
+        self.column = column
 
 
 _SYMBOLS = ("->", "+", "-", "*", "/", "^", "(", ")", "=", ",", ";", ":")

@@ -14,7 +14,6 @@ Im w = phi(z, chi, Re w) (or 2 Im w = ..., see Convention).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
@@ -22,6 +21,7 @@ from typing import Mapping, Optional, Tuple
 from . import multiindex as mi
 from .errors import ArityMismatch, ConstructionError, StructureError
 from .linalg import generic_rank
+from .record import Record
 from .scalar import GaussianRational
 from .series import Series, compose, identity_components, solve_implicit
 from .verdict import Status, Verdict, certified_false, certified_true, unknown, vanishes
@@ -48,8 +48,7 @@ class TypeKind(str, enum.Enum):
     UNKNOWN = "unknown_at_truncation"
 
 
-@dataclass(frozen=True)
-class TypeClassification:
+class TypeClassification(Record):
     kind: TypeKind
     m: Optional[int]
     witness: Mapping
@@ -72,8 +71,7 @@ class TypeClassification:
         }
 
 
-@dataclass(frozen=True)
-class NormalHypersurface:
+class NormalHypersurface(Record):
     """w = Q(z, chi, tau) with Q in normal form."""
 
     n: int
@@ -125,6 +123,11 @@ class NormalHypersurface:
     def validity(self) -> Verdict:
         """`validate(self)`, decided once per surface."""
         return validate(self)
+
+    @cached_property
+    def classification(self) -> TypeClassification:
+        """`classify_type(self)`, decided once per surface."""
+        return classify_type(self)
 
 
 def validate(m: NormalHypersurface) -> Verdict:
@@ -262,7 +265,7 @@ def classify_type(m: NormalHypersurface) -> TypeClassification:
 
 def infinite_unit_part(m: NormalHypersurface) -> Tuple[int, Series]:
     """For Q = tau + tau^mm * Qt with Qt(z, chi, 0) nonzero, return (mm, Qt)."""
-    cls = classify_type(m)
+    cls = m.classification
     if not cls.is_infinite:
         raise StructureError(f"hypersurface is not of infinite type: {cls.kind.value}")
     r = m.q - Series.variable(m.tau_index, m.q.arity, m.q.degree)
@@ -341,8 +344,7 @@ def is_holomorphically_nondegenerate(
 # ---------------- the exceptional hypersurface ----------------
 
 
-@dataclass(frozen=True)
-class ExceptionalLocus:
+class ExceptionalLocus(Record):
     """The complex hypersurface w = 0 inside an infinite-type model."""
 
     n: int
@@ -358,7 +360,7 @@ class ExceptionalLocus:
 
 
 def exceptional_hypersurface(m: NormalHypersurface) -> ExceptionalLocus:
-    cls = classify_type(m)
+    cls = m.classification
     if not cls.is_infinite:
         raise StructureError("the exceptional hypersurface lives in infinite type models")
     return ExceptionalLocus(m.n)

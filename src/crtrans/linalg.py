@@ -26,12 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Sequence, Tuple, Union
 
 from .errors import ArityMismatch, NotSolvableAtTruncation, StructureError
 from .fracseries import FracSeries, _times
+from .record import Record
 from .scalar import ZERO, GaussianRational
 from .series import Series, _scalar, _split
 from .verdict import Verdict, certified_false, certified_true, unknown
@@ -39,8 +39,7 @@ from .verdict import Verdict, certified_false, certified_true, unknown
 MatrixLike = Union["SeriesMatrix", Sequence[Sequence[Series]]]
 
 
-@dataclass(frozen=True)
-class SeriesMatrix:
+class SeriesMatrix(Record):
     rows: tuple
 
     def __post_init__(self) -> None:
@@ -233,8 +232,7 @@ def rank_at_point(m: MatrixLike, point: Sequence) -> int:
     return _scalar_rank(vals)
 
 
-@dataclass(frozen=True)
-class GenericRank:
+class GenericRank(Record):
     """Rank of a matrix over the fraction field of the series ring."""
 
     r: int

@@ -18,7 +18,6 @@ from .errors import ConstructionError, FieldRestriction, StructureError, Truncat
 from .hypersurface import (
     Convention,
     NormalHypersurface,
-    classify_type,
     from_graph,
 )
 from .scalar import GaussianRational
@@ -112,7 +111,7 @@ def exp_model(
     zchi = Series.polynomial(3, degree, {(1, 1, 0): GaussianRational(0, Fraction(1, k))})
     q = exp_series(zchi) * Series.variable(2, 3, degree)
     m = NormalHypersurface(1, q, convention)
-    cls = classify_type(m)
+    cls = m.classification
     if not (cls.is_infinite and cls.m == 1):
         raise ConstructionError("exponential model failed its type check")
     return m
@@ -221,7 +220,7 @@ def blowup_hypersurface(
     s_var = Series.variable(2, 3, degree)
     phi = compose(theta, [zchi, s_var]) * Series.polynomial(3, degree, {(0, 0, d): 1})
     m = from_graph(phi, convention)
-    cls = classify_type(m)
+    cls = m.classification
     if not (cls.is_infinite and cls.m == d):
         raise ConstructionError(
             f"blowup model ({b}, {c}) classified as {cls.kind.value}, m = {cls.m}; "

@@ -19,18 +19,17 @@ and after solving it re-checks every supplied equation of reachable order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from . import multiindex as mi
 from .errors import InconsistentData, NoWitness, StructureError
 from .fracseries import FracSeries
+from .record import Record
 from .series import Series
 
 
-@dataclass(frozen=True)
-class ProlongationInstance:
+class ProlongationInstance(Record):
     """A(z, chi) together with jet data for the products A * b_i.
 
     a: series of arity n + p; the first n variables form the z block.
@@ -63,8 +62,7 @@ class ProlongationInstance:
         return 0
 
 
-@dataclass(frozen=True)
-class ProlongationSolution:
+class ProlongationSolution(Record):
     alpha: Tuple[int, ...]
     pivot: Tuple[int, ...]
     values: Tuple[FracSeries, ...]

@@ -10,8 +10,9 @@ truncation degree that was actually used.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional
+
+from .record import Record
 
 if TYPE_CHECKING:
     from .series import Series
@@ -23,8 +24,7 @@ class Status(str, enum.Enum):
     UNKNOWN_AT_TRUNCATION = "unknown_at_truncation"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: Status
     witness: Optional[Mapping[str, Any]] = None
     degree_used: Optional[int] = None

@@ -10,7 +10,6 @@ the command line front end.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -28,6 +27,7 @@ from .models import (
     remark_instance,
     tk_map,
 )
+from .record import Record
 from .scalar import GaussianRational, qr
 from .series import Series, compose, exp_series
 from .verdict import Verdict, certified_false, certified_true, unknown, vanishes
@@ -52,8 +52,7 @@ class SuiteStatus(str, enum.Enum):
     FALSIFIED = "FALSIFIED"
 
 
-@dataclass(frozen=True)
-class TheoremSuiteResult:
+class TheoremSuiteResult(Record):
     theorem: str
     instance: str
     hypotheses: Mapping[str, Verdict]
@@ -72,8 +71,7 @@ class TheoremSuiteResult:
         }
 
 
-@dataclass(frozen=True)
-class MapInstance:
+class MapInstance(Record):
     """One map row of the registry: h sends (or fails to send) source into target."""
 
     id: str
@@ -84,8 +82,7 @@ class MapInstance:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class IntertwinedInstance:
+class IntertwinedInstance(Record):
     """Data (A, B, r) for the scaled self-similarity A(z, chi) = r A(B(z), conj(B)(chi))."""
 
     id: str

@@ -1,5 +1,6 @@
-"""classify reports: byte-stable digests, one validity decision per surface,
-and rank scans that never expand a minor through an exact-zero row or column.
+"""classify reports: byte-stable digests, one validity and one type decision
+per surface, and rank scans that never expand a minor through an exact-zero
+row or column.
 
 The digests were recorded before the minor scan skipped exact-zero rows and
 columns and before scalar rank and determinant moved to the Bareiss kernel;
@@ -17,6 +18,7 @@ import pytest
 from crtrans import grammar, hypersurface, linalg
 from crtrans.cli import _run_classify
 from crtrans.hypersurface import Convention
+from crtrans.verify import run_all
 
 
 def digest(body) -> str:
@@ -86,6 +88,35 @@ def test_classify_validates_a_graph_surface_once(monkeypatch):
     body = classify("z*chi + z^2*chi^2*s", 6, Convention.TWO_I, 0)
     assert body["validate"]["status"] == "certified_true"
     assert len(calls) == 1
+
+
+@pytest.fixture
+def classify_type_calls(monkeypatch):
+    """The surfaces classify_type is called on, in every crtrans module."""
+    original = hypersurface.classify_type
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    replace_everywhere(monkeypatch, original, counting)
+    return calls
+
+
+def test_classify_types_an_infinite_type_surface_once(classify_type_calls):
+    # class_cm reads the type again through infinite_unit_part
+    body = classify("z*chi*s + z^2*chi^2*s", 6, Convention.TWO_I, 0)
+    assert body["classification"]["kind"] == "infinite_type"
+    assert body["class_cm"] is not None
+    assert len(classify_type_calls) == 1
+
+
+def test_run_all_types_each_surface_once(classify_type_calls):
+    # the registry shares surfaces between instances
+    run_all(degree=9)
+    assert classify_type_calls
+    assert len({id(m) for m in classify_type_calls}) == len(classify_type_calls)
 
 
 def test_rank_scans_skip_exact_zero_rows_and_columns(monkeypatch):

@@ -1,7 +1,5 @@
 """Normal-form hypersurfaces: validation, graphs, type, nondegeneracy."""
 
-import dataclasses
-
 import pytest
 
 from crtrans.errors import ArityMismatch, StructureError
@@ -32,7 +30,7 @@ def poly(arity, terms, degree=D):
 
 
 def replace_q(m, q):
-    return dataclasses.replace(m, q=q)
+    return NormalHypersurface(m.n, q, m.convention)
 
 
 def test_heisenberg_normal_form():

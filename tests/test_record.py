@@ -1,0 +1,154 @@
+"""Record against a frozen dataclass twin: construction, normalisation,
+immutability, equality and hashing by class, repr, identity equality, and
+cached properties."""
+
+import dataclasses
+from functools import cached_property
+from typing import Tuple
+
+import pytest
+
+from crtrans.grammar import Exp, ExamplesTask, Imag, Neg, Num, VerifyTask
+from crtrans.record import Record
+
+
+class Point(Record):
+    x: int
+    y: int = 0
+    label: str = "p"
+
+
+class Chain(Record):
+    items: Tuple[int, ...]
+    head: object = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "items", tuple(self.items))
+
+
+SQUARED = []
+
+
+class Counted(Record):
+    n: int
+
+    @cached_property
+    def square(self) -> int:
+        SQUARED.append(self.n)
+        return self.n * self.n
+
+
+# the same classes as frozen dataclasses, under the same names
+PointTwin = dataclasses.make_dataclass(
+    "Point", [("x", int), ("y", int, dataclasses.field(default=0)),
+              ("label", str, dataclasses.field(default="p"))], frozen=True)
+ChainTwin = dataclasses.make_dataclass(
+    "Chain", [("items", tuple), ("head", object, dataclasses.field(default=None))],
+    frozen=True, namespace={"__post_init__": Chain.__post_init__})
+
+CONSTRUCTIONS = [
+    ((1,), {}),
+    ((1, 2), {}),
+    ((1, 2, "q"), {}),
+    ((), {"x": 1}),
+    ((1,), {"label": "q"}),
+    ((), {"label": "q", "y": 3, "x": 1}),
+]
+
+
+def fields(obj) -> tuple:
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(PointTwin))
+
+
+@pytest.mark.parametrize("args, kwargs", CONSTRUCTIONS)
+def test_construction_matches_the_dataclass(args, kwargs):
+    rec, twin = Point(*args, **kwargs), PointTwin(*args, **kwargs)
+    assert fields(rec) == fields(twin)
+    assert repr(rec) == repr(twin)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),                       # missing x
+    ((), {"y": 1}),                 # missing x
+    ((1, 2, "q", 4), {}),           # one positional too many
+    ((1,), {"z": 1}),               # unknown keyword
+    ((1,), {"x": 2}),               # x given twice
+])
+def test_bad_arguments_raise_type_error_like_the_dataclass(args, kwargs):
+    with pytest.raises(TypeError):
+        PointTwin(*args, **kwargs)
+    with pytest.raises(TypeError):
+        Point(*args, **kwargs)
+
+
+def test_post_init_normalises_like_the_dataclass():
+    rec, twin = Chain([1, 2]), ChainTwin([1, 2])
+    assert rec.items == twin.items == (1, 2)
+    assert repr(rec) == repr(twin)
+    assert hash(rec) == hash(twin)
+
+
+@pytest.mark.parametrize("cls", [Point, PointTwin])
+def test_assignment_and_deletion_raise(cls):
+    p = cls(1)
+    with pytest.raises(AttributeError):
+        p.x = 2
+    with pytest.raises(AttributeError):
+        p.other = 2
+    with pytest.raises(AttributeError):
+        del p.x
+    assert p.x == 1
+
+
+def test_equality_and_hash_follow_class_and_fields():
+    assert Point(1, 2) == Point(1, y=2)
+    assert hash(Point(1, 2)) == hash(Point(1, y=2)) == hash(PointTwin(1, 2))
+    assert Point(1, 2) != Point(1, 3)
+    assert Point(1, 2) != PointTwin(1, 2)
+    assert Point(1, 2) != (1, 2, "p")
+    assert len({Point(1), Point(1), Point(2)}) == 2
+
+
+def test_records_of_different_classes_differ():
+    x = Num(3)
+    assert Neg(x) == Neg(Num(3))
+    assert Neg(x) != Exp(x)
+    assert Imag() == Imag()
+    assert Imag() != ExamplesTask()
+    assert hash(Imag()) == hash(ExamplesTask()) == hash(())
+    assert VerifyTask() == VerifyTask(None)
+
+
+def test_repr_matches_the_dataclass():
+    for args in [(1,), (-2, 5, "a'b"), (0, 0, "")]:
+        assert repr(Point(*args)) == repr(PointTwin(*args))
+    assert repr(Chain([Point(1)], "h")) == "Chain(items=(Point(x=1, y=0, label='p'),), head='h')"
+    assert repr(Neg(Num(3))) == "Neg(arg=Num(value=3))"
+    assert repr(Imag()) == "Imag()"
+
+
+def test_eq_false_gives_identity_equality():
+    class Analysis(Record, eq=False):
+        h: int
+
+    @dataclasses.dataclass(frozen=True, eq=False)
+    class AnalysisTwin:
+        h: int
+
+    for cls in (Analysis, AnalysisTwin):
+        a, b = cls(1), cls(1)
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a)
+        assert len({a, b}) == 2
+    with pytest.raises(AttributeError):
+        Analysis(1).h = 2
+
+
+def test_cached_property_on_a_frozen_record():
+    c = Counted(4)
+    assert c.square == 16
+    assert c.square == 16
+    assert SQUARED == [4]
+    assert c == Counted(4)
+    assert hash(c) == hash(Counted(4))
+    assert repr(c) == "Counted(n=4)"
