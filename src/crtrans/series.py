@@ -575,11 +575,36 @@ def identity_components(arity: int, degree: int) -> Tuple[Series, ...]:
     return tuple(Series.variable(i, arity, degree) for i in range(arity))
 
 
+def _shift_variable(c: Series) -> Optional[int]:
+    """j when c is exactly the variable x_j that `Series.variable` builds, else None."""
+    if not c.exact or c._den != 1 or len(c._num) != 1:
+        return None
+    ((k, v),) = c._num.items()
+    if v != (1, 0) or idx_degree(k) != 1:
+        return None
+    return k.index(1)
+
+
 def compose(f: Series, components: Sequence[Series]) -> Series:
     """Substitute pointed series for the variables of f.
 
     Result truncation degree is the minimum over f and all components; the
     coefficients up to that degree agree with the untruncated composition.
+
+    A component that is exactly a variable x_j as `Series.variable` builds it
+    (exact, one term of degree 1, coefficient 1) is a shift: it adds its
+    exponent to x_j in the key of each term of f and makes no product. The
+    terms of f are grouped by their exponents in the other components. One
+    group becomes one polynomial over f's denominator in the shifted keys,
+    where terms landing on the same key are summed, and costs one product
+    with the product of those components' cached powers.
+
+    The result is exact when f is, no term of f lies beyond the truncation
+    degree or is lost to an inexact zero component, and every term's image
+    is an exact polynomial within the truncation degree: its components are
+    exact and the sum of exponent times component degree is at most the
+    truncation degree. That is decided term by term, before the terms of a
+    group can cancel, so a cancellation never hides a term that overflowed.
     """
     comps = list(components)
     if len(comps) != f.arity:
@@ -594,46 +619,61 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
         if not c.is_pointed:
             raise NotPointed("substitution requires components with zero constant term")
     d = min([f.degree] + degrees)
-    acc = Series.zero(arity, d)
-    tail_unknown = not f.exact
-    powers: list[Dict[int, Series]] = [{0: Series.one(arity, d)} for _ in comps]
+    shifts = [_shift_variable(c) for c in comps]
+    others = [i for i, j in enumerate(shifts) if j is None]
+    poly_degrees = [c.poly_degree for c in comps]
+    exact = f.exact
+    groups: Dict[MultiIndex, NumMap] = {}
+    for alpha, (re, im) in f._num.items():
+        if idx_degree(alpha) > d:
+            # contributes only beyond the truncation degree
+            exact = False
+            continue
+        zero = next((i for i, e in enumerate(alpha) if e and comps[i].is_zero), None)
+        if zero is not None:
+            exact = exact and comps[zero].exact
+            continue
+        key = [0] * arity
+        top = 0  # degree of the term's image before truncation
+        for i, e in enumerate(alpha):
+            if e:
+                j = shifts[i]
+                if j is None:
+                    exact = exact and comps[i].exact
+                    top += e * poly_degrees[i]
+                else:
+                    key[j] += e
+                    top += e
+        if top > d:
+            exact = False
+        num = groups.setdefault(tuple(alpha[i] for i in others), {})
+        key = tuple(key)
+        cur = num.get(key)
+        num[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+
+    powers = {i: [comps[i].truncate(d)] for i in others}  # powers[i][e - 1] = comps[i]^e
 
     def power(i: int, e: int) -> Series:
         cache = powers[i]
-        if e not in cache:
-            m = max(cache)
-            cur = cache[m]
-            while m < e:
-                cur = cur * comps[i]
-                m += 1
-                cache[m] = cur
-        return cache[e]
+        while len(cache) < e:
+            cache.append(cache[-1] * cache[0])
+        return cache[e - 1]
 
-    for alpha, c in sorted(f.terms.items(), key=lambda kv: grlex_key(kv[0])):
-        if idx_degree(alpha) > d:
-            # contributes only beyond the truncation degree
-            tail_unknown = True
+    origin = (0,) * arity
+    acc = Series.zero(arity, d)
+    for rest, num in groups.items():
+        num = {k: v for k, v in num.items() if v[0] or v[1]}
+        if not num:
             continue
-        skip = False
-        for i, e in enumerate(alpha):
-            if e and comps[i].is_zero:
-                if not comps[i].exact:
-                    tail_unknown = True
-                skip = True
-                break
-        if skip:
-            continue
-        prod: Optional[Series] = None
-        for i, e in enumerate(alpha):
-            if not e:
-                continue
-            p = power(i, e)
-            prod = p if prod is None else prod * p
-        term = Series.constant(c, arity, d) if prod is None else prod.scale(c)
-        acc = acc + term
-    if tail_unknown and acc.exact:
-        acc = acc._with_exact(False)
-    return acc
+        p: Optional[Series] = None
+        for i, e in zip(others, rest):
+            if e:
+                p = power(i, e) if p is None else p * power(i, e)
+        g = Series._reduced(arity, d, num, f._den, True)
+        if p is not None:
+            g = p.scale(g.constant_term) if len(num) == 1 and origin in num else g * p
+        acc = acc + g
+    return acc._with_exact(exact)
 
 
 def invert_unit(f: Series) -> Series:

@@ -91,6 +91,30 @@ def test_from_graph_roundtrip():
     assert to_graph(m) == phi
 
 
+def test_from_graph_of_a_dense_graph_makes_few_products(monkeypatch):
+    """Every composition in from_graph substitutes plain variables for all but
+    one variable, so a dense n = 1 graph at degree 10 takes 26 series products
+    (849 with one product per term)."""
+    terms = {
+        (a, b, k): qr(a + b + k + 1, a - b)
+        for a in range(1, 6)
+        for b in range(1, 6)
+        for k in range(3)
+        if a + b + k <= 6
+    }
+    calls = []
+    mul = Series.__mul__
+
+    def counted(a, b):
+        calls.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    m = from_graph(poly(3, terms, 10), Convention.TWO_I)
+    assert m.validity.status is Status.CERTIFIED_TRUE
+    assert len(calls) <= 26
+
+
 def test_to_graph_of_heisenberg():
     assert to_graph(heisenberg(1, D)) == poly(3, {(1, 1, 0): 1})
 

@@ -1,5 +1,6 @@
 """Model families: frozen normal forms, invariants, and field restrictions."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from crtrans.models import (
     tk_map,
     unscaled_blowup_map,
 )
+from crtrans.multiindex import grlex_key
 from crtrans.scalar import qr
 from crtrans.series import Series, invert_unit
 from crtrans.verdict import Status
@@ -62,6 +64,42 @@ def test_blowup_normal_forms_frozen():
         (2, 2, 3): qr(-4),
         (3, 3, 4): qr(0, Fraction(-16, 3)),
     }
+
+
+# SHA-256 of the grlex-sorted (index, coefficient) pairs of q and q.exact at
+# degree 12. The models substitute a plain variable s in compose, so these pin
+# its shift path on the model data.
+MODEL_DIGESTS = {
+    ("exp_model", (1,), "2i"):
+        "157a7544ac8b9750133de1460e7b5ece99e64148641f7d642b8a3cd7ae1498dc",
+    ("exp_model", (2,), "2i"):
+        "0822217f38fbeb9b80a4e726403b0bc9756d83237c620bc667b3d1d24b00594c",
+    ("exp_model", (3,), "2i"):
+        "a2979e06776339ade77b2dcee66ddbc983e0d287f76dd119183bfc429b2e006f",
+    ("blowup_hypersurface", (2, 1), "2i"):
+        "2a8e78b0db003dfc4517da4a3b1bb76d4ad580786cbc40b041310b4ddf1696f7",
+    ("blowup_hypersurface", (3, 4), "2i"):
+        "28b15de7f3272fa34a2ee346e495e1c8c648a1a2dfc6ed082193dedf4df9807b",
+    ("exp_model", (1,), "i"):
+        "157a7544ac8b9750133de1460e7b5ece99e64148641f7d642b8a3cd7ae1498dc",
+    ("exp_model", (2,), "i"):
+        "0822217f38fbeb9b80a4e726403b0bc9756d83237c620bc667b3d1d24b00594c",
+    ("exp_model", (3,), "i"):
+        "a2979e06776339ade77b2dcee66ddbc983e0d287f76dd119183bfc429b2e006f",
+    ("blowup_hypersurface", (2, 1), "i"):
+        "a7f7f9c1f85d7cf29b9da9f4df614a6f607a94bf965525a7111e423aeef9b3f7",
+    ("blowup_hypersurface", (3, 4), "i"):
+        "999055247cd683e041a1b3b9f9204e55aa4414e4adb4d73d4795302d38a12fe7",
+}
+
+
+@pytest.mark.parametrize("family, args, conv", sorted(MODEL_DIGESTS))
+def test_model_normal_form_digests(family, args, conv):
+    model = {"exp_model": exp_model, "blowup_hypersurface": blowup_hypersurface}[family]
+    q = model(*args, 12, Convention(conv)).q
+    body = [(k, str(v)) for k, v in sorted(q.terms.items(), key=lambda kv: grlex_key(kv[0]))]
+    text = repr((body, q.exact))
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_DIGESTS[family, args, conv]
 
 
 def test_smallest_blowup_has_closed_form():

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from crtrans import multiindex as mi
+from crtrans import series as series_module
 from crtrans.errors import (
     ArityMismatch,
     NormalizationRequired,
@@ -337,6 +338,29 @@ def test_compose_degree_is_minimum():
     out = compose(f, [g])
     assert out.degree == 4
     assert out.terms == {(2,): qr(1), (3,): qr(2), (4,): qr(1)}
+
+
+def test_compose_makes_one_product_per_exponent_of_the_unknown(monkeypatch):
+    """Plain-variable components only shift exponents.
+
+    So compose(rhs, ids + [u]) multiplies once per distinct exponent of u in
+    rhs, and once per power of u beyond the first.
+    """
+    rng = random.Random(29)
+    rhs = rand_poly(rng, 3, 8, density=0.6)
+    u = rand_poly(rng, 2, 8, density=0.6)
+    u = u - Series.constant(u.constant_term, 2, 8)
+    exponents = {k[2] for k in rhs.terms}
+    products = []
+    kernel = series_module._product
+
+    def counted(*args):
+        products.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(series_module, "_product", counted)
+    compose(rhs, list(identity_components(2, 8)) + [u])
+    assert len(products) <= len(exponents) + max(exponents) - 1
 
 
 # ---------------- inversion, implicit solving, exp ----------------

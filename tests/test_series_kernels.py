@@ -155,6 +155,30 @@ def raw_series(draw, arity, degree, pointed=False):
     return arity, degree, {k: draw(COEFFS) for k in keys}, draw(st.booleans())
 
 
+@st.composite
+def component(draw, inner):
+    """A substitution component and its reference.
+
+    Besides general pointed series: plain variables x_j, which `compose` takes
+    as shifts; scaled variables such as 2*x_j and inexact variables, which are
+    not shifts; and zeros. The last two come exact or not.
+    """
+    degree = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("series", "variable", "scaled", "zero")))
+    if kind == "series" or degree == 0:
+        raw = draw(raw_series(inner, degree, pointed=True))
+        return Series(*raw), ref_build(*raw)
+    j = draw(st.integers(0, inner - 1))
+    x = mi.unit(inner, j)
+    if kind == "variable":
+        return Series.variable(j, inner, degree), Ref(inner, degree, {x: ONE}, True)
+    exact = draw(st.booleans())
+    if kind == "scaled":
+        c = draw(st.sampled_from((ONE, qr(2), qr(-1), qr(0, 1))))
+        return Series(inner, degree, {x: c}, exact), Ref(inner, degree, {x: c}, exact)
+    return Series.zero(inner, degree, exact), Ref(inner, degree, {}, exact)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_integer_kernels_match_reference(data):
@@ -166,11 +190,7 @@ def test_integer_kernels_match_reference(data):
     var = data.draw(st.integers(0, arity - 1))
     cut = data.draw(st.integers(0, a.degree))
     inner = data.draw(st.integers(1, 3))
-    raw_comps = [
-        data.draw(raw_series(inner, data.draw(st.integers(0, 6)), pointed=True))
-        for _ in range(arity)
-    ]
-    comps = [Series(*r) for r in raw_comps]
+    comps, ref_comps = zip(*(data.draw(component(inner)) for _ in range(arity)))
     cases = [
         (a, A),
         (b, B),
@@ -178,7 +198,7 @@ def test_integer_kernels_match_reference(data):
         (a + b, ref_add(A, B)),
         (a - b, ref_add(A, B, -1)),
         (a.scale(c), ref_scale(A, c)),
-        (compose(a, comps), ref_compose(A, [ref_build(*r) for r in raw_comps])),
+        (compose(a, comps), ref_compose(A, ref_comps)),
         (a.derivative(var), ref_derivative(A, var)),
         (a.truncate(cut), ref_truncate(A, cut)),
         (a.set_zero([var]), ref_set_zero(A, [var])),
@@ -196,3 +216,25 @@ def test_integer_kernels_match_reference(data):
         assert (x.terms == y.terms) == same
         if (x.arity, x.degree) == (y.arity, y.degree):
             assert (x == y) == same
+
+
+@pytest.mark.parametrize(
+    "f, comps",
+    [
+        # y0*y1^2 - y0*y1*y2 under (x1^2, x0, x0) is zero, but each term's image
+        # has degree 4, beyond the truncation degree 3: the zero is not exact
+        (
+            Series(3, 3, {(1, 2, 0): 1, (1, 1, 1): -1}),
+            [Series(2, 3, {(0, 2): 1}), Series.variable(0, 2, 3), Series.variable(0, 2, 3)],
+        ),
+        # x0 known only through degree 3 is not a plain variable
+        (Series(1, 3, {(1,): 1}), [Series(2, 3, {(1, 0): 1}, exact=False)]),
+    ],
+    ids=["cancellation", "inexact_variable"],
+)
+def test_compose_exact_flag_on_fixed_cases(f, comps):
+    refs = [ref_build(c.arity, c.degree, dict(c.terms), c.exact) for c in comps]
+    want = ref_compose(ref_build(f.arity, f.degree, dict(f.terms), f.exact), refs)
+    got = compose(f, comps)
+    assert not got.exact
+    assert (dict(got.terms), got.degree, got.exact) == (want.terms, want.degree, want.exact)
