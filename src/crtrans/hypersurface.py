@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Tuple
 
 from . import multiindex as mi
 from .errors import ArityMismatch, ConstructionError, StructureError
-from .linalg import generic_rank
+from .linalg import RankState, generic_rank
 from .record import Record
 from .scalar import GaussianRational
 from .series import Series, compose, identity_components, solve_implicit
@@ -281,11 +281,15 @@ def _gradient_family_rank(
     """Generic rank of chi/tau gradients of the z-coefficient family of src.
 
     Rows are indexed by z-exponents alpha with |alpha| <= k; the k loop stops
-    at the first certified rank >= target.
+    at the first certified rank >= target. Step k only appends the rows of
+    degree k, and earlier rows stay the same Series objects, so one RankState
+    serves every step: each row is evaluated once per sample point, and each
+    minor, named by its (row indices, column indices), is expanded once.
     """
     z_block = tuple(range(n))
     k_cap = min(k_max, src.degree - 1) if src.degree >= 1 else -1
     rows = []
+    state = RankState(seed)
     last = None
     for k in range(k_cap + 1):
         for alpha in sorted(mi.iter_degree(n, k)):
@@ -293,7 +297,7 @@ def _gradient_family_rank(
             rows.append([c.derivative(j) for j in grad_vars])
         if not rows:
             continue
-        g = generic_rank(rows, seed=seed)
+        g = generic_rank(rows, seed=seed, state=state)
         last = g
         if g.r >= target:
             wit = {"k": k}

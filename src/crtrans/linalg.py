@@ -19,6 +19,15 @@ Generic rank is decided symbolically: random rational evaluation points
 only propose a candidate, and every reported bound is backed by a minor
 whose determinant is nonzero as a series (lower bound) or by exhaustive
 vanishing of the next minor size (upper bound).
+
+A gradient family grows one degree at a time and is asked for its rank after
+each step, so `generic_rank` runs through a `RankState` that the caller may
+keep between calls. It holds the sample points, each point's rows evaluated
+so far (a whole row at once, through `series.evaluate_row`) and every minor
+expanded so far, keyed by (row indices, column indices). Rows are only
+appended and keep their Series objects, which `RankState.extend` checks by
+identity, so a key names the same minor at every step, and the scan visits
+minors in the same order and returns the same witness as one from scratch.
 """
 
 from __future__ import annotations
@@ -27,13 +36,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import List, Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ArityMismatch, NotSolvableAtTruncation, StructureError
 from .fracseries import FracSeries, _times
 from .record import Record
 from .scalar import ZERO, GaussianRational
-from .series import Series, _scalar, _split
+from .series import Series, _scalar, _split, evaluate_row
 from .verdict import Verdict, certified_false, certified_true, unknown
 
 MatrixLike = Union["SeriesMatrix", Sequence[Sequence[Series]]]
@@ -216,20 +225,55 @@ def _bareiss(mat: List[List[Tuple[int, int]]]) -> Tuple[int, int, Tuple[int, int
 # ---------------- rank ----------------
 
 
-def _scalar_rank(rows) -> int:
-    mat, _ = _gaussian_integer_rows(rows)
-    return _bareiss(mat)[0]
+class RankState:
+    """Sample points, evaluated rows and expanded minors of a growing row family.
+
+    The points are drawn from the seed once the family has a row and a
+    column. `extend` takes appended rows only, checked by identity, so the
+    (row indices, column indices) key of `dets` names the same minor at every
+    step (see the module docstring).
+    """
+
+    def __init__(self, seed: int = 0, samples: int = 4) -> None:
+        self.seed, self.samples = seed, samples
+        self.mat = SeriesMatrix(())
+        self.points: Optional[list] = None
+        self.values: dict = {}  # point -> [Gaussian-integer row, None for a zero row]
+        self.dets: dict = {}  # (rows, cols) -> determinant of that minor
+
+    def extend(self, m: MatrixLike) -> "RankState":
+        """Take `m`, whose leading rows must be the rows held so far."""
+        mat = _as_matrix(m)
+        old = self.mat.rows
+        if len(mat.rows) < len(old) or any(
+            a is not b for ra, rb in zip(old, mat.rows) for a, b in zip(ra, rb)
+        ):
+            raise StructureError("a rank state only takes appended rows")
+        self.mat = mat
+        return self
+
+    def sample_points(self) -> list:
+        if self.points is None:
+            rng = random.Random(self.seed)
+            self.points = [
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      for _ in range(self.mat.arity))
+                for _ in range(self.samples)
+            ]
+        return self.points
 
 
-def rank_at_point(m: MatrixLike, point: Sequence) -> int:
+def rank_at_point(m: Union[MatrixLike, RankState], point: Sequence) -> int:
     """Rank of the matrix evaluated at an exact point.
 
     Rows of zero series contribute nothing to the rank and are not evaluated.
+    Given a RankState, only the rows not yet evaluated at this point are.
     """
-    mat = _as_matrix(m)
-    vals = [[e.evaluate(point) for e in row] for row in mat.rows
-            if not all(e.is_zero for e in row)]
-    return _scalar_rank(vals)
+    state = m if isinstance(m, RankState) else RankState().extend(m)
+    vals = state.values.setdefault(tuple(point), [])
+    for row in state.mat.rows[len(vals):]:
+        vals.append(None if all(e.is_zero for e in row) else evaluate_row(row, point)[0])
+    return _bareiss([list(v) for v in vals if v is not None])[0]
 
 
 class GenericRank(Record):
@@ -251,7 +295,7 @@ class GenericRank(Record):
         }
 
 
-def _scan_minors(mat: SeriesMatrix, size: int):
+def _scan_minors(state: RankState, size: int):
     """First nonzero size-minor witness, plus whether all vanishing was exact.
 
     Minors are visited in lexicographic order of (rows, cols). A minor with a
@@ -260,7 +304,9 @@ def _scan_minors(mat: SeriesMatrix, size: int):
     it is skipped without being expanded. Rows of exact zeros are left out of
     the row combinations, and columns that are exact zeros on the chosen rows
     out of the column combinations. The witness keeps the original indices.
+    A minor the state has expanded before is not expanded again.
     """
+    mat, dets = state.mat, state.dets
     zero = [[e.is_zero and e.exact for e in row] for row in mat.rows]
     live_rows = [i for i, z in enumerate(zero) if not all(z)]
     all_exact = True
@@ -269,7 +315,9 @@ def _scan_minors(mat: SeriesMatrix, size: int):
         for cols in itertools.combinations(live_cols, size):
             if any(all(zero[i][j] for j in cols) for i in rows):
                 continue
-            det = _det([[mat.entry(i, j) for j in cols] for i in rows])
+            det = dets.get((rows, cols))
+            if det is None:
+                det = dets[rows, cols] = _det([[mat.entry(i, j) for j in cols] for i in rows])
             if det.is_zero:
                 all_exact = all_exact and det.exact
             else:
@@ -286,35 +334,42 @@ def _scan_minors(mat: SeriesMatrix, size: int):
     return None, all_exact
 
 
-def generic_rank(m: MatrixLike, seed: int = 0, samples: int = 4) -> GenericRank:
-    mat = _as_matrix(m)
+def generic_rank(
+    m: MatrixLike, seed: int = 0, samples: int = 4, state: Optional[RankState] = None
+) -> GenericRank:
+    """Generic rank of `m`, with a certified lower and upper bound.
+
+    Pass the same `state` (built with this seed and sample count) while rows
+    are appended to `m`, and no row is evaluated at a sample point twice and
+    no minor expanded twice; without one, a fresh state is used.
+    """
+    if state is None:
+        state = RankState(seed, samples)
+    elif (state.seed, state.samples) != (seed, samples):
+        raise StructureError("rank state was built with another seed or sample count")
+    mat = state.extend(m).mat
     maxs = min(mat.nrows, mat.ncols)
     degree_used = min((e.degree for row in mat.rows for e in row), default=0)
 
     evaluations = []
     candidate = 0
     if maxs > 0:
-        rng = random.Random(seed)
-        arity = mat.arity
-        for _ in range(samples):
-            pt = tuple(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(arity)
-            )
-            rk = rank_at_point(mat, pt)
+        for pt in state.sample_points():
+            rk = rank_at_point(state, pt)
             evaluations.append((tuple(str(c) for c in pt), rk))
             candidate = max(candidate, rk)
 
     r = candidate
     wit = None
     while r > 0:
-        wit, _ = _scan_minors(mat, r)
+        wit, _ = _scan_minors(state, r)
         if wit is not None:
             break
         r -= 1
 
     above_exact = True
     while r < maxs:
-        w2, all_exact = _scan_minors(mat, r + 1)
+        w2, all_exact = _scan_minors(state, r + 1)
         if w2 is not None:
             r += 1
             wit = w2

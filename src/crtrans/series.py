@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ArityMismatch,
@@ -506,37 +506,9 @@ class Series:
         return Series._make(self.arity, d, self._num, self._den, True)
 
     def evaluate(self, point: Sequence[ScalarLike]) -> GaussianRational:
-        """Value of the stored polynomial part at an exact point.
-
-        Computed on the integer form. Write coordinate i as g_i / d_i with g_i
-        a Gaussian integer, and let E_i be the highest power of variable i
-        among the stored terms. Every term then lies over the one denominator
-        den * prod d_i^E_i, with g_i^e * d_i^(E_i - e) in place of the e-th
-        power of the coordinate; a single GaussianRational is built at the end.
-        """
-        if len(point) != self.arity:
-            raise ArityMismatch("evaluation point has wrong length")
-        top = [0] * self.arity
-        for k in self._num:
-            top = [max(t, e) for t, e in zip(top, k)]
-        den = self._den
-        powers = []  # powers[i][e] = g_i^e * d_i^(E_i - e) as (re, im)
-        for p, t in zip(point, top):
-            gr, gi, d = _split(GaussianRational.coerce(p))
-            g = [(1, 0)]
-            for _ in range(t):
-                a, b = g[-1]
-                g.append((a * gr - b * gi, a * gi + b * gr))
-            powers.append([(a * d ** (t - e), b * d ** (t - e)) for e, (a, b) in enumerate(g)])
-            den *= d ** t
-        total_re = total_im = 0
-        for k, (re, im) in self._num.items():
-            for i, e in enumerate(k):
-                a, b = powers[i][e]
-                re, im = re * a - im * b, re * b + im * a
-            total_re += re
-            total_im += im
-        return _scalar(total_re, total_im, den)
+        """Value of the stored polynomial part at an exact point (see `evaluate_row`)."""
+        [(re, im)], den = evaluate_row((self,), point)
+        return _scalar(re, im, den)
 
     # ---------------- display ----------------
 
@@ -569,6 +541,55 @@ class Series:
         for p in parts[1:]:
             text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return text
+
+
+def evaluate_row(
+    row: Sequence[Series], point: Sequence[ScalarLike]
+) -> Tuple[List[Tuple[int, int]], int]:
+    """Values of a row of series at one exact point, over one denominator.
+
+    Returns (nums, den) in lowest terms with row[j](point) == (re + im*i) / den
+    for nums[j] == (re, im). Computed on the integer form, with one power
+    table per coordinate for the whole row. Write coordinate i as g_i / d_i
+    with g_i a Gaussian integer, and let E_i be the highest power of variable
+    i among the row's stored terms. Every term of entry j then lies over the
+    one denominator den_j * prod d_i^E_i, with g_i^e * d_i^(E_i - e) in place
+    of the e-th power of the coordinate, and the row is brought to the lcm of
+    the den_j.
+    """
+    for s in row:
+        if len(point) != s.arity:
+            raise ArityMismatch("evaluation point has wrong length")
+    keys = [k for s in row for k in s._num]
+    top = [max(col) for col in zip(*keys)] if keys else [0] * len(point)
+    scale = 1
+    powers = []  # powers[i][e] = g_i^e * d_i^(E_i - e) as (re, im)
+    for p, t in zip(point, top):
+        gr, gi, d = _split(GaussianRational.coerce(p))
+        g = [(1, 0)]
+        for _ in range(t):
+            a, b = g[-1]
+            g.append((a * gr - b * gi, a * gi + b * gr))
+        powers.append([(a * d ** (t - e), b * d ** (t - e)) for e, (a, b) in enumerate(g)])
+        scale *= d ** t
+    common = math.lcm(*(s._den for s in row))
+    nums = []
+    for s in row:
+        total_re = total_im = 0
+        for k, (re, im) in s._num.items():
+            for i, e in enumerate(k):
+                a, b = powers[i][e]
+                re, im = re * a - im * b, re * b + im * a
+            total_re += re
+            total_im += im
+        m = common // s._den
+        nums.append((total_re * m, total_im * m))
+    den = common * scale
+    g = math.gcd(den, *(x for pair in nums for x in pair))
+    if g > 1:
+        nums = [(re // g, im // g) for re, im in nums]
+        den //= g
+    return nums, den
 
 
 def identity_components(arity: int, degree: int) -> Tuple[Series, ...]:

@@ -1,6 +1,7 @@
 """classify reports: byte-stable digests, one validity and one type decision
-per surface, and rank scans that never expand a minor through an exact-zero
-row or column.
+per surface, rank scans that never expand a minor through an exact-zero row
+or column, and rank families that expand each minor and evaluate each row at
+a sample point once over all k.
 
 The digests were recorded before the minor scan skipped exact-zero rows and
 columns and before scalar rank and determinant moved to the Bareiss kernel;
@@ -137,3 +138,28 @@ def test_rank_scans_skip_exact_zero_rows_and_columns(monkeypatch):
     for entries in minors:
         assert not any(all(map(exact_zero, row)) for row in entries)
         assert not any(all(map(exact_zero, col)) for col in zip(*entries))
+
+
+def test_rank_family_expands_each_minor_and_evaluates_each_row_once(monkeypatch):
+    # each family keeps one RankState over k = 0..7; from scratch at every k
+    # this classify made 137 minor expansions of 23 distinct minors
+    minors, evaluated = [], []
+    det, evaluate_row = linalg._det, linalg.evaluate_row
+
+    def recording_det(entries):
+        minors.append(entries)  # keeps the entries alive, so ids stay unique
+        return det(entries)
+
+    def recording_evaluate_row(row, point):
+        evaluated.append((row, tuple(point)))
+        return evaluate_row(row, point)
+
+    replace_everywhere(monkeypatch, det, recording_det)
+    replace_everywhere(monkeypatch, evaluate_row, recording_evaluate_row)
+    classify(DEGENERATE, 8, Convention.TWO_I, 675)
+    minor_ids = [tuple(tuple(map(id, row)) for row in entries) for entries in minors]
+    assert len(minor_ids) == len(set(minor_ids)) == 23
+    row_points = [(tuple(map(id, row)), point) for row, point in evaluated]
+    assert row_points
+    assert len(row_points) == len(set(row_points))
+    assert not any(all(e.is_zero for e in row) for row, _ in evaluated)

@@ -9,6 +9,7 @@ import pytest
 from crtrans.errors import NotSolvableAtTruncation, StructureError
 from crtrans.fracseries import FracSeries
 from crtrans.linalg import (
+    RankState,
     SeriesMatrix,
     determinant,
     generic_rank,
@@ -125,6 +126,20 @@ def test_generic_rank_monotone_under_row_append():
     rows = [[rand_poly(rng, 2, 3) for _ in range(3)] for _ in range(2)]
     extra = [rand_poly(rng, 2, 3) for _ in range(3)]
     assert generic_rank(rows + [extra]).r >= generic_rank(rows).r
+
+
+def test_rank_state_takes_appended_rows_only():
+    rng = random.Random(54)
+    rows = [[rand_poly(rng, 2, 3) for _ in range(2)] for _ in range(3)]
+    state = RankState(seed=1)
+    generic_rank(rows[:2], seed=1, state=state)
+    generic_rank(rows, seed=1, state=state)
+    with pytest.raises(StructureError):
+        generic_rank(rows[:2], seed=1, state=state)  # rows dropped
+    with pytest.raises(StructureError):
+        generic_rank([rows[1], rows[0], rows[2]], seed=1, state=state)  # rows reordered
+    with pytest.raises(StructureError):
+        generic_rank(rows, seed=2, state=state)  # points drawn from another seed
 
 
 def test_generic_rank_truncation_unknown():

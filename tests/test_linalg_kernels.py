@@ -6,11 +6,15 @@ scalar rank, the permutation expansion for the scalar determinant, and the
 minor scan over every row and column. Derandomized property tests check the
 Bareiss kernel, the integer `evaluate` and the scan that skips exact-zero rows
 and columns against them, and against sympy over Q(i) when it is installed.
+They also check that a generic rank kept up to date while rows are appended
+(one `RankState` for the whole family) equals the rank computed from scratch
+on every prefix.
 Needs the optional `hypothesis` package (the `test` extra); the module is
 skipped without it.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -19,18 +23,28 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from crtrans import linalg  # noqa: E402
+from crtrans import hypersurface, linalg  # noqa: E402
 from crtrans import multiindex as mi  # noqa: E402
+from crtrans.hypersurface import Convention  # noqa: E402
 from crtrans.linalg import (  # noqa: E402
+    RankState,
     SeriesMatrix,
+    _bareiss,
     _det,
-    _scalar_rank,
+    _gaussian_integer_rows,
     _scan_minors,
     generic_rank,
     scalar_determinant,
 )
 from crtrans.scalar import ZERO, GaussianRational, qr  # noqa: E402
-from crtrans.series import Series  # noqa: E402
+from crtrans.series import Series, evaluate_row  # noqa: E402
+
+from test_classify import DEGENERATE, classify  # noqa: E402
+
+
+def scalar_rank(rows):
+    """Rank of a scalar matrix through the integer rows and the Bareiss kernel."""
+    return _bareiss(_gaussian_integer_rows(rows)[0])[0]
 
 
 # ---------------- references ----------------
@@ -180,9 +194,24 @@ def test_evaluate_matches_reference(data):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_evaluate_row_matches_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(0, 6))
+    row = data.draw(st.lists(series(arity, degree), min_size=1, max_size=4))
+    point = [data.draw(st.one_of(st.just(ZERO), gaussian(9, 9), st.integers(-3, 3)))
+             for _ in range(arity)]
+    nums, den = evaluate_row(row, point)
+    assert [qr(Fraction(re, den), Fraction(im, den)) for re, im in nums] == [
+        ref_evaluate(s, point) for s in row
+    ]
+    assert math.gcd(den, *(x for pair in nums for x in pair)) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(scalar_matrix(), scalar_matrix(square=True))
 def test_rank_and_determinant_match_reference(rows, square):
-    assert _scalar_rank(rows) == ref_scalar_rank(rows)
+    assert scalar_rank(rows) == ref_scalar_rank(rows)
     assert scalar_determinant(square) == ref_scalar_determinant(square)
 
 
@@ -201,7 +230,7 @@ def _sympy_matrix(sp, rows):
 def test_rank_and_determinant_match_sympy(rows, square):
     sp = pytest.importorskip("sympy")
     if rows and rows[0]:
-        assert _scalar_rank(rows) == _sympy_matrix(sp, rows).rank()
+        assert scalar_rank(rows) == _sympy_matrix(sp, rows).rank()
     if square:
         det = sp.expand(_sympy_matrix(sp, square).det())
         want = qr(Fraction(str(sp.re(det))), Fraction(str(sp.im(det))))
@@ -212,10 +241,39 @@ def test_rank_and_determinant_match_sympy(rows, square):
 @given(series_matrix(), st.integers(0, 3))
 def test_generic_rank_matches_reference_scan(mat, seed):
     for size in range(1, min(mat.nrows, mat.ncols) + 1):
-        assert _scan_minors(mat, size) == ref_scan_minors(mat, size)
+        assert _scan_minors(RankState().extend(mat), size) == ref_scan_minors(mat, size)
     got = generic_rank(mat, seed=seed).to_json()
-    with mock.patch.object(linalg, "_scan_minors", ref_scan_minors), \
-            mock.patch.object(linalg, "rank_at_point", ref_rank_at_point):
+    # generic_rank hands its RankState to both; the references read its matrix
+    with mock.patch.object(linalg, "_scan_minors",
+                           lambda state, size: ref_scan_minors(state.mat, size)), \
+            mock.patch.object(linalg, "rank_at_point",
+                              lambda state, point: ref_rank_at_point(state.mat, point)):
         want = generic_rank(mat, seed=seed).to_json()
     assert got == want
 
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(series_matrix(), st.integers(0, 3))
+def test_incremental_rank_matches_from_scratch_on_every_prefix(mat, seed):
+    state = RankState(seed)
+    for p in range(1, mat.nrows + 1):
+        rows = mat.rows[:p]
+        got = generic_rank(rows, seed=seed, state=state).to_json()
+        assert got == generic_rank(rows, seed=seed).to_json()
+
+
+@pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
+def test_incremental_rank_matches_from_scratch_on_a_degenerate_family(monkeypatch, conv):
+    # every step of class C and holomorphic nondegeneracy runs to the cap k = 7
+    calls = []
+
+    def recording(rows, seed=0, samples=4, state=None):
+        g = linalg.generic_rank(rows, seed=seed, samples=samples, state=state)
+        calls.append((list(rows), seed, g.to_json()))
+        return g
+
+    monkeypatch.setattr(hypersurface, "generic_rank", recording)
+    classify(DEGENERATE, 8, conv, 675)
+    assert len(calls) == 16
+    for rows, seed, got in calls:
+        assert generic_rank(rows, seed=seed).to_json() == got
