@@ -288,12 +288,13 @@ def _gradient_family_rank(
     """
     z_block = tuple(range(n))
     k_cap = min(k_max, src.degree - 1) if src.degree >= 1 else -1
+    blocks = src.coefficient_blocks(z_block)
     rows = []
     state = RankState(seed)
     last = None
     for k in range(k_cap + 1):
         for alpha in sorted(mi.iter_degree(n, k)):
-            c = src.coefficient_series(z_block, alpha)
+            c = blocks[alpha]
             rows.append([c.derivative(j) for j in grad_vars])
         if not rows:
             continue

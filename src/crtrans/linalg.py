@@ -239,6 +239,7 @@ class RankState:
         self.mat = SeriesMatrix(())
         self.points: Optional[list] = None
         self.values: dict = {}  # point -> [Gaussian-integer row, None for a zero row]
+        self.ranks: dict = {}  # point -> (live rows, rank) at its last elimination
         self.dets: dict = {}  # (rows, cols) -> determinant of that minor
 
     def extend(self, m: MatrixLike) -> "RankState":
@@ -267,13 +268,20 @@ def rank_at_point(m: Union[MatrixLike, RankState], point: Sequence) -> int:
     """Rank of the matrix evaluated at an exact point.
 
     Rows of zero series contribute nothing to the rank and are not evaluated.
-    Given a RankState, only the rows not yet evaluated at this point are.
+    Given a RankState, only the rows not yet evaluated at this point are, and
+    the elimination runs again only when a live row was appended since the
+    last one.
     """
     state = m if isinstance(m, RankState) else RankState().extend(m)
-    vals = state.values.setdefault(tuple(point), [])
+    key = tuple(point)
+    vals = state.values.setdefault(key, [])
     for row in state.mat.rows[len(vals):]:
         vals.append(None if all(e.is_zero for e in row) else evaluate_row(row, point)[0])
-    return _bareiss([list(v) for v in vals if v is not None])[0]
+    live = [v for v in vals if v is not None]
+    last = state.ranks.get(key)
+    if last is None or last[0] != len(live):
+        last = state.ranks[key] = (len(live), _bareiss([list(v) for v in live])[0])
+    return last[1]
 
 
 class GenericRank(Record):

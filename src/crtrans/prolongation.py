@@ -90,13 +90,12 @@ def forward_expand(
     products = [a * c for c in b]
     if any(max_order > p.degree for p in products):
         raise StructureError("requested jet order exceeds the truncation degree")
+    blocks = [p.coefficient_blocks(z_block) for p in products]
     out: Dict[Tuple[int, ...], Tuple[Series, ...]] = {}
     for order in range(max_order + 1):
         for beta in sorted(mi.iter_degree(n, order)):
             fact = mi.factorial(beta)
-            out[beta] = tuple(
-                p.coefficient_series(z_block, beta).scale(fact) for p in products
-            )
+            out[beta] = tuple(block[beta].scale(fact) for block in blocks)
     return out
 
 
@@ -118,14 +117,8 @@ def prolongation_solve(
     k = mi.degree(pivot)
     level = mi.degree(alpha)
 
-    coeff_cache: Dict[Tuple[int, ...], Series] = {}
-
-    def a_coeff(delta: Tuple[int, ...]) -> Series:
-        if delta not in coeff_cache:
-            coeff_cache[delta] = a.coefficient_series(z_block, delta)
-        return coeff_cache[delta]
-
-    pivot_coeff = a_coeff(pivot)
+    a_blocks = a.coefficient_blocks(z_block)
+    pivot_coeff = a_blocks[pivot]
 
     used_orders = [0]
 
@@ -162,7 +155,7 @@ def prolongation_solve(
                 if gp == gamma:
                     continue
                 delta = mi.subtract(beta, gp)
-                coeff = a_coeff(delta)
+                coeff = a_blocks[delta]
                 if gp in solved:
                     if not coeff.is_zero:
                         c = solved[gp]
@@ -184,7 +177,7 @@ def prolongation_solve(
         acc = [FracSeries.zero(a.arity - n, a.degree) for _ in range(width)]
         for gp in subindices(beta):
             delta = mi.subtract(beta, gp)
-            coeff = a_coeff(delta)
+            coeff = a_blocks[delta]
             if coeff.is_zero:
                 continue
             if gp not in solved:

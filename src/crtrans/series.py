@@ -6,14 +6,18 @@ operation here: the coefficients of the result, up to the result's truncation
 degree, are exactly those of the untruncated computation. Binary operations
 truncate at the minimum of the operands' degrees.
 
-Representation: Gaussian-integer numerators over one shared denominator. A
-Series holds a dict `idx -> (re, im)` of Python ints for its nonzero terms
-and one positive int denominator `den`; the coefficient at idx is
-(re + im*i) / den. The pair is always in lowest terms: the gcd of `den` and
-every numerator part is 1, and the zero series has den 1. That form is
-canonical, so equality compares ints. `terms` is a read-only
-`idx -> GaussianRational` view built on demand; GaussianRational stays the
-type every public query returns.
+Representation: a dict `key -> (re, im)` of Python ints for the nonzero
+terms and one positive int denominator `den`; the coefficient of the term is
+(re + im*i) / den, always in lowest terms (the gcd of `den` and every
+numerator part is 1, and the zero series has den 1). That form is canonical,
+so equality compares ints. A key packs the term's exponents into arity + 1
+fields of 8 bits: the total degree in the top field, then x0, x1, ... So int
+order is graded-lex order, order and degree read the top field, and the key
+of a product term is the sum of the keys: a kept product has degree at most
+the truncation degree, so no field carries. A truncation degree above
+MAX_DEGREE does not fit and raises StructureError. Exponent tuples are built
+only at the boundary: `terms` is a read-only `idx -> GaussianRational` view,
+and GaussianRational stays the type every public query returns.
 
 The `exact` flag records when the stored terms are known to be the whole
 series (a polynomial). It is metadata, not part of equality; consumers use it
@@ -26,7 +30,7 @@ Series objects are immutable by convention; `terms` is a read-only view.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -39,13 +43,35 @@ from .errors import (
     StructureError,
     TruncationMismatch,
 )
-from .multiindex import MultiIndex, degree as idx_degree, grlex_key, unit
+from .multiindex import MultiIndex, degree as idx_degree, unit
 from .scalar import ONE, ZERO, GaussianRational, ScalarLike
 
 Order = Union[int, float]  # math.inf marks "no visible nonzero term"
 INFINITE_ORDER: float = math.inf
 
-NumMap = Dict[MultiIndex, Tuple[int, int]]  # idx -> Gaussian-integer numerator (re, im)
+NumMap = Dict[int, Tuple[int, int]]  # packed key -> Gaussian-integer numerator (re, im)
+
+_W = 8  # bits per key field: one byte, so keys convert to and from bytes
+_MASK = (1 << _W) - 1
+MAX_DEGREE = _MASK  # largest truncation degree whose keys fit
+
+
+def _key(idx: Sequence[int], arity: int) -> Optional[int]:
+    """Packed key of an exponent tuple, None if no stored term of this arity has it."""
+    try:
+        return int.from_bytes(bytes((sum(idx), *idx)), "big") if len(idx) == arity else None
+    except (TypeError, ValueError):  # not ints, a negative, or a degree above MAX_DEGREE
+        return None
+
+
+def _index(key: int, arity: int) -> MultiIndex:
+    """Exponent tuple of a packed key."""
+    return tuple(key.to_bytes(arity + 1, "big")[1:])
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise StructureError(f"truncation degree {degree} exceeds the maximum {MAX_DEGREE}")
 
 
 def _split(c: GaussianRational) -> Tuple[int, int, int]:
@@ -74,76 +100,84 @@ def _lowest(num: NumMap, den: int) -> Tuple[NumMap, int]:
 def _product(f: NumMap, g: NumMap, d: int, arity: int) -> NumMap:
     """Numerators of the Cauchy product f*g through total degree d.
 
-    Exponent tuples are packed into ints in base d+1 for the inner loop: a
-    product term kept has degree at most d, so no digit carries and the
-    packed sum of two keys is the packed key of their sum.
+    A pair of terms is kept when the sum of its keys is below `limit`, the
+    first key of degree d + 1. A kept pair has degree at most d, so no field
+    carries and the sum is the product's key; a pair of higher degree sums
+    to at least `limit`, since a carry only adds. So the keys of g, sorted,
+    are cut at limit - (key of f's term).
     """
-    base = d + 1
-
-    def pack(k: MultiIndex) -> int:
-        p = 0
-        for e in k:
-            p = p * base + e
-        return p
-
-    g_sorted = sorted((idx_degree(k), pack(k), re, im) for k, (re, im) in g.items())
-    g_degrees = [t[0] for t in g_sorted]
-    g_terms = [t[1:] for t in g_sorted]
-    acc: Dict[int, Tuple[int, int]] = {}
+    if not f or not g:
+        return {}
+    limit = (d + 1) << (arity * _W)
+    g_keys = sorted(g)
+    g_terms = [(k, *g[k]) for k in g_keys]
+    acc: NumMap = {}
     get = acc.get
     for ka, (a, b) in f.items():
-        room = d - idx_degree(ka)
-        if room < 0:
-            continue
-        pa = pack(ka)
-        for pb, c, e in g_terms[: bisect_right(g_degrees, room)]:
-            k = pa + pb
+        for kb, c, e in g_terms[: bisect_left(g_keys, limit - ka)]:
+            k = ka + kb
             cur = get(k)
             if cur is None:
                 acc[k] = (a * c - b * e, a * e + b * c)
             else:
                 acc[k] = (cur[0] + a * c - b * e, cur[1] + a * e + b * c)
-    out: NumMap = {}
-    for p, v in acc.items():
-        if v[0] or v[1]:
-            idx = [0] * arity
-            for i in range(arity - 1, -1, -1):
-                p, idx[i] = divmod(p, base)
-            out[tuple(idx)] = v
-    return out
+    return {k: v for k, v in acc.items() if v[0] or v[1]}
 
 
 class _Terms(Mapping):
     """Read-only `idx -> GaussianRational` view of a Series' nonzero terms."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_arity")
 
-    def __init__(self, num: NumMap, den: int) -> None:
-        self._num = num
-        self._den = den
+    def __init__(self, num: NumMap, den: int, arity: int) -> None:
+        self._num, self._den, self._arity = num, den, arity
 
     def __getitem__(self, idx: MultiIndex) -> GaussianRational:
-        re, im = self._num[idx]
-        return _scalar(re, im, self._den)
+        c = self._num.get(_key(idx, self._arity))  # type: ignore[arg-type]
+        if c is None:
+            raise KeyError(idx)
+        return _scalar(c[0], c[1], self._den)
 
     def __iter__(self) -> Iterator[MultiIndex]:
-        return iter(self._num)
+        return (_index(k, self._arity) for k in self._num)
 
     def __len__(self) -> int:
         return len(self._num)
 
     def __contains__(self, idx: object) -> bool:
-        return idx in self._num
+        return _key(idx, self._arity) in self._num
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _Terms):
-            return self._num == other._num and self._den == other._den
+        if isinstance(other, _Terms):  # only an empty view equals one of another arity
+            return (self._den, self._num) == (other._den, other._num) and (
+                not self._num or self._arity == other._arity)
         return Mapping.__eq__(self, other)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
+
+
+class _Blocks(dict):
+    """alpha -> coefficient block of `source`, see `Series.coefficient_blocks`.
+
+    An absent alpha reads as the zero block, which is kept for the next read.
+    """
+
+    def __init__(self, source: "Series", width: int) -> None:
+        self.source, self.width = source, width
+
+    def __missing__(self, alpha: MultiIndex) -> "Series":
+        s, a = self.source, idx_degree(alpha)
+        if len(alpha) != self.width:
+            raise ArityMismatch("block and exponent vector differ in length")
+        if a > s.degree:
+            raise TruncationMismatch(
+                f"coefficient block of degree {a} beyond truncation {s.degree}"
+            )
+        zero = self[alpha] = Series.zero(s.arity - self.width, s.degree - a, s.exact)
+        return zero
 
 
 class Series:
@@ -160,7 +194,8 @@ class Series:
     ) -> None:
         if arity < 0 or degree < 0:
             raise StructureError("arity and truncation degree must be non-negative")
-        parts: Dict[MultiIndex, Tuple[int, int, int]] = {}
+        _check_degree(degree)
+        parts: Dict[int, Tuple[int, int, int]] = {}
         dropped = False
         if terms:
             for idx, value in terms.items():
@@ -173,7 +208,7 @@ class Series:
                 if idx_degree(idx) > degree:
                     dropped = True
                     continue
-                parts[idx] = _split(c)
+                parts[_key(idx, arity)] = _split(c)
         # every coefficient is in lowest terms, so over the lcm of their
         # denominators the whole series is too
         den = math.lcm(*(p[2] for p in parts.values()))
@@ -186,6 +221,7 @@ class Series:
     @classmethod
     def _make(cls, arity: int, degree: int, num: NumMap, den: int, exact: bool) -> "Series":
         """Trusted constructor: no zero or over-degree terms, (num, den) in lowest terms."""
+        _check_degree(degree)
         out = object.__new__(cls)
         out.arity = arity
         out.degree = degree
@@ -207,7 +243,7 @@ class Series:
     @property
     def terms(self) -> Mapping[MultiIndex, GaussianRational]:
         """Read-only view of the nonzero coefficients, built on demand."""
-        return _Terms(self._num, self._den)
+        return _Terms(self._num, self._den, self.arity)
 
     # ---------------- constructors ----------------
 
@@ -221,11 +257,11 @@ class Series:
         if not c:
             return cls.zero(arity, degree)
         re, im, den = _split(c)
-        return cls._make(arity, degree, {(0,) * arity: (re, im)}, den, True)
+        return cls._make(arity, degree, {0: (re, im)}, den, True)
 
     @classmethod
     def one(cls, arity: int, degree: int) -> "Series":
-        return cls._make(arity, degree, {(0,) * arity: (1, 0)}, 1, True)
+        return cls._make(arity, degree, {0: (1, 0)}, 1, True)
 
     @classmethod
     def variable(cls, var: int, arity: int, degree: int) -> "Series":
@@ -233,7 +269,7 @@ class Series:
             raise StructureError(f"variable index {var} out of range for arity {arity}")
         if degree < 1:
             raise TruncationMismatch("a variable needs truncation degree at least 1")
-        return cls._make(arity, degree, {unit(arity, var): (1, 0)}, 1, True)
+        return cls._make(arity, degree, {_key(unit(arity, var), arity): (1, 0)}, 1, True)
 
     @classmethod
     def polynomial(
@@ -249,21 +285,21 @@ class Series:
 
     @property
     def constant_term(self) -> GaussianRational:
-        return self._coefficient((0,) * self.arity)
+        return self._coefficient(0)
 
     @property
     def is_pointed(self) -> bool:
-        return (0,) * self.arity not in self._num
+        return 0 not in self._num
 
     @property
     def poly_degree(self) -> int:
         """Largest total degree among stored terms (0 for the zero series)."""
         if not self._num:
             return 0
-        return max(map(idx_degree, self._num))
+        return max(self._num) >> (self.arity * _W)
 
-    def _coefficient(self, idx: MultiIndex) -> GaussianRational:
-        c = self._num.get(idx)
+    def _coefficient(self, key: Optional[int]) -> GaussianRational:
+        c = self._num.get(key)  # type: ignore[arg-type]
         return ZERO if c is None else _scalar(c[0], c[1], self._den)
 
     def coefficient(self, idx: MultiIndex) -> GaussianRational:
@@ -274,22 +310,23 @@ class Series:
             raise TruncationMismatch(
                 f"coefficient at {idx} lies beyond truncation degree {self.degree}"
             )
-        return self._coefficient(idx)
+        return self._coefficient(_key(idx, self.arity))
 
     def order(self) -> Order:
         """Total vanishing order; infinity when zero up to truncation."""
         if not self._num:
             return INFINITE_ORDER
-        return min(idx_degree(k) for k in self._num)
+        return min(self._num) >> (self.arity * _W)
 
     def leading_index(self) -> Optional[MultiIndex]:
         """Graded-lex minimal index with nonzero coefficient, None if zero."""
         if not self._num:
             return None
-        return min(self._num, key=grlex_key)
+        return _index(min(self._num), self.arity)
 
     def sorted_terms(self) -> Iterable[Tuple[MultiIndex, GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+        """(idx, coefficient) pairs in graded-lex order of idx."""
+        return [(_index(k, self.arity), self._coefficient(k)) for k in sorted(self._num)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
@@ -402,57 +439,64 @@ class Series:
         if not 0 <= var < self.arity:
             raise StructureError(f"variable index {var} out of range")
         d = max(self.degree - 1, 0)
+        shift = (self.arity - 1 - var) * _W
+        step = (1 << (self.arity * _W)) + (1 << shift)  # one off the degree and off x_var
         out: NumMap = {}
         for k, (re, im) in self._num.items():
-            e = k[var]
-            if e == 0:
-                continue
-            out[k[:var] + (e - 1,) + k[var + 1 :]] = (re * e, im * e)
+            e = (k >> shift) & _MASK
+            if e:
+                out[k - step] = (re * e, im * e)
         exact = self.exact if (self.degree > 0 or self.exact) else False
         return Series._reduced(self.arity, d, out, self._den, exact)
 
     def set_zero(self, variables: Sequence[int]) -> "Series":
         """Substitute 0 for the listed variables (arity is preserved)."""
-        vs = tuple(variables)
-        out = {k: v for k, v in self._num.items() if all(k[i] == 0 for i in vs)}
+        mask = 0
+        for i in set(variables):
+            mask |= _MASK << ((self.arity - 1 - i) * _W)
+        out = {k: v for k, v in self._num.items() if not k & mask}
         return Series._reduced(self.arity, self.degree, out, self._den, self.exact)
+
+    def coefficient_blocks(self, variables: Sequence[int]) -> Dict[MultiIndex, "Series"]:
+        """Every Taylor coefficient of the monomials `x_block^alpha`, in one pass.
+
+        Maps alpha to the coefficient of x_block^alpha as a series in the
+        other variables, which keep their relative order, with truncation
+        degree D - |alpha| and this series' `exact` flag. An alpha with no
+        term reads as the zero block; one of degree above D raises
+        TruncationMismatch.
+        """
+        vs = tuple(variables)
+        keep = [i for i in range(self.arity) if i not in vs]
+        groups: Dict[MultiIndex, NumMap] = {}
+        for k, v in self._num.items():
+            e = _index(k, self.arity)
+            group = groups.setdefault(tuple(e[i] for i in vs), {})
+            group[_key([e[i] for i in keep], len(keep))] = v
+        blocks = _Blocks(self, len(vs))
+        for alpha, num in groups.items():
+            d = self.degree - sum(alpha)
+            blocks[alpha] = Series._reduced(len(keep), d, num, self._den, self.exact)
+        return blocks
 
     def coefficient_series(
         self, variables: Sequence[int], alpha: MultiIndex
     ) -> "Series":
-        """Taylor coefficient of the monomial `x_block^alpha` as a series.
-
-        The listed variables are removed; remaining variables keep their
-        relative order. The result's truncation degree is D - |alpha|.
-        """
-        vs = tuple(variables)
-        alpha = tuple(alpha)
-        if len(vs) != len(alpha):
-            raise ArityMismatch("block and exponent vector differ in length")
-        a = idx_degree(alpha)
-        if a > self.degree:
-            raise TruncationMismatch(
-                f"coefficient block of degree {a} beyond truncation {self.degree}"
-            )
-        keep = [i for i in range(self.arity) if i not in vs]
-        want = dict(zip(vs, alpha))
-        out: NumMap = {}
-        for k, v in self._num.items():
-            if all(k[i] == e for i, e in want.items()):
-                out[tuple(k[i] for i in keep)] = v
-        return Series._reduced(len(keep), self.degree - a, out, self._den, self.exact)
+        """Taylor coefficient of the monomial `x_block^alpha`, see `coefficient_blocks`."""
+        return self.coefficient_blocks(variables)[tuple(alpha)]
 
     def shift_down(self, var: int, amount: int) -> "Series":
         """Divide by x_var^amount; every term must carry that factor."""
         if amount == 0:
             return self
+        shift = (self.arity - 1 - var) * _W
+        step = (amount << (self.arity * _W)) + (amount << shift)
         out: NumMap = {}
         for k, v in self._num.items():
-            if k[var] < amount:
-                raise StructureError(
-                    f"term {k} lacks the factor x_{var}^{amount} being divided out"
-                )
-            out[k[:var] + (k[var] - amount,) + k[var + 1 :]] = v
+            if (k >> shift) & _MASK < amount:
+                raise StructureError(f"term {_index(k, self.arity)} lacks the factor "
+                                     f"x_{var}^{amount} being divided out")
+            out[k - step] = v
         return Series._make(self.arity, self.degree - amount, out, self._den, self.exact)
 
     def permute(self, new_positions: Sequence[int]) -> "Series":
@@ -460,13 +504,7 @@ class Series:
         pos = tuple(new_positions)
         if sorted(pos) != list(range(self.arity)):
             raise StructureError(f"{pos} is not a permutation of range({self.arity})")
-        out: NumMap = {}
-        for k, v in self._num.items():
-            kk = [0] * self.arity
-            for i, e in enumerate(k):
-                kk[pos[i]] = e
-            out[tuple(kk)] = v
-        return Series._make(self.arity, self.degree, out, self._den, self.exact)
+        return self.embed(self.arity, pos)
 
     def embed(self, arity: int, positions: Sequence[int]) -> "Series":
         """View this series inside a larger ring; old var i becomes positions[i]."""
@@ -478,9 +516,9 @@ class Series:
         out: NumMap = {}
         for k, v in self._num.items():
             kk = [0] * arity
-            for i, e in enumerate(k):
+            for i, e in enumerate(_index(k, self.arity)):
                 kk[pos[i]] = e
-            out[tuple(kk)] = v
+            out[_key(kk, arity)] = v
         return Series._make(arity, self.degree, out, self._den, self.exact)
 
     def truncate(self, d: int) -> "Series":
@@ -492,7 +530,8 @@ class Series:
             return self
         if self.poly_degree <= d:
             return Series._make(self.arity, d, self._num, self._den, self.exact)
-        out = {k: v for k, v in self._num.items() if idx_degree(k) <= d}
+        limit = (d + 1) << (self.arity * _W)
+        out = {k: v for k, v in self._num.items() if k < limit}
         return Series._reduced(self.arity, d, out, self._den, False)
 
     def lift(self, d: int) -> "Series":
@@ -519,24 +558,14 @@ class Series:
             return "0"
         parts = []
         for k, v in self.sorted_terms():
-            mono = "*".join(
-                f"{names[i]}^{e}" if e > 1 else names[i]
-                for i, e in enumerate(k)
-                if e > 0
-            )
+            mono = "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(k) if e)
             cs = str(v)
-            if mono:
-                if cs == "1":
-                    body = mono
-                elif cs == "-1":
-                    body = f"-{mono}"
-                else:
-                    if ("+" in cs[1:]) or ("-" in cs[1:]):
-                        cs = f"({cs})"
-                    body = f"{cs}*{mono}"
+            if ("+" in cs[1:]) or ("-" in cs[1:]):
+                cs = f"({cs})"
+            if not mono:
+                parts.append(cs)
             else:
-                body = cs if not (("+" in cs[1:]) or ("-" in cs[1:])) else f"({cs})"
-            parts.append(body)
+                parts.append(mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
         text = parts[0]
         for p in parts[1:]:
             text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -560,8 +589,9 @@ def evaluate_row(
     for s in row:
         if len(point) != s.arity:
             raise ArityMismatch("evaluation point has wrong length")
-    keys = [k for s in row for k in s._num]
-    top = [max(col) for col in zip(*keys)] if keys else [0] * len(point)
+    n = len(point)
+    keys = [_index(k, n) for s in row for k in s._num]
+    top = [max(col) for col in zip(*keys)] if keys else [0] * n
     scale = 1
     powers = []  # powers[i][e] = g_i^e * d_i^(E_i - e) as (re, im)
     for p, t in zip(point, top):
@@ -577,7 +607,7 @@ def evaluate_row(
     for s in row:
         total_re = total_im = 0
         for k, (re, im) in s._num.items():
-            for i, e in enumerate(k):
+            for i, e in enumerate(_index(k, n)):
                 a, b = powers[i][e]
                 re, im = re * a - im * b, re * b + im * a
             total_re += re
@@ -596,14 +626,12 @@ def identity_components(arity: int, degree: int) -> Tuple[Series, ...]:
     return tuple(Series.variable(i, arity, degree) for i in range(arity))
 
 
-def _shift_variable(c: Series) -> Optional[int]:
-    """j when c is exactly the variable x_j that `Series.variable` builds, else None."""
+def _shift_key(c: Series) -> Optional[int]:
+    """The key of x_j if c is exactly the variable x_j of `Series.variable`, else None."""
     if not c.exact or c._den != 1 or len(c._num) != 1:
         return None
     ((k, v),) = c._num.items()
-    if v != (1, 0) or idx_degree(k) != 1:
-        return None
-    return k.index(1)
+    return k if v == (1, 0) and k >> (c.arity * _W) == 1 else None
 
 
 def compose(f: Series, components: Sequence[Series]) -> Series:
@@ -640,35 +668,35 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
         if not c.is_pointed:
             raise NotPointed("substitution requires components with zero constant term")
     d = min([f.degree] + degrees)
-    shifts = [_shift_variable(c) for c in comps]
-    others = [i for i, j in enumerate(shifts) if j is None]
+    shifts = [_shift_key(c) for c in comps]
+    others = [i for i, x in enumerate(shifts) if x is None]
     poly_degrees = [c.poly_degree for c in comps]
     exact = f.exact
-    groups: Dict[MultiIndex, NumMap] = {}
-    for alpha, (re, im) in f._num.items():
-        if idx_degree(alpha) > d:
+    groups: Dict[Tuple[int, ...], NumMap] = {}
+    for k, (re, im) in f._num.items():
+        fields = k.to_bytes(f.arity + 1, "big")
+        if fields[0] > d:
             # contributes only beyond the truncation degree
             exact = False
             continue
+        alpha = fields[1:]
         zero = next((i for i, e in enumerate(alpha) if e and comps[i].is_zero), None)
         if zero is not None:
             exact = exact and comps[zero].exact
             continue
-        key = [0] * arity
+        key = 0
         top = 0  # degree of the term's image before truncation
         for i, e in enumerate(alpha):
             if e:
-                j = shifts[i]
-                if j is None:
+                if shifts[i] is None:
                     exact = exact and comps[i].exact
                     top += e * poly_degrees[i]
                 else:
-                    key[j] += e
+                    key += e * shifts[i]
                     top += e
         if top > d:
             exact = False
         num = groups.setdefault(tuple(alpha[i] for i in others), {})
-        key = tuple(key)
         cur = num.get(key)
         num[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
 
@@ -680,7 +708,6 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
             cache.append(cache[-1] * cache[0])
         return cache[e - 1]
 
-    origin = (0,) * arity
     acc = Series.zero(arity, d)
     for rest, num in groups.items():
         num = {k: v for k, v in num.items() if v[0] or v[1]}
@@ -692,7 +719,7 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
                 p = power(i, e) if p is None else p * power(i, e)
         g = Series._reduced(arity, d, num, f._den, True)
         if p is not None:
-            g = p.scale(g.constant_term) if len(num) == 1 and origin in num else g * p
+            g = p.scale(g.constant_term) if len(num) == 1 and 0 in num else g * p
         acc = acc + g
     return acc._with_exact(exact)
 

@@ -1,7 +1,8 @@
 """classify reports: byte-stable digests, one validity and one type decision
 per surface, rank scans that never expand a minor through an exact-zero row
 or column, and rank families that expand each minor and evaluate each row at
-a sample point once over all k.
+a sample point once over all k, eliminate at a point again only after a new
+live row, and take every row from one grouping pass over their source.
 
 The digests were recorded before the minor scan skipped exact-zero rows and
 columns and before scalar rank and determinant moved to the Bareiss kernel;
@@ -163,3 +164,34 @@ def test_rank_family_expands_each_minor_and_evaluates_each_row_once(monkeypatch)
     assert row_points
     assert len(row_points) == len(set(row_points))
     assert not any(all(e.is_zero for e in row) for row, _ in evaluated)
+
+
+def test_rank_family_eliminates_only_after_a_new_live_row(monkeypatch):
+    # 24 eliminations: one per sample point and distinct count of live rows;
+    # eliminating again at every k, this classify ran 64
+    original = linalg._bareiss
+    sizes = []
+
+    def counting(mat):
+        sizes.append(len(mat))
+        return original(mat)
+
+    replace_everywhere(monkeypatch, original, counting)
+    classify(DEGENERATE, 8, Convention.TWO_I, 675)
+    assert len(sizes) == 24
+
+
+def test_rank_family_groups_its_source_once(monkeypatch, grouping_passes):
+    # one pass over the source's terms gives every row of the family; one
+    # coefficient_series scan per z-exponent made 36 per family here
+    original = hypersurface._gradient_family_rank
+    sources = []
+
+    def recording(src, *args):
+        sources.append(src)
+        return original(src, *args)
+
+    replace_everywhere(monkeypatch, original, recording)
+    classify(DEGENERATE, 8, Convention.TWO_I, 675)
+    assert len(sources) == 2
+    assert [id(s) for s in grouping_passes] == [id(s) for s in sources]

@@ -1,11 +1,15 @@
 """Jet prolongation: pivot choice, triangular solve, consistency checks."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from crtrans import grammar
+from crtrans.cli import _run_prolong
 from crtrans.errors import InconsistentData, NoWitness, StructureError
 from crtrans.fracseries import FracSeries
 from crtrans.prolongation import (
@@ -137,3 +141,53 @@ def test_instance_validation():
     bad[(1,)] = ()
     with pytest.raises(StructureError):
         ProlongationInstance(a, 1, bad)
+
+
+def test_forward_expand_groups_each_product_once(grouping_passes):
+    a = Series.polynomial(4, 8, {(0, 1, 1, 0): 1, (1, 1, 0, 1): 2})
+    b = [Series.polynomial(4, 8, {(0, 0, 0, 0): 1, (1, 0, 0, 1): 2}),
+         Series.polynomial(4, 8, {(0, 1, 1, 0): 3, (2, 0, 0, 1): 1})]
+    jets = forward_expand(a, 2, b, 4)
+    assert len(jets) == 15
+    assert len(grouping_passes) == len(b)
+    assert all(p.arity == 4 for p in grouping_passes)
+
+
+# The prolong_text shape of perfbench/workloads.py, drawn from Random(0) and
+# Random(1): a non-constant pivot exp(linear chi form), so the solved jets
+# below are nonzero fractions whose denominators are not constants
+PROLONG_DATA = [
+    "A = (3+0*i)*z2*exp((3+0*i)*chi1 + (-3-1*i)*chi2)"
+    " + (1+0*i)*z1*(1 + (0+3*i)*chi1 + (3-1*i)*chi2)"
+    " + (0-1*i)*z1*z2*exp((1-2*i)*chi1 + (1-2*i)*chi2)\n"
+    "b1 = (-1-2*i)*z1*z2*chi1 + (3-3*i)*z2^2*exp((1+3*i)*chi1 + (-1+1*i)*chi2)"
+    " + (2+3*i)*z1^2*chi2\n",
+    "A = (-2+1*i)*z2*exp((3+3*i)*chi1 + (3-3*i)*chi2)"
+    " + (-1-3*i)*z1*(1 + (0+3*i)*chi1 + (1+0*i)*chi2)"
+    " + (2+0*i)*z1*z2*exp((3-2*i)*chi1 + (-3+0*i)*chi2)\n"
+    "b1 = (-3+3*i)*z1*z2*chi1 + (1+0*i)*z2^2*exp((1+3*i)*chi1 + (3-3*i)*chi2)"
+    " + (2+0*i)*z1^2*chi2\n",
+]
+
+# (data, alpha, degree) -> SHA-256 of the cli._run_prolong body, recorded
+# before Series keys were packed into ints
+PROLONG = {
+    (0, (1, 1), 6): "62042697afefdc91e438a6db8167cf82c50b322beaa355bfb51c4d584d347d99",
+    (1, (1, 1), 6): "361bbbbc799816e14a849df1fc7172e11c7cacbc4ac70fc7d1861d62de89a25b",
+    (0, (2, 0), 6): "e6d766009f53fa13830c873e99396bfc7f4f98f98ce07d6f1eaaaaab535296cf",
+    (1, (2, 0), 6): "1c3796d04fbfa892f1cf63d63bea82367125ec92bbca5f10bb1d5e7037b41c14",
+    (0, (0, 2), 9): "144385391f644beb80dced72d4a1cebd879d8ba24a2b5f0fdcfabf7aaec0899b",
+    (1, (0, 2), 9): "470da16a2e267089fdd18887bac8e83f1ed229f136d945b2ace10ace9315f7dd",
+}
+
+
+@pytest.mark.parametrize("case", list(PROLONG), ids=lambda c: f"data{c[0]}-{c[1][0]}{c[1][1]}-D{c[2]}")
+def test_prolong_report_is_byte_stable(case):
+    data, alpha, degree = case
+    text = f"degree {degree}\n{PROLONG_DATA[data]}prolong A, b1 at {alpha}\n"
+    doc = grammar.parse(text)
+    body = _run_prolong(doc.tasks[0], {d.name: d for d in doc.declarations}, degree)
+    assert body["matches_direct_expansion"]
+    assert all(v.startswith("(") and ") / (" in v for v in body["values"])
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == PROLONG[case]

@@ -3,8 +3,12 @@
 `Ref` keeps a series as a dict of GaussianRational terms, and the `ref_*`
 functions below are the dict-of-GaussianRational kernels the integer-backed
 Series replaced. A property test checks values, `exact` flags, canonical form
-and equality against them. Needs the optional `hypothesis` package (the `test`
-extra); the module is skipped without it.
+and equality against them, and another every coefficient block of a random
+variable block. Fixed cases cover the packed keys at their edges: arity 0,
+the largest degree a key field holds and the refusal past it, and the tuple
+boundary of `terms`, `sorted_terms`, `order`, `poly_degree` and
+`leading_index`. Needs the optional `hypothesis` package (the `test` extra);
+the module is skipped without it.
 """
 
 import itertools
@@ -16,7 +20,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from crtrans import multiindex as mi  # noqa: E402
+from crtrans import multiindex as mi, series  # noqa: E402
+from crtrans.errors import CrtransError  # noqa: E402
 from crtrans.scalar import ONE, ZERO, GaussianRational, qr  # noqa: E402
 from crtrans.series import Series, compose  # noqa: E402
 
@@ -128,13 +133,26 @@ def ref_compose(f, comps):
     return Ref(arity, d, acc.terms, acc.exact and not tail_unknown)
 
 
+def fields(key, arity):
+    """The arity + 1 fields of a packed key, the degree field first."""
+    out = []
+    for _ in range(arity + 1):
+        out.append(key & series._MASK)
+        key >>= series._W
+    assert key == 0, "bits above the degree field"
+    return out[::-1]
+
+
 def assert_canonical(s):
-    """Nonzero Gaussian-integer numerators over a positive denominator, in lowest terms."""
+    """Nonzero Gaussian-integer numerators over a positive denominator, in lowest
+    terms, under packed keys whose exponent fields sum to the degree field."""
     parts = [x for c in s._num.values() for x in c]
     assert s._den > 0
     assert math.gcd(s._den, *parts) == 1
     assert all(c != (0, 0) for c in s._num.values())
-    assert all(sum(k) <= s.degree for k in s._num)
+    for k in s._num:
+        degree, *exponents = fields(k, s.arity)
+        assert sum(exponents) == degree <= s.degree
     assert s._num or s._den == 1
 
 
@@ -238,3 +256,90 @@ def test_compose_exact_flag_on_fixed_cases(f, comps):
     got = compose(f, comps)
     assert not got.exact
     assert (dict(got.terms), got.degree, got.exact) == (want.terms, want.degree, want.exact)
+
+
+def test_arity_zero():
+    c = Series(0, 3, {(): qr(2, 1)})
+    assert list(c.terms) == [()] and c.terms[()] == qr(2, 1)
+    assert (c * c).terms == {(): qr(3, 4)}
+    assert (c.order(), c.poly_degree, c.leading_index()) == (0, 0, ())
+    assert c.sorted_terms() == [((), qr(2, 1))]
+    assert Series.zero(0, 3).order() == math.inf
+    for s in (c, c * c, c - c, compose(c, [])):
+        assert_canonical(s)
+
+
+def test_degree_at_the_field_limit():
+    top = series.MAX_DEGREE
+    x = Series(2, top, {(top, 0): 1, (0, top): 2, (1, top - 1): 3})
+    assert dict(x.terms) == {(top, 0): ONE, (0, top): qr(2), (1, top - 1): qr(3)}
+    assert x.order() == x.poly_degree == top and x.leading_index() == (0, top)
+    y = Series.variable(1, 2, top)
+    p = Series(2, top, {(top - 1, 0): 1}) * y
+    assert p.terms == {(top - 1, 1): ONE} and p.exact
+    # every product has degree top + 1, and x1 * x1^top carries out of its field
+    q = x * y
+    assert q.is_zero and not q.exact
+    assert x.derivative(1).terms == {(0, top - 1): qr(2 * top), (1, top - 2): qr(3 * (top - 1))}
+    for s in (x, p, q, x.derivative(0), x.truncate(top - 1), x.coefficient_series([0], (1,))):
+        assert_canonical(s)
+    # one past the limit is refused, whichever way the degree is reached
+    for make in (
+        lambda: Series(2, top + 1, {(1, 0): 1}),
+        lambda: Series.zero(2, top + 1),
+        lambda: Series.one(2, top + 1),
+        lambda: Series.polynomial(2, 3, {(1, 0): 1}).lift(top + 1),
+    ):
+        with pytest.raises(CrtransError, match="exceeds the maximum"):
+            make()
+
+
+def test_terms_view_iterates_and_finds_exponent_tuples():
+    s = Series(3, 4, {(1, 0, 2): 5, (0, 0, 0): 1, (0, 2, 0): qr(0, 1)})
+    assert list(s.terms) == [(1, 0, 2), (0, 0, 0), (0, 2, 0)]
+    assert list(s.terms.items())[0] == ((1, 0, 2), qr(5))
+    assert (0, 2, 0) in s.terms and s.terms[(0, 2, 0)] == qr(0, 1)
+    # another length, a negative or an oversized exponent names no term
+    for idx in [(0, 0), (0, 0, 0, 0), (-1, 0, 1), (0, 0, 256), (0, 0, 4)]:
+        assert idx not in s.terms and s.terms.get(idx) is None
+        with pytest.raises(KeyError):
+            s.terms[idx]
+    assert s.coefficient((0, 0, 4)) == ZERO and s.coefficient((-1, 0, 1)) == ZERO
+    assert Series(2, 0, {}).terms == Series(1, 0, {}).terms
+    assert Series.one(2, 0).terms != Series.one(1, 0).terms
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(3, 0): 1, (1, 1): 2, (0, 2): 3},
+        {(0, 0, 3): 1, (0, 1, 2): 1, (2, 0, 1): qr(0, 1), (1, 2, 0): -1, (0, 3, 0): 2},
+        {(2, 2, 0, 1): 1, (0, 0, 5, 0): 4, (1, 1, 1, 1): 7, (4, 0, 0, 0): 3},
+        {(0, 0): 2, (0, 6): 1},
+    ],
+)
+def test_orders_match_tuple_references(terms):
+    s = Series(len(next(iter(terms))), 6, terms)
+    keys = list(s.terms)
+    assert s.sorted_terms() == sorted(s.terms.items(), key=lambda kv: mi.grlex_key(kv[0]))
+    assert s.order() == min(map(sum, keys))
+    assert s.poly_degree == max(map(sum, keys))
+    assert s.leading_index() == min(keys, key=mi.grlex_key)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_coefficient_blocks_match_reference(data):
+    arity = data.draw(st.integers(1, 4))
+    raw = data.draw(raw_series(arity, data.draw(st.integers(0, 5))))
+    a, A = Series(*raw), ref_build(*raw)
+    vs = data.draw(st.permutations(range(arity)))[: data.draw(st.integers(0, arity))]
+    blocks = a.coefficient_blocks(vs)
+    nonzero = {tuple(k[i] for i in vs) for k in A.terms}
+    assert set(blocks) == nonzero
+    for alpha in sorted(nonzero) + list(mi.iter_up_to(len(vs), a.degree)):
+        got, want = blocks[alpha], ref_coefficient_series(A, vs, alpha)
+        assert (got.arity, got.degree, got.exact) == (want.arity, want.degree, want.exact)
+        assert dict(got.terms) == want.terms
+        assert_canonical(got)
+        assert got == a.coefficient_series(vs, alpha)
