@@ -11,7 +11,7 @@ terms and one positive int denominator `den`; the coefficient of the term is
 (re + im*i) / den, always in lowest terms (the gcd of `den` and every
 numerator part is 1, and the zero series has den 1). That form is canonical,
 so equality compares ints. A key packs the term's exponents into arity + 1
-fields of 8 bits: the total degree in the top field, then x0, x1, ... So int
+fields of 16 bits: the total degree in the top field, then x0, x1, ... So int
 order is graded-lex order, order and degree read the top field, and the key
 of a product term is the sum of the keys: a kept product has degree at most
 the truncation degree, so no field carries. A truncation degree above
@@ -29,7 +29,9 @@ Series objects are immutable by convention; `terms` is a read-only view.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
@@ -51,22 +53,29 @@ INFINITE_ORDER: float = math.inf
 
 NumMap = Dict[int, Tuple[int, int]]  # packed key -> Gaussian-integer numerator (re, im)
 
-_W = 8  # bits per key field: one byte, so keys convert to and from bytes
+_W = 16  # bits per key field, an unsigned short, so keys convert through struct
 _MASK = (1 << _W) - 1
 MAX_DEGREE = _MASK  # largest truncation degree whose keys fit
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(arity: int) -> struct.Struct:
+    """The arity + 1 big-endian fields of a key: the degree, then x0, x1, ..."""
+    return struct.Struct(f">{arity + 1}H")
 
 
 def _key(idx: Sequence[int], arity: int) -> Optional[int]:
     """Packed key of an exponent tuple, None if no stored term of this arity has it."""
     try:
-        return int.from_bytes(bytes((sum(idx), *idx)), "big") if len(idx) == arity else None
-    except (TypeError, ValueError):  # not ints, a negative, or a degree above MAX_DEGREE
+        fields = _layout(arity).pack(sum(idx), *idx)
+    except (TypeError, struct.error):  # another length, a non-int, a negative, a degree too high
         return None
+    return int.from_bytes(fields, "big")
 
 
 def _index(key: int, arity: int) -> MultiIndex:
     """Exponent tuple of a packed key."""
-    return tuple(key.to_bytes(arity + 1, "big")[1:])
+    return _layout(arity).unpack(key.to_bytes(2 * arity + 2, "big"))[1:]
 
 
 def _check_degree(degree: int) -> None:
@@ -558,14 +567,24 @@ class Series:
             return "0"
         parts = []
         for k, v in self.sorted_terms():
-            mono = "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(k) if e)
+            mono = "*".join(
+                f"{names[i]}^{e}" if e > 1 else names[i]
+                for i, e in enumerate(k)
+                if e > 0
+            )
             cs = str(v)
-            if ("+" in cs[1:]) or ("-" in cs[1:]):
-                cs = f"({cs})"
-            if not mono:
-                parts.append(cs)
+            if mono:
+                if cs == "1":
+                    body = mono
+                elif cs == "-1":
+                    body = f"-{mono}"
+                else:
+                    if ("+" in cs[1:]) or ("-" in cs[1:]):
+                        cs = f"({cs})"
+                    body = f"{cs}*{mono}"
             else:
-                parts.append(mono if cs == "1" else f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
+                body = cs if not (("+" in cs[1:]) or ("-" in cs[1:])) else f"({cs})"
+            parts.append(body)
         text = parts[0]
         for p in parts[1:]:
             text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -674,12 +693,11 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
     exact = f.exact
     groups: Dict[Tuple[int, ...], NumMap] = {}
     for k, (re, im) in f._num.items():
-        fields = k.to_bytes(f.arity + 1, "big")
-        if fields[0] > d:
+        if k >> (f.arity * _W) > d:
             # contributes only beyond the truncation degree
             exact = False
             continue
-        alpha = fields[1:]
+        alpha = _index(k, f.arity)
         zero = next((i for i, e in enumerate(alpha) if e and comps[i].is_zero), None)
         if zero is not None:
             exact = exact and comps[zero].exact

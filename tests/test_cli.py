@@ -209,15 +209,15 @@ def test_registry_degree_too_low_exits_two(capsys, argv):
 
 
 def test_degree_beyond_the_key_fields_is_refused(capsys, monkeypatch):
-    # series keys hold 8-bit fields: degree 256 is a task error, 300 a verify error
+    # series keys hold 16-bit fields: degree 65536 is a task error, 70000 a verify error
     doc = "M = graph(z*chi + z^2*chi^2)\nclassify M\n"
-    code, out, err = run(capsys, ["classify", "--degree", "256"], stdin=doc, monkeypatch=monkeypatch)
+    code, out, err = run(capsys, ["classify", "--degree", "65536"], stdin=doc, monkeypatch=monkeypatch)
     assert code == 1
     assert json.loads(out)["errors"] == [
-        {"task": "classify M", "error": "truncation degree 256 exceeds the maximum 255"}
+        {"task": "classify M", "error": "truncation degree 65536 exceeds the maximum 65535"}
     ]
-    code, out, err = run(capsys, ["verify", "--degree", "300"])
-    assert (code, out, err) == (2, "", "error: truncation degree 300 exceeds the maximum 255\n")
+    code, out, err = run(capsys, ["verify", "--degree", "70000"])
+    assert (code, out, err) == (2, "", "error: truncation degree 70000 exceeds the maximum 65535\n")
 
 
 def test_usage_error_exits_two(capsys):

@@ -83,6 +83,25 @@ def test_determinant_exact_lifting():
     assert raw.terms == {(2, 0): qr(1), (0, 2): qr(-1)}
 
 
+
+def test_exact_lifts_run_past_the_input_degree():
+    # a minor and a fraction product of exact degree-200 data are lifted to
+    # degree 400, above the degree of every input
+    from crtrans.linalg import _det
+
+    x = Series.polynomial(2, 200, {(200, 0): 1, (0, 1): 1})
+    y = Series.polynomial(2, 200, {(0, 200): 1})
+    raw = _det([[x, y], [y, x]])
+    assert raw.degree == 400 and raw.exact
+    assert raw.terms == {(400, 0): qr(1), (200, 1): qr(2), (0, 2): qr(1), (0, 400): qr(-1)}
+    q = FracSeries(x, y) * FracSeries(y, x)
+    assert q.num.degree == 400 and q.num.exact and q.num.terms == q.den.terms
+    # a lift beyond the key fields is refused cleanly
+    big = Series.polynomial(1, 40000, {(40000,): 1})
+    zero = Series.zero(1, 40000)
+    with pytest.raises(StructureError, match="truncation degree 80000 exceeds the maximum 65535"):
+        _det([[big, zero], [zero, big]])
+
 def test_rank_at_point():
     z = Series.variable(0, 2, 3)
     w = Series.variable(1, 2, 3)

@@ -300,7 +300,7 @@ def test_terms_view_iterates_and_finds_exponent_tuples():
     assert list(s.terms.items())[0] == ((1, 0, 2), qr(5))
     assert (0, 2, 0) in s.terms and s.terms[(0, 2, 0)] == qr(0, 1)
     # another length, a negative or an oversized exponent names no term
-    for idx in [(0, 0), (0, 0, 0, 0), (-1, 0, 1), (0, 0, 256), (0, 0, 4)]:
+    for idx in [(0, 0), (0, 0, 0, 0), (-1, 0, 1), (0, 0, series.MAX_DEGREE + 1), (0, 0, 4)]:
         assert idx not in s.terms and s.terms.get(idx) is None
         with pytest.raises(KeyError):
             s.terms[idx]
