@@ -10,6 +10,11 @@ for the denominator's vanishing order). When numerator and denominator are
 both exact polynomials the quotient is known completely and cert is
 infinite; exact operands are silently lifted to whatever working degree a
 product needs, so equalities of polynomial data are genuinely exact.
+
+Cost: `from_series` puts a series over the exact one, and most products here
+have such a denominator or an empty numerator as one factor; `Series.__mul__`
+answers those without the general product. Subtraction cross-multiplies
+with the sign in `_plus`, without a negated copy of the subtrahend.
 """
 
 from __future__ import annotations
@@ -153,10 +158,13 @@ class FracSeries:
     __radd__ = __add__
 
     def __sub__(self, other) -> "FracSeries":
-        return self + (-self._coerce_other(other))
+        o = self._coerce_other(other)
+        num = _plus(_times(self.num, o.den), _times(o.num, self.den), -1)
+        den = _times(self.den, o.den)
+        return FracSeries(num, den, min(self.cert, o.cert))
 
     def __rsub__(self, other) -> "FracSeries":
-        return (-self) + other
+        return self._coerce_other(other) - self
 
     def __mul__(self, other) -> "FracSeries":
         o = self._coerce_other(other)

@@ -15,11 +15,15 @@ are walked in ascending order, so every jet of b up to a requested order
 The triangularity is not taken on faith: whenever a not-yet-solved unknown
 would enter an equation, the solver asserts that its A-coefficient vanishes,
 and after solving it re-checks every supplied equation of reachable order.
+Both passes read one table per solve: for each beta, the (gamma', A_delta)
+with delta = beta - gamma' and A_delta nonzero, the A-blocks and the pivot
+wrapped as fractions once, and each normalized jet v_beta / beta!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Mapping, Sequence, Tuple
 
 from . import multiindex as mi
@@ -118,55 +122,59 @@ def prolongation_solve(
     level = mi.degree(alpha)
 
     a_blocks = a.coefficient_blocks(z_block)
-    pivot_coeff = a_blocks[pivot]
+    pivot_coeff = FracSeries.from_series(a_blocks[pivot])
 
     used_orders = [0]
-
-    def data(beta: Tuple[int, ...]) -> Tuple[Series, ...]:
-        if beta not in instance.jets:
-            raise StructureError(
-                f"jet data for beta = {beta} is required but was not supplied"
-            )
-        used_orders.append(mi.degree(beta))
-        return instance.jets[beta]
+    targets: Dict[Tuple[int, ...], Tuple[FracSeries, ...]] = {}
 
     def normalized(beta: Tuple[int, ...]) -> Tuple[FracSeries, ...]:
-        inv = Fraction(1, mi.factorial(beta))
-        return tuple(FracSeries.from_series(s.scale(inv)) for s in data(beta))
+        """The supplied jet at beta over beta!, built on first use."""
+        if beta not in targets:
+            if beta not in instance.jets:
+                raise StructureError(
+                    f"jet data for beta = {beta} is required but was not supplied"
+                )
+            used_orders.append(mi.degree(beta))
+            inv = Fraction(1, mi.factorial(beta))
+            targets[beta] = tuple(
+                FracSeries.from_series(s.scale(inv)) for s in instance.jets[beta]
+            )
+        return targets[beta]
 
-    def subindices(beta: Tuple[int, ...]):
-        ranges = [range(e + 1) for e in beta]
-        def rec(i, cur):
-            if i == len(ranges):
-                yield tuple(cur)
-                return
-            for e in ranges[i]:
-                cur.append(e)
-                yield from rec(i + 1, cur)
-                cur.pop()
-        yield from rec(0, [])
+    coeffs: Dict[Tuple[int, ...], FracSeries] = {}
+    equations: Dict[Tuple[int, ...], list] = {}
+
+    def equation(beta: Tuple[int, ...]) -> list:
+        """(gamma', delta, A_delta) for every gamma' <= beta with A_{beta - gamma'}
+        nonzero, gamma' in lex order; built on first use."""
+        if beta not in equations:
+            row = []
+            for gp in product(*(range(e + 1) for e in beta)):
+                delta = mi.subtract(beta, gp)
+                if not a_blocks[delta].is_zero:
+                    if delta not in coeffs:
+                        coeffs[delta] = FracSeries.from_series(a_blocks[delta])
+                    row.append((gp, delta, coeffs[delta]))
+            equations[beta] = row
+        return equations[beta]
 
     solved: Dict[Tuple[int, ...], Tuple[FracSeries, ...]] = {}
     for ell in range(level + 1):
         for gamma in sorted(mi.iter_degree(n, ell)):
             beta = mi.add(pivot, gamma)
             rhs = list(normalized(beta))
-            for gp in subindices(beta):
+            for gp, delta, coeff in equation(beta):
                 if gp == gamma:
                     continue
-                delta = mi.subtract(beta, gp)
-                coeff = a_blocks[delta]
-                if gp in solved:
-                    if not coeff.is_zero:
-                        c = solved[gp]
-                        rhs = [r - c[i] * coeff for i, r in enumerate(rhs)]
-                elif not coeff.is_zero:
+                if gp not in solved:
                     # a not-yet-solved unknown with a surviving coefficient would
                     # break the triangular structure; minimality of alpha0 forbids it
                     raise StructureError(
                         f"coefficient A_{delta} is nonzero but unknown {gp} is unsolved"
                     )
-            solved[gamma] = tuple(r / FracSeries.from_series(pivot_coeff) for r in rhs)
+                c = solved[gp]
+                rhs = [r - c[i] * coeff for i, r in enumerate(rhs)]
+            solved[gamma] = tuple(r / pivot_coeff for r in rhs)
 
     # consistency: every supplied equation of reachable order must hold
     reach = level + k
@@ -175,11 +183,7 @@ def prolongation_solve(
             continue
         target = normalized(beta)
         acc = [FracSeries.zero(a.arity - n, a.degree) for _ in range(width)]
-        for gp in subindices(beta):
-            delta = mi.subtract(beta, gp)
-            coeff = a_blocks[delta]
-            if coeff.is_zero:
-                continue
+        for gp, _, coeff in equation(beta):
             if gp not in solved:
                 raise StructureError(
                     f"equation at {beta} involves unsolved jet {gp} with nonzero coefficient"

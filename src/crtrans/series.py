@@ -56,6 +56,7 @@ NumMap = Dict[int, Tuple[int, int]]  # packed key -> Gaussian-integer numerator 
 _W = 16  # bits per key field, an unsigned short, so keys convert through struct
 _MASK = (1 << _W) - 1
 MAX_DEGREE = _MASK  # largest truncation degree whose keys fit
+_SCALARS = (int, Fraction, GaussianRational)  # what `Series` arithmetic takes as a constant
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,10 +114,9 @@ def _product(f: NumMap, g: NumMap, d: int, arity: int) -> NumMap:
     first key of degree d + 1. A kept pair has degree at most d, so no field
     carries and the sum is the product's key; a pair of higher degree sums
     to at least `limit`, since a carry only adds. So the keys of g, sorted,
-    are cut at limit - (key of f's term).
+    are cut at limit - (key of f's term). `Series.__mul__` sends a factor
+    with fewer than two terms elsewhere.
     """
-    if not f or not g:
-        return {}
     limit = (d + 1) << (arity * _W)
     g_keys = sorted(g)
     g_terms = [(k, *g[k]) for k in g_keys]
@@ -131,6 +131,17 @@ def _product(f: NumMap, g: NumMap, d: int, arity: int) -> NumMap:
             else:
                 acc[k] = (cur[0] + a * c - b * e, cur[1] + a * e + b * c)
     return {k: v for k, v in acc.items() if v[0] or v[1]}
+
+
+def _term_product(g: NumMap, key: int, a: int, b: int, limit: int) -> NumMap:
+    """Numerators of g times the one term (a + b*i) x^key, keys below `limit`.
+
+    One pass over g, kept by the cut of `_product`. Shifted keys stay
+    distinct, and Gaussian integers have no zero divisors, so no term of the
+    product merges with another or vanishes.
+    """
+    cut = limit - key
+    return {key + k: (a * c - b * e, a * e + b * c) for k, (c, e) in g.items() if k < cut}
 
 
 class _Terms(Mapping):
@@ -383,14 +394,18 @@ class Series:
 
     def __add__(self, other: Union["Series", ScalarLike]) -> "Series":
         if not isinstance(other, Series):
-            other = Series.constant(GaussianRational.coerce(other), self.arity, self.degree)
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = Series.constant(other, self.arity, self.degree)
         return self._add_signed(other, +1)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Series", ScalarLike]) -> "Series":
         if not isinstance(other, Series):
-            other = Series.constant(GaussianRational.coerce(other), self.arity, self.degree)
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = Series.constant(other, self.arity, self.degree)
         return self._add_signed(other, -1)
 
     def __rsub__(self, other: ScalarLike) -> "Series":
@@ -405,7 +420,15 @@ class Series:
         return Series._reduced(self.arity, self.degree, num, self._den * cd, self.exact)
 
     def __mul__(self, other: Union["Series", ScalarLike]) -> "Series":
+        """Product through the smaller truncation degree.
+
+        A factor with no term gives zero at once, a one-term factor (a
+        constant or a monomial) costs one pass over the other factor's terms,
+        and the constant 1 returns the other factor, truncated to that degree.
+        """
         if not isinstance(other, Series):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             return self.scale(other)
         self._check_arity(other)
         d = min(self.degree, other.degree)
@@ -413,8 +436,16 @@ class Series:
         if (self.is_zero and self.exact) or (other.is_zero and other.exact):
             return Series.zero(self.arity, d)
         f, g = (self, other) if len(self._num) <= len(other._num) else (other, self)
-        out = _product(f._num, g._num, d, self.arity)
+        if not f._num:  # an inexact zero: zero through d, with an unknown tail
+            return Series.zero(self.arity, d, False)
         exact = self.exact and other.exact and (self.poly_degree + other.poly_degree <= d)
+        if len(f._num) == 1:
+            ((key, (a, b)),) = f._num.items()
+            if (key, a, b, f._den) == (0, 1, 0, 1):  # the constant 1
+                return g.truncate(d)._with_exact(exact)
+            out = _term_product(g._num, key, a, b, (d + 1) << (self.arity * _W))
+        else:
+            out = _product(f._num, g._num, d, self.arity)
         return Series._reduced(self.arity, d, out, self._den * other._den, exact)
 
     __rmul__ = __mul__

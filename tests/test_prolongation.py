@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from crtrans import grammar
+from crtrans import grammar, multiindex as mi
 from crtrans.cli import _run_prolong
 from crtrans.errors import InconsistentData, NoWitness, StructureError
 from crtrans.fracseries import FracSeries
@@ -167,10 +167,18 @@ PROLONG_DATA = [
     " + (2+0*i)*z1*z2*exp((3-2*i)*chi1 + (-3+0*i)*chi2)\n"
     "b1 = (-3+3*i)*z1*z2*chi1 + (1+0*i)*z2^2*exp((1+3*i)*chi1 + (3-3*i)*chi2)"
     " + (2+0*i)*z1^2*chi2\n",
+    # polynomial (exact) data, so FracSeries lifts its exact products: the
+    # README example; the non-constant pivot chi1 + chi1^2; two components
+    "A = z2*chi1 + z1^2\nb1 = z1^2*z2\n",
+    "A = z1*(chi1 + chi1^2) + z2^2*chi2 + z1*z2\n"
+    "b1 = z1*z2 + chi1*z2^2 + 2*z1^2*chi2 + 3*chi2\n",
+    "A = z2*(chi1 + chi1^2) + (1+2*i)*z1^2*chi2\n"
+    "b1 = z1^2*z2 + chi2*z1 - 1/2*chi1\nb2 = i*z2^2*chi1 + z1*z2*chi2^2 + 1\n",
 ]
 
 # (data, alpha, degree) -> SHA-256 of the cli._run_prolong body, recorded
-# before Series keys were packed into ints
+# before Series keys were packed into ints (the exp data) and before one-term
+# factors left the general product (the polynomial data)
 PROLONG = {
     (0, (1, 1), 6): "62042697afefdc91e438a6db8167cf82c50b322beaa355bfb51c4d584d347d99",
     (1, (1, 1), 6): "361bbbbc799816e14a849df1fc7172e11c7cacbc4ac70fc7d1861d62de89a25b",
@@ -178,16 +186,43 @@ PROLONG = {
     (1, (2, 0), 6): "1c3796d04fbfa892f1cf63d63bea82367125ec92bbca5f10bb1d5e7037b41c14",
     (0, (0, 2), 9): "144385391f644beb80dced72d4a1cebd879d8ba24a2b5f0fdcfabf7aaec0899b",
     (1, (0, 2), 9): "470da16a2e267089fdd18887bac8e83f1ed229f136d945b2ace10ace9315f7dd",
+    (2, (2, 1), 6): "d690fe3115fd9ea2249afd492ee41cba816abd572d83c1d5f24c1c6f6fea565c",
+    (2, (1, 2), 9): "6e474472358f91dab8e4ab81c0edb5c171cd5aea9557fa0743052fb3b7c9b6c4",
+    (3, (1, 1), 8): "b82cb6dc694ef436f4c406926b3e8e06a425edc08e26bedf9682bb910d955c82",
+    (3, (2, 0), 6): "5196d36bfaa04dd6fc311e3474c2897102adf1e9babd91825f29294d9f6c2a49",
+    (4, (2, 1), 9): "aa8839a1b1d5b4f805da4b05521133b2b6a6f8507f8f835d1847b78bc1b939f1",
 }
 
 
 @pytest.mark.parametrize("case", list(PROLONG), ids=lambda c: f"data{c[0]}-{c[1][0]}{c[1][1]}-D{c[2]}")
 def test_prolong_report_is_byte_stable(case):
     data, alpha, degree = case
-    text = f"degree {degree}\n{PROLONG_DATA[data]}prolong A, b1 at {alpha}\n"
+    names = ", ".join(line.split(" =")[0] for line in PROLONG_DATA[data].splitlines())
+    text = f"degree {degree}\n{PROLONG_DATA[data]}prolong {names} at {alpha}\n"
     doc = grammar.parse(text)
     body = _run_prolong(doc.tasks[0], {d.name: d for d in doc.declarations}, degree)
     assert body["matches_direct_expansion"]
-    assert all(v.startswith("(") and ") / (" in v for v in body["values"])
+    if data < 2:  # exp data: every value has a non-constant denominator
+        assert all(v.startswith("(") and ") / (" in v for v in body["values"])
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
     assert digest == PROLONG[case]
+
+
+def test_solve_computes_each_difference_once(monkeypatch):
+    """Each (beta, gamma') difference is taken once, shared by the solve loop
+    and the consistency loop."""
+    calls = []
+    subtract = mi.subtract
+
+    def counting(a, b):
+        calls.append((a, b))
+        return subtract(a, b)
+
+    monkeypatch.setattr(mi, "subtract", counting)
+    a = Series.polynomial(4, 8, {(0, 1, 1, 0): 1, (1, 1, 0, 1): 2, (2, 0, 0, 1): 1})
+    b = Series.polynomial(4, 8, {(0, 0, 0, 0): 1, (1, 0, 0, 1): 2, (0, 1, 1, 0): 3})
+    inst = expand_instance(a, 2, [b], 4)
+    calls.clear()
+    sol = prolongation_solve(inst, (1, 2))
+    assert sol.jets[(1, 2)][0] == FracSeries.from_series(jets_of(b, (1, 2)))
+    assert calls and len(calls) == len(set(calls))

@@ -3,12 +3,13 @@
 `Ref` keeps a series as a dict of GaussianRational terms, and the `ref_*`
 functions below are the dict-of-GaussianRational kernels the integer-backed
 Series replaced. A property test checks values, `exact` flags, canonical form
-and equality against them, and another every coefficient block of a random
-variable block. Fixed cases cover the packed keys at their edges: arity 0,
-the largest degree a key field holds and the refusal past it, and the tuple
-boundary of `terms`, `sorted_terms`, `order`, `poly_degree` and
-`leading_index`. Needs the optional `hypothesis` package (the `test` extra);
-the module is skipped without it.
+and equality against them, another every coefficient block of a random
+variable block, and another products with a one-term factor. Fixed cases
+cover the packed keys at their edges: arity 0, the largest degree a key field
+holds and the refusal past it, and the tuple boundary of `terms`,
+`sorted_terms`, `order`, `poly_degree` and `leading_index`. Needs the
+optional `hypothesis` package (the `test` extra); the module is skipped
+without it.
 """
 
 import itertools
@@ -195,6 +196,35 @@ def component(draw, inner):
         c = draw(st.sampled_from((ONE, qr(2), qr(-1), qr(0, 1))))
         return Series(inner, degree, {x: c}, exact), Ref(inner, degree, {x: c}, exact)
     return Series.zero(inner, degree, exact), Ref(inner, degree, {}, exact)
+
+
+@st.composite
+def one_term(draw, arity):
+    """Constructor arguments of a one-term series: the one, another constant or
+    a monomial, often of its full truncation degree, so that a product with a
+    series of lower degree truncates it away."""
+    degree = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("one", "constant", "monomial")))
+    idx = (0,) * arity
+    if kind == "monomial" and degree:
+        top = list(mi.iter_degree(arity, degree))
+        idx = draw(st.sampled_from(top) | st.sampled_from(list(mi.iter_up_to(arity, degree))[1:]))
+    c = ONE if kind == "one" else draw(COEFFS.filter(bool))
+    return arity, degree, {idx: c}, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_one_term_factors_match_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    rt = data.draw(one_term(arity))
+    rg = data.draw(st.one_of(raw_series(arity, data.draw(st.integers(0, 6))), one_term(arity)))
+    t, g, T, G = Series(*rt), Series(*rg), ref_build(*rt), ref_build(*rg)
+    assert len(t.terms) == 1
+    for got, want in [(t * g, ref_mul(T, G)), (g * t, ref_mul(G, T))]:
+        assert (got.arity, got.degree, got.exact) == (want.arity, want.degree, want.exact)
+        assert dict(got.terms) == want.terms
+        assert_canonical(got)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
