@@ -8,51 +8,29 @@ suite row is falsified or the document is invalid, 2 for usage and I/O errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import __version__, grammar
-from .crmap import CRMap, InstanceAnalysis, sends_into
+# modules, not names: a module loads when a command first reads from it
+from . import __version__, crmap, fracseries, grammar, hypersurface, models, prolongation, verify
 from .errors import CrtransError, GrammarError
-from .fracseries import FracSeries
-from .hypersurface import (
-    Convention,
-    NormalHypersurface,
-    TypeKind,
-    from_graph,
-    is_class_c,
-    is_class_cm,
-    is_holomorphically_nondegenerate,
-)
-from .models import blowup_hypersurface, exp_model, heisenberg, m_psi
-from .prolongation import ProlongationInstance, forward_expand, minimal_ordered_nonzero, prolongation_solve
-from .verify import (
-    build_registry,
-    run_all,
-    suite_easystuff,
-    suite_finite_type,
-    suite_infinite_type,
-    suite_report,
-)
 
 SCHEMA = "crtrans-report/1"
 
 __all__ = ["main", "SCHEMA"]
 
 
-def _convention(tag: str) -> Convention:
-    return Convention.TWO_I if tag == "2i" else Convention.I
-
-
 # ---------------- realizing declarations ----------------
 
 
 def _realize_surface(
-    ref: grammar.Ref, env: Dict[str, grammar.Declaration], degree: int, conv: Convention
-) -> Tuple[str, NormalHypersurface]:
+    ref: grammar.Ref,
+    env: Dict[str, grammar.Declaration],
+    degree: int,
+    conv: hypersurface.Convention,
+) -> Tuple[str, hypersurface.NormalHypersurface]:
     if isinstance(ref, grammar.NameRef):
         decl = env[ref.name]
         if isinstance(decl, grammar.SeriesDecl):
@@ -63,38 +41,42 @@ def _realize_surface(
     return grammar._render_ref(ref), _surface_from_ctor(kind, ref.args, degree, conv)
 
 
-def _surface_from_q_expr(expr, degree: int, conv: Convention) -> NormalHypersurface:
+def _surface_from_q_expr(
+    expr, degree: int, conv: hypersurface.Convention
+) -> hypersurface.NormalHypersurface:
     n = grammar.block_size([expr])
     layout, arity = grammar.q_layout(n)
     q = grammar.evaluate(expr, layout, arity, degree)
-    return NormalHypersurface(n, q, conv)
+    return hypersurface.NormalHypersurface(n, q, conv)
 
 
-def _surface_from_ctor(kind: str, args, degree: int, conv: Convention) -> NormalHypersurface:
+def _surface_from_ctor(
+    kind: str, args, degree: int, conv: hypersurface.Convention
+) -> hypersurface.NormalHypersurface:
     if kind == "q":
         return _surface_from_q_expr(args[0], degree, conv)
     if kind == "graph":
         n = grammar.block_size([args[0]])
         layout, arity = grammar.graph_layout(n)
         phi = grammar.evaluate(args[0], layout, arity, degree)
-        return from_graph(phi, conv)
+        return hypersurface.from_graph(phi, conv)
     if kind == "heisenberg":
-        return heisenberg(args[0], degree, conv)
+        return models.heisenberg(args[0], degree, conv)
     if kind == "blowup":
-        return blowup_hypersurface(args[0], args[1], degree, conv)
+        return models.blowup_hypersurface(args[0], args[1], degree, conv)
     if kind == "exp_model":
-        return exp_model(args[0], degree, conv)
+        return models.exp_model(args[0], degree, conv)
     if kind == "m_psi":
         n = grammar.block_size(list(args))
         layout, arity = grammar.psi_layout(n)
         psi = tuple(grammar.evaluate(a, layout, arity, degree) for a in args)
-        return m_psi(psi, degree, conv)
+        return models.m_psi(psi, degree, conv)
     raise CrtransError(f"unknown hypersurface constructor {kind}")
 
 
 def _realize_map(
     ref: grammar.Ref, env: Dict[str, grammar.Declaration], degree: int
-) -> Tuple[str, CRMap]:
+) -> Tuple[str, crmap.CRMap]:
     if isinstance(ref, grammar.NameRef):
         decl = env[ref.name]
         assert isinstance(decl, grammar.MapDecl)
@@ -106,13 +88,15 @@ def _realize_map(
     layout, arity = grammar.map_layout(n)
     f = tuple(grammar.evaluate(c, layout, arity, degree) for c in comps)
     g = grammar.evaluate(normal, layout, arity, degree)
-    return name, CRMap(f, g)
+    return name, crmap.CRMap(f, g)
 
 
 # ---------------- task runners ----------------
 
 
-def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: Convention, seed: int) -> dict:
+def _run_classify(
+    task: grammar.ClassifyTask, env, degree: int, conv: hypersurface.Convention, seed: int
+) -> dict:
     name, m = _realize_surface(task.target, env, degree, conv)
     cls = m.classification
     result = {
@@ -121,20 +105,24 @@ def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: Convention
         "n": m.n,
         "classification": cls.to_json(),
         "validate": m.validity.to_json(),
-        "class_c": is_class_c(m, seed=seed).to_json(),
-        "holomorphically_nondegenerate": is_holomorphically_nondegenerate(m, seed=seed).to_json(),
+        "class_c": hypersurface.is_class_c(m, seed=seed).to_json(),
+        "holomorphically_nondegenerate": hypersurface.is_holomorphically_nondegenerate(
+            m, seed=seed
+        ).to_json(),
         "class_cm": None,
     }
-    if cls.kind is TypeKind.INFINITE:
-        result["class_cm"] = is_class_cm(m, seed=seed).to_json()
+    if cls.kind is hypersurface.TypeKind.INFINITE:
+        result["class_cm"] = hypersurface.is_class_cm(m, seed=seed).to_json()
     return result
 
 
-def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: Convention, seed: int) -> dict:
+def _run_checkmap(
+    task: grammar.CheckMapTask, env, degree: int, conv: hypersurface.Convention, seed: int
+) -> dict:
     hname, h = _realize_map(task.map, env, degree)
     sname, src = _realize_surface(task.source, env, degree, conv)
     tname, tgt = _realize_surface(task.target, env, degree, conv)
-    a = InstanceAnalysis(h, src, tgt, seed)
+    a = crmap.InstanceAnalysis(h, src, tgt, seed)
     equidim = a.equidimensional.is_true
     # fields are decided in this order, so a failing document reports its first error
     return {
@@ -166,10 +154,11 @@ def _run_prolong(task: grammar.ProlongTask, env, degree: int) -> dict:
         raise CrtransError(
             f"jet index {task.alpha} has length {len(task.alpha)}, but the data uses {n} z variables"
         )
-    pivot = minimal_ordered_nonzero(a, n)
+    pivot = prolongation.minimal_ordered_nonzero(a, n)
     max_order = sum(task.alpha) + sum(pivot)
-    jets = forward_expand(a, n, comps, max_order)
-    solution = prolongation_solve(ProlongationInstance(a, n, jets), task.alpha)
+    jets = prolongation.forward_expand(a, n, comps, max_order)
+    instance = prolongation.ProlongationInstance(a, n, jets)
+    solution = prolongation.prolongation_solve(instance, task.alpha)
 
     chi_names = [f"chi{j + 1}" for j in range(n)]
     z_block = tuple(range(n))
@@ -177,7 +166,10 @@ def _run_prolong(task: grammar.ProlongTask, env, degree: int) -> dict:
     for e in task.alpha:
         scale *= factorial(e)
     matches = all(
-        value == FracSeries.from_series(comp.coefficient_series(z_block, task.alpha).scale(scale))
+        value
+        == fracseries.FracSeries.from_series(
+            comp.coefficient_series(z_block, task.alpha).scale(scale)
+        )
         for value, comp in zip(solution.values, comps)
     )
     return {
@@ -193,16 +185,18 @@ def _run_prolong(task: grammar.ProlongTask, env, degree: int) -> dict:
     }
 
 
-def _run_verify(suite: Optional[str], degree: int, conv: Convention, seed: int) -> dict:
+def _run_verify(
+    suite: Optional[str], degree: int, conv: hypersurface.Convention, seed: int
+) -> dict:
     if suite is None:
-        return run_all(degree=degree, convention=conv, seed=seed)
-    maps, easy = build_registry(degree, conv)
+        return verify.run_all(degree=degree, convention=conv, seed=seed)
+    maps, easy = verify.build_registry(degree, conv)
     rows = {
-        "finite_type": lambda: suite_finite_type(maps, seed=seed),
-        "infinite_type": lambda: suite_infinite_type(maps, seed=seed),
-        "easystuff": lambda: suite_easystuff(easy, seed=seed),
+        "finite_type": lambda: verify.suite_finite_type(maps, seed=seed),
+        "infinite_type": lambda: verify.suite_infinite_type(maps, seed=seed),
+        "easystuff": lambda: verify.suite_easystuff(easy, seed=seed),
     }[suite]()
-    return suite_report({suite: rows}, degree, conv, seed)
+    return verify.suite_report({suite: rows}, degree, conv, seed)
 
 
 _FAMILIES = [
@@ -213,15 +207,15 @@ _FAMILIES = [
 ]
 
 
-def _run_examples(degree: int, conv: Convention, seed: int) -> dict:
-    maps, easy = build_registry(degree, conv)
+def _run_examples(degree: int, conv: hypersurface.Convention, seed: int) -> dict:
+    maps, easy = verify.build_registry(degree, conv)
     instances = []
     for inst in maps:
         instances.append(
             {
                 "id": inst.id,
                 "realm": inst.realm,
-                "sends_into": sends_into(inst.h, inst.source, inst.target).to_json(),
+                "sends_into": crmap.sends_into(inst.h, inst.source, inst.target).to_json(),
                 "note": inst.note or None,
             }
         )
@@ -300,7 +294,7 @@ def _document_command(args, kinds, runner) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     degree = args.degree if args.degree is not None else (doc.degree or 10)
-    conv = _convention(args.complexify or doc.convention or "2i")
+    conv = args.complexify or doc.convention or "2i"  # a Convention's value
     env = {d.name: d for d in doc.declarations}
     tasks = [t for t in doc.tasks if isinstance(t, kinds)]
     results: List[dict] = []
@@ -319,13 +313,15 @@ def _document_command(args, kinds, runner) -> int:
             results.append(runner(task, env, degree, conv, args.seed))
         except CrtransError as exc:
             errors.append({"task": grammar._render_task(task), "error": str(exc)})
+    import hashlib  # here, so commands without a document never load OpenSSL
+
     report = {
         "schema": SCHEMA,
         "version": __version__,
         "command": args.command,
         "input_digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
         "degree": degree,
-        "convention": conv.value,
+        "convention": conv,
         "seed": args.seed,
         "results": results,
         "errors": errors,
@@ -384,13 +380,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _document_command(
             args,
             (grammar.ClassifyTask,),
-            lambda t, env, d, c, s: _run_classify(t, env, d, c, s),
+            lambda t, env, d, c, s: _run_classify(t, env, d, hypersurface.Convention(c), s),
         )
     if args.command == "check-map":
         return _document_command(
             args,
             (grammar.CheckMapTask,),
-            lambda t, env, d, c, s: _run_checkmap(t, env, d, c, s),
+            lambda t, env, d, c, s: _run_checkmap(t, env, d, hypersurface.Convention(c), s),
         )
     if args.command == "prolong":
         return _document_command(
@@ -400,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     degree = args.degree if args.degree is not None else 10
-    conv = _convention(args.complexify or "2i")
+    conv = hypersurface.Convention(args.complexify or "2i")
     try:
         if args.command == "verify":
             body = _run_verify(args.suite, degree, conv, args.seed)

@@ -7,7 +7,7 @@ immutable, equality is exact, and nothing ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 RationalLike = Union[int, Fraction]
 ScalarLike = Union["GaussianRational", int, Fraction]
@@ -24,11 +24,10 @@ class GaussianRational:
 
     @classmethod
     def coerce(cls, value: ScalarLike) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        out = _operand(value)
+        if out is None:
+            raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+        return out
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -56,20 +55,29 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.coerce(other) - self
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -78,7 +86,9 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         norm = other.re * other.re + other.im * other.im
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -88,7 +98,10 @@ class GaussianRational:
         )
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
-        return GaussianRational.coerce(other) / self
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, power: int) -> "GaussianRational":
         if power < 0:
@@ -113,6 +126,16 @@ class GaussianRational:
             return _imag_str(self.im)
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+
+
+def _operand(value: object) -> Optional[GaussianRational]:
+    """The Gaussian rational an arithmetic operand stands for, or None for a
+    foreign type, whose reflected operator then gets its turn."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
+    return None
 
 
 def _imag_str(f: Fraction) -> str:

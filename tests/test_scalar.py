@@ -62,3 +62,27 @@ def test_str_forms():
     assert str(qr(1, 2)) == "1+2i"
     assert str(qr(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4i"
     assert str(qr(0, Fraction(1, 3))) == "1/3i"
+
+
+def test_series_operand_gets_its_reflected_operator():
+    from crtrans.series import Series
+
+    s = Series.polynomial(2, 4, {(1, 0): qr(1, 1), (0, 2): Fraction(1, 3)})
+    assert qr(2) * s == s * qr(2)
+    assert qr(2) + s == s + qr(2)
+    assert qr(2) - s == -(s - qr(2))
+
+
+def test_foreign_operand_still_raises_type_error():
+    for op in (
+        lambda: qr(2) * "x",
+        lambda: "x" * qr(2),
+        lambda: qr(2) + "x",
+        lambda: qr(2) - "x",
+        lambda: "x" - qr(2),
+        lambda: qr(2) / "x",
+        lambda: "x" / qr(2),
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert 2 - qr(1) == 1 and 1 / qr(2) == Fraction(1, 2)
