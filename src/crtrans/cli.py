@@ -282,6 +282,20 @@ def _summarize(results: List[dict]) -> List[str]:
     return lines
 
 
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 from the interpreter's builtin module, so that no command loads
+    OpenSSL: `hashlib` imports it for every algorithm. `hashlib` serves only
+    an interpreter built without the builtin one; the digest is the same."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 def _document_command(args, kinds, runner) -> int:
     try:
         text = _read_document(args.document)
@@ -313,13 +327,11 @@ def _document_command(args, kinds, runner) -> int:
             results.append(runner(task, env, degree, conv, args.seed))
         except CrtransError as exc:
             errors.append({"task": grammar._render_task(task), "error": str(exc)})
-    import hashlib  # here, so commands without a document never load OpenSSL
-
     report = {
         "schema": SCHEMA,
         "version": __version__,
         "command": args.command,
-        "input_digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "input_digest": _sha256_hex(text.encode("utf-8")),
         "degree": degree,
         "convention": conv,
         "seed": args.seed,

@@ -11,10 +11,14 @@ both exact polynomials the quotient is known completely and cert is
 infinite; exact operands are silently lifted to whatever working degree a
 product needs, so equalities of polynomial data are genuinely exact.
 
-Cost: `from_series` puts a series over the exact one, and most products here
-have such a denominator or an empty numerator as one factor; `Series.__mul__`
-answers those without the general product. Subtraction cross-multiplies
-with the sign in `_plus`, without a negated copy of the subtrahend.
+Cost: every `+`, `-` and `==` cross-multiplies the two denominators, so a
+chain of sums over powers of one series p multiplies ever larger powers of p.
+The prolongation solver therefore does no FracSeries arithmetic: it keeps
+each jet as numerators over one power of its pivot and builds FracSeries only
+for its results (see `prolongation`). `from_series` puts a series over the
+exact one, which `Series.__mul__` multiplies without the general product.
+Subtraction cross-multiplies with the sign in `_plus`, without a negated copy
+of the subtrahend.
 """
 
 from __future__ import annotations

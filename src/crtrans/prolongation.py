@@ -10,27 +10,55 @@ derivative-normalized jets v_beta = beta! * P_beta. With alpha0 the graded-lex
 minimal z-exponent where A does not vanish, the equations indexed by
 beta = alpha0 + gamma are lower triangular in the unknowns b_gamma when both
 are walked in ascending order, so every jet of b up to a requested order
-|alpha| is a fraction with powers of A_{alpha0} in the denominator.
+|alpha| is a fraction with powers of p = A_{alpha0} in the denominator.
+
+The solve is fraction-free, Bareiss's idea ("Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968)
+that `linalg._bareiss` applies to scalars. Each solved jet is numerators
+N_gamma over one power p^e_gamma, where e_gamma = 1 + the largest e_j among
+the jets its equation subtracts, so e grows linearly in |gamma|:
+
+    N_gamma = t_beta p^m - sum_j N_j A_delta p^(m - e_j),    m = e_gamma - 1,
+
+with t_beta = v_beta / beta! and delta = beta - j. No series fraction is
+formed, and the powers of p are built once per (exponent, degree).
+
+The reported values keep the form that cross-multiplied `FracSeries`
+arithmetic gives them: num / p^E with E = 1 + the sum of the predecessors' E,
+so E is exponential in |gamma| (31 at order (4, 4) of the benchmark's A, 511
+at (8, 0)). `_Replay` follows that chain's truncation degrees, `exact` flags
+and certs with integers, and alpha's values alone are brought to it once, at
+the end, as N_alpha p^(E - e_alpha) / p^E. Every other jet is N_gamma /
+p^e_gamma, the same fraction.
 
 The triangularity is not taken on faith: whenever a not-yet-solved unknown
-would enter an equation, the solver asserts that its A-coefficient vanishes,
-and after solving it re-checks every supplied equation of reachable order.
-Both passes read one table per solve: for each beta, the (gamma', A_delta)
-with delta = beta - gamma' and A_delta nonzero, the A-blocks and the pivot
-wrapped as fractions once, and each normalized jet v_beta / beta!.
+would enter an equation, the solver asserts that its A-coefficient vanishes.
+Then each supplied equation of reachable order that the solve did not use
+(those it used hold by construction of N_gamma) is checked once, on the
+common power p^m of its terms: sum_j N_j A_delta p^(m - e_j) = t_beta p^m,
+through every degree both sides know. When p(0) != 0 this is the equation of
+the fractions; when p(0) = 0 it is at least as strict, and consistent data
+still pass.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import multiindex as mi
-from .errors import InconsistentData, NoWitness, StructureError
-from .fracseries import FracSeries
+from .errors import (
+    DivisionUncertifiable,
+    InconsistentData,
+    NoWitness,
+    StructureError,
+    TruncationMismatch,
+)
+from .fracseries import Cert, FracSeries, _plus, _series_eq, _times
 from .record import Record
-from .series import Series
+from .series import INFINITE_ORDER, Order, Series
 
 
 class ProlongationInstance(Record):
@@ -103,6 +131,96 @@ def forward_expand(
     return out
 
 
+def _mul(a: Series, b: Series) -> Series:
+    """a * b through every degree its inexact factors know.
+
+    Two exact factors give the whole product, as in `FracSeries`; an exact
+    factor next to an inexact one is lifted to that one's degree first, so
+    its own truncation degree never cuts the product.
+    """
+    if a.exact and b.exact:
+        return _times(a, b)
+    if a.exact:
+        a = a.lift(b.degree)
+    elif b.exact:
+        b = b.lift(a.degree)
+    return a * b
+
+
+def _add(a: Series, b: Series, sign: int = 1) -> Series:
+    """a + sign * b, lifting an exact operand next to an inexact one as `_mul` does."""
+    if a.exact and not b.exact:
+        a = a.lift(b.degree)
+    elif b.exact and not a.exact:
+        b = b.lift(a.degree)
+    return _plus(a, b, sign)
+
+
+# A form (degree, exact, v, k) describes one series of the cross-multiplied
+# chain: the value v * p^k truncated at `degree` (v None stands for 1), where
+# v is a series the solver holds and p the pivot coefficient.
+_Form = Tuple[int, bool, Optional[Series], int]
+
+
+def _as(s: Series, form: _Form) -> Series:
+    """s (the form's value) truncated, or lifted when exact, to the form's
+    degree, under its `exact` flag."""
+    degree, exact = form[0], form[1]
+    s = s.lift(degree)
+    return s if s.exact == exact else s._with_exact(exact)
+
+
+class _Replay:
+    """Degrees, `exact` flags and certs of the cross-multiplied fraction chain.
+
+    `times` and `plus` give the degree and flag that `fracseries._times` and
+    `fracseries._plus` give a product and a sum of two forms. Orders, zero
+    tests and exact polynomial degrees come from v and p, as
+    ord(v p^k) = ord(v) + k ord(p), and the same for polynomial degrees.
+    """
+
+    def __init__(self, pivot: Series) -> None:
+        self.order_p = pivot.order()
+        self.pd_p = pivot.poly_degree
+
+    def order(self, f: _Form) -> Order:
+        degree, exact, v, k = f
+        o = (0 if v is None else v.order()) + k * self.order_p
+        return o if exact or o <= degree else INFINITE_ORDER
+
+    def _pd(self, f: _Form) -> int:
+        """Polynomial degree of an exact form."""
+        v, k = f[2], f[3]
+        if v is None:
+            return k * self.pd_p
+        return 0 if v.is_zero else v.poly_degree + k * self.pd_p
+
+    def _exact_zero(self, f: _Form) -> bool:
+        return f[1] and self.order(f) == INFINITE_ORDER
+
+    def times(self, f: _Form, g: _Form, v: Optional[Series], k: int) -> _Form:
+        if f[1] and g[1]:
+            return (self._pd(f) + self._pd(g), True, v, k)
+        # an exact zero absorbs the other factor's unknown tail
+        return (min(f[0], g[0]), self._exact_zero(f) or self._exact_zero(g), v, k)
+
+    def plus(self, f: _Form, g: _Form, v: Optional[Series], k: int) -> _Form:
+        if f[1] and g[1]:
+            return (max(self._pd(f), self._pd(g)), True, v, k)
+        return (min(f[0], g[0]), False, v, k)
+
+    def den(self, f: _Form) -> _Form:
+        """A denominator form, refused as `FracSeries` refuses one that vanishes."""
+        if self.order(f) == INFINITE_ORDER:
+            raise DivisionUncertifiable(f"denominator vanishes up to truncation degree {f[0]}")
+        return f
+
+
+def _cert(s: Series) -> Cert:
+    """`FracSeries.from_series(s).cert`."""
+    return math.inf if s.exact else s.degree
+
+
 def prolongation_solve(
     instance: ProlongationInstance, alpha: Sequence[int]
 ) -> ProlongationSolution:
@@ -122,12 +240,12 @@ def prolongation_solve(
     level = mi.degree(alpha)
 
     a_blocks = a.coefficient_blocks(z_block)
-    pivot_coeff = FracSeries.from_series(a_blocks[pivot])
+    p = a_blocks[pivot]
 
     used_orders = [0]
-    targets: Dict[Tuple[int, ...], Tuple[FracSeries, ...]] = {}
+    targets: Dict[Tuple[int, ...], Tuple[Series, ...]] = {}
 
-    def normalized(beta: Tuple[int, ...]) -> Tuple[FracSeries, ...]:
+    def normalized(beta: Tuple[int, ...]) -> Tuple[Series, ...]:
         """The supplied jet at beta over beta!, built on first use."""
         if beta not in targets:
             if beta not in instance.jets:
@@ -136,62 +254,145 @@ def prolongation_solve(
                 )
             used_orders.append(mi.degree(beta))
             inv = Fraction(1, mi.factorial(beta))
-            targets[beta] = tuple(
-                FracSeries.from_series(s.scale(inv)) for s in instance.jets[beta]
-            )
+            targets[beta] = tuple(s.scale(inv) if inv != 1 else s for s in instance.jets[beta])
         return targets[beta]
 
-    coeffs: Dict[Tuple[int, ...], FracSeries] = {}
+    blocks = [(delta, block) for delta, block in a_blocks.items() if not block.is_zero]
     equations: Dict[Tuple[int, ...], list] = {}
 
     def equation(beta: Tuple[int, ...]) -> list:
-        """(gamma', delta, A_delta) for every gamma' <= beta with A_{beta - gamma'}
+        """(gamma', A_{beta - gamma'}) for every gamma' <= beta with that block
         nonzero, gamma' in lex order; built on first use."""
         if beta not in equations:
-            row = []
-            for gp in product(*(range(e + 1) for e in beta)):
-                delta = mi.subtract(beta, gp)
-                if not a_blocks[delta].is_zero:
-                    if delta not in coeffs:
-                        coeffs[delta] = FracSeries.from_series(a_blocks[delta])
-                    row.append((gp, delta, coeffs[delta]))
-            equations[beta] = row
+            if mi.degree(beta) > a.degree:  # A_beta itself is not known
+                raise TruncationMismatch(
+                    f"coefficient block of degree {mi.degree(beta)} beyond truncation {a.degree}"
+                )
+            equations[beta] = sorted(
+                ((mi.subtract(beta, delta), block)
+                 for delta, block in blocks
+                 if all(d <= b for d, b in zip(delta, beta))),
+                key=lambda row: row[0],
+            )
         return equations[beta]
 
-    solved: Dict[Tuple[int, ...], Tuple[FracSeries, ...]] = {}
+    # p^j by (j, degree); the degree is None when p is exact, as its powers
+    # are then whole polynomials
+    powers: Dict[Tuple[int, Optional[int]], Series] = {(1, None if p.exact else p.degree): p}
+
+    def cached(j: int, d: Optional[int]) -> Optional[Series]:
+        """p^j through degree d if it is cached, or cut from a cached one of higher degree."""
+        if (j, d) not in powers and d is not None:
+            for (i, e), s in list(powers.items()):
+                if i == j and e > d:
+                    powers[j, d] = s.truncate(d)
+                    break
+        return powers.get((j, d))
+
+    def power(j: int, d: int) -> Series:
+        """p^j through degree d, or the whole polynomial when p is exact: built
+        once, by one product from p^(j-1) when that is at hand, else by squaring."""
+        e = None if p.exact else min(d, p.degree)
+        s = cached(j, e)
+        if s is None:
+            prev = cached(j - 1, e)
+            if prev is not None:
+                s = _times(prev, cached(1, e))
+            else:
+                s = (p.lift(j * p.poly_degree) if p.exact else p.truncate(e)) ** j
+            powers[j, e] = s
+        return s
+
+    def scaled(s: Series, j: int, d: Optional[int] = None) -> Series:
+        """s p^j through degree d, by default through every degree s knows."""
+        if not j:
+            return s
+        if d is None:
+            d = p.degree if s.exact else s.degree
+        return _mul(s, power(j, d))
+
+    replay = _Replay(p)
+    p_one: _Form = (p.degree, True, None, 0)
+    p_form: _Form = (p.degree, p.exact, None, 1)
+    inv_cert = _cert(p) - 2 * replay.order_p  # cert of 1 / p
+
+    # gamma -> e_gamma, the numerators N_gamma, and per component the forms of
+    # the chain's (num, den) with its cert
+    exps: Dict[Tuple[int, ...], int] = {}
+    nums: Dict[Tuple[int, ...], Tuple[Series, ...]] = {}
+    forms: Dict[Tuple[int, ...], list] = {}
     for ell in range(level + 1):
         for gamma in sorted(mi.iter_degree(n, ell)):
             beta = mi.add(pivot, gamma)
-            rhs = list(normalized(beta))
-            for gp, delta, coeff in equation(beta):
+            ts = normalized(beta)
+            preds = []
+            for gp, block in equation(beta):
                 if gp == gamma:
                     continue
-                if gp not in solved:
+                if gp not in exps:
                     # a not-yet-solved unknown with a surviving coefficient would
                     # break the triangular structure; minimality of alpha0 forbids it
                     raise StructureError(
-                        f"coefficient A_{delta} is nonzero but unknown {gp} is unsolved"
+                        f"coefficient A_{mi.subtract(beta, gp)} is nonzero but unknown {gp} is unsolved"
                     )
-                c = solved[gp]
-                rhs = [r - c[i] * coeff for i, r in enumerate(rhs)]
-            solved[gamma] = tuple(r / pivot_coeff for r in rhs)
+                preds.append((gp, block))
+            m = max((exps[gp] for gp, _ in preds), default=0)
+            # N_gamma = t p^m - sum N_j A_delta p^(m - e_j); the chain's rhs is
+            # N_gamma p^(E - m) over p^E after each subtraction
+            acc = [scaled(t, m) for t in ts]
+            num: List[_Form] = [(t.degree, t.exact, t, 0) for t in ts]
+            den: List[_Form] = [(t.degree, True, None, 0) for t in ts]
+            cert: List[Cert] = [_cert(t) for t in ts]
+            for gp, block in preds:
+                e = exps[gp]
+                a_form: _Form = (block.degree, block.exact, block, 0)
+                a_one: _Form = (block.degree, True, None, 0)
+                a_cert, a_order = _cert(block), block.order()
+                for i in range(width):
+                    c_num, c_den, c_cert = forms[gp][i]
+                    na = _mul(nums[gp][i], block)
+                    acc[i] = _add(acc[i], scaled(na, m - e), -1)
+                    cc_num = replay.times(c_num, a_form, na, c_num[3])
+                    cc_den = replay.den(replay.times(c_den, a_one, None, c_den[3]))
+                    cc_cert = min(c_cert + a_order,
+                                  a_cert + replay.order(c_num) - replay.order(c_den))
+                    x = replay.times(num[i], cc_den, num[i][2], num[i][3] + cc_den[3])
+                    y = replay.times(cc_num, den[i], na, cc_num[3] + den[i][3])
+                    den[i] = replay.den(replay.times(den[i], cc_den, None, den[i][3] + cc_den[3]))
+                    num[i] = replay.plus(x, y, acc[i], den[i][3] - m)
+                    cert[i] = min(cert[i], cc_cert)
+            exps[gamma] = m + 1
+            nums[gamma] = tuple(acc)
+            forms[gamma] = [
+                (
+                    replay.times(num[i], p_one, acc[i], num[i][3]),
+                    replay.den(replay.times(den[i], p_form, None, den[i][3] + 1)),
+                    min(cert[i] - replay.order_p,
+                        inv_cert + replay.order(num[i]) - replay.order(den[i])),
+                )
+                for i in range(width)
+            ]
 
-    # consistency: every supplied equation of reachable order must hold
+    # consistency: every supplied equation of reachable order must hold; the
+    # ones the solve used hold by construction of N_gamma
     reach = level + k
+    solved_rows = {mi.add(pivot, gamma) for gamma in exps}
     for beta in sorted(instance.jets, key=mi.grlex_key):
-        if mi.degree(beta) > reach:
+        if mi.degree(beta) > reach or beta in solved_rows:
             continue
-        target = normalized(beta)
-        acc = [FracSeries.zero(a.arity - n, a.degree) for _ in range(width)]
-        for gp, _, coeff in equation(beta):
-            if gp not in solved:
+        ts = normalized(beta)
+        row = equation(beta)
+        for gp, _ in row:
+            if gp not in exps:
                 raise StructureError(
                     f"equation at {beta} involves unsolved jet {gp} with nonzero coefficient"
                 )
-            c = solved[gp]
-            acc = [acc[i] + c[i] * coeff for i in range(width)]
-        for i in range(width):
-            if acc[i] != target[i]:
+        m = max((exps[gp] for gp, _ in row), default=0)
+        for i, t in enumerate(ts):
+            lhs = Series.zero(t.arity, a.degree)
+            for gp, block in row:
+                lhs = _add(lhs, scaled(_mul(nums[gp][i], block), m - exps[gp]))
+            if not _series_eq(lhs, scaled(t, m)):
                 raise InconsistentData(
                     f"supplied jet data at beta = {beta}, component {i}, "
                     "contradicts the solved prolongation"
@@ -203,9 +404,20 @@ def prolongation_solve(
             f"solver touched jets of order {max_used} beyond the bound {reach}"
         )  # pragma: no cover
 
+    def reported(n_form: _Form, d_form: _Form, cert: Cert) -> FracSeries:
+        """The chain's N p^(E - e) / p^E, at its degrees and flags."""
+        num = _as(scaled(n_form[2], n_form[3], n_form[0]), n_form)
+        return FracSeries(num, _as(power(d_form[3], d_form[0]), d_form), cert)
+
+    # alpha's values in the chain's form; the other jets as N / p^e, with p^e
+    # at the degree the chain's denominator has, where it does not vanish
     jets_out = {
-        gamma: tuple(c.scale(mi.factorial(gamma)) for c in vec)
-        for gamma, vec in solved.items()
+        gamma: tuple(
+            (reported(*f) if gamma == alpha else FracSeries(s, power(exps[gamma], f[1][0])))
+            .scale(mi.factorial(gamma))
+            for s, f in zip(vec, forms[gamma])
+        )
+        for gamma, vec in nums.items()
     }
     return ProlongationSolution(
         alpha=alpha,

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -243,3 +244,19 @@ def test_reports_record_input_digest(capsys, monkeypatch):
     import hashlib
 
     assert rep["input_digest"] == hashlib.sha256(doc.encode()).hexdigest()
+
+
+NON_ASCII_DOC = "# Gewöhnliche Prolongation — ∂/∂z, χ\nA = z2*chi1 + z1^2\nb = z1^2*z2\nprolong A, b at (2, 1)\n"
+
+
+@pytest.mark.parametrize("hidden", [(), ("_sha2",), ("_sha2", "_sha256")])
+def test_input_digest_is_sha256_of_a_non_ascii_document(capsys, monkeypatch, hidden):
+    """Whichever module the digest comes from, the builtin SHA-256 or hashlib's,
+    it is the SHA-256 of the document's UTF-8 bytes."""
+    import hashlib
+
+    for name in hidden:
+        monkeypatch.setitem(sys.modules, name, None)  # its import raises ImportError
+    code, rep, _ = run_json(capsys, ["prolong"], stdin=NON_ASCII_DOC, monkeypatch=monkeypatch)
+    assert code == 0
+    assert rep["input_digest"] == hashlib.sha256(NON_ASCII_DOC.encode("utf-8")).hexdigest()

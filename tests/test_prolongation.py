@@ -1,24 +1,47 @@
-"""Jet prolongation: pivot choice, triangular solve, consistency checks."""
+"""Jet prolongation: pivot choice, triangular solve, consistency checks.
+
+`ref_prolongation_solve` keeps the earlier solver, which carried every jet as
+a `FracSeries` and summed each consistency equation as a running fraction. A
+property test holds `prolongation_solve` to it: the reported values agree in
+numerator, denominator, truncation degrees, `exact` flags and `cert`, and
+every other jet is the same fraction. It needs the optional `hypothesis`
+package (the `test` extra) and is left out without it.
+"""
 
 import hashlib
 import json
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from crtrans import grammar, multiindex as mi
+from crtrans import grammar, multiindex as mi, series
 from crtrans.cli import _run_prolong
-from crtrans.errors import InconsistentData, NoWitness, StructureError
+from crtrans.errors import (
+    CrtransError,
+    DivisionUncertifiable,
+    InconsistentData,
+    NoWitness,
+    StructureError,
+    TruncationMismatch,
+)
 from crtrans.fracseries import FracSeries
 from crtrans.prolongation import (
     ProlongationInstance,
+    ProlongationSolution,
     forward_expand,
     minimal_ordered_nonzero,
     prolongation_solve,
 )
+from crtrans.scalar import qr
 from crtrans.series import Series
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:  # the property test below needs the `test` extra
+    given = None
 
 
 def expand_instance(a, n, b, max_order):
@@ -174,6 +197,16 @@ PROLONG_DATA = [
     "b1 = z1*z2 + chi1*z2^2 + 2*z1^2*chi2 + 3*chi2\n",
     "A = z2*(chi1 + chi1^2) + (1+2*i)*z1^2*chi2\n"
     "b1 = z1^2*z2 + chi2*z1 - 1/2*chi1\nb2 = i*z2^2*chi1 + z1*z2*chi2^2 + 1\n",
+    # the prolong_text shape with three components, drawn from Random(1)
+    "A = (-2+1*i)*z2*exp((3+3*i)*chi1 + (3-3*i)*chi2)"
+    " + (-1-3*i)*z1*(1 + (0+3*i)*chi1 + (1+0*i)*chi2)"
+    " + (2+0*i)*z1*z2*exp((3-2*i)*chi1 + (-3+0*i)*chi2)\n"
+    "b1 = (-3+3*i)*z1*z2*chi1 + (1+0*i)*z2^2*exp((1+3*i)*chi1 + (3-3*i)*chi2)"
+    " + (2+0*i)*z1^2*chi2\n"
+    "b2 = (-1+2*i)*z1*z2*chi1 + (3-2*i)*z2^2*exp((1-3*i)*chi1 + (-1-3*i)*chi2)"
+    " + (-3-3*i)*z1^2*chi2\n"
+    "b3 = (2+1*i)*z1*z2*chi1 + (-3+0*i)*z2^2*exp((2-2*i)*chi1 + (0+2*i)*chi2)"
+    " + (-3+1*i)*z1^2*chi2\n",
 ]
 
 # (data, alpha, degree) -> SHA-256 of the cli._run_prolong body, recorded
@@ -193,19 +226,55 @@ PROLONG = {
     (4, (2, 1), 9): "aa8839a1b1d5b4f805da4b05521133b2b6a6f8507f8f835d1847b78bc1b939f1",
 }
 
+# the same for documents deep enough that the reported denominators are P^511
+# and P^63, recorded before the solve went fraction-free
+DEEP_PROLONG = {
+    (0, (8, 8), 17): "6b794c28be5170ebae9ded7702490501b29bb7d1666cb97e3e45d993c6b56677",
+    (5, (5, 5), 11): "fd60e69ee404c4a91c59aed7d9e4fef01f97b0387f9012c2a44e01a7a967b1f4",
+}
+
 
 @pytest.mark.parametrize("case", list(PROLONG), ids=lambda c: f"data{c[0]}-{c[1][0]}{c[1][1]}-D{c[2]}")
 def test_prolong_report_is_byte_stable(case):
     data, alpha, degree = case
+    body, digest = prolong_report(data, alpha, degree)
+    assert body["matches_direct_expansion"]
+    if data < 2:  # exp data: every value has a non-constant denominator
+        assert all(v.startswith("(") and ") / (" in v for v in body["values"])
+    assert digest == PROLONG[case]
+
+
+@pytest.mark.parametrize("case", list(DEEP_PROLONG), ids=lambda c: f"data{c[0]}-{c[1][0]}{c[1][1]}-D{c[2]}")
+def test_deep_prolong_report_is_byte_stable(case):
+    body, digest = prolong_report(*case)
+    assert body["matches_direct_expansion"]
+    assert digest == DEEP_PROLONG[case]
+
+
+def prolong_report(data, alpha, degree):
+    """The cli._run_prolong body for PROLONG_DATA[data] and its SHA-256."""
     names = ", ".join(line.split(" =")[0] for line in PROLONG_DATA[data].splitlines())
     text = f"degree {degree}\n{PROLONG_DATA[data]}prolong {names} at {alpha}\n"
     doc = grammar.parse(text)
     body = _run_prolong(doc.tasks[0], {d.name: d for d in doc.declarations}, degree)
-    assert body["matches_direct_expansion"]
-    if data < 2:  # exp data: every value has a non-constant denominator
-        assert all(v.startswith("(") and ") / (" in v for v in body["values"])
-    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
-    assert digest == PROLONG[case]
+    return body, hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def test_solve_makes_few_products(monkeypatch):
+    """Jets are numerators over one power of the pivot, so a subtraction
+    multiplies by a cached power and never by another jet's denominator: one
+    solve of the benchmark's shape at (2, 2) makes at most 23 general products,
+    where cross-multiplied fractions made 82."""
+    doc = grammar.parse(f"degree 9\n{PROLONG_DATA[0]}prolong A, b1 at (2, 2)\n")
+    env = {d.name: d for d in doc.declarations}
+    layout, arity = grammar.pair_layout(2)
+    a, b = (grammar.evaluate(env[name].expr, layout, arity, 9) for name in ("A", "b1"))
+    inst = expand_instance(a, 2, [b], 4 + mi.degree(minimal_ordered_nonzero(a, 2)))
+    calls = []
+    general = series._product
+    monkeypatch.setattr(series, "_product", lambda *args: calls.append(1) or general(*args))
+    prolongation_solve(inst, (2, 2))
+    assert 0 < len(calls) <= 23
 
 
 def test_solve_computes_each_difference_once(monkeypatch):
@@ -226,3 +295,227 @@ def test_solve_computes_each_difference_once(monkeypatch):
     sol = prolongation_solve(inst, (1, 2))
     assert sol.jets[(1, 2)][0] == FracSeries.from_series(jets_of(b, (1, 2)))
     assert calls and len(calls) == len(set(calls))
+
+
+def ref_prolongation_solve(instance, alpha, check=True):
+    """The earlier solver: every jet a FracSeries, every equation a running sum.
+
+    `check=False` leaves out the consistency loop."""
+    alpha = tuple(alpha)
+    a, n, width = instance.a, instance.n, instance.width
+    pivot = minimal_ordered_nonzero(a, n)
+    k, level = mi.degree(pivot), mi.degree(alpha)
+    a_blocks = a.coefficient_blocks(tuple(range(n)))
+    pivot_coeff = FracSeries.from_series(a_blocks[pivot])
+    used_orders = [0]
+    targets = {}
+
+    def normalized(beta):
+        if beta not in targets:
+            if beta not in instance.jets:
+                raise StructureError(f"jet data for beta = {beta} is required but was not supplied")
+            used_orders.append(mi.degree(beta))
+            inv = Fraction(1, mi.factorial(beta))
+            targets[beta] = tuple(FracSeries.from_series(s.scale(inv)) for s in instance.jets[beta])
+        return targets[beta]
+
+    def equation(beta):
+        row = []
+        for gp in product(*(range(e + 1) for e in beta)):
+            delta = mi.subtract(beta, gp)
+            if not a_blocks[delta].is_zero:
+                row.append((gp, FracSeries.from_series(a_blocks[delta])))
+        return row
+
+    solved = {}
+    for ell in range(level + 1):
+        for gamma in sorted(mi.iter_degree(n, ell)):
+            beta = mi.add(pivot, gamma)
+            rhs = list(normalized(beta))
+            for gp, coeff in equation(beta):
+                if gp == gamma:
+                    continue
+                if gp not in solved:
+                    raise StructureError(f"unknown {gp} is unsolved")
+                c = solved[gp]
+                rhs = [r - c[i] * coeff for i, r in enumerate(rhs)]
+            solved[gamma] = tuple(r / pivot_coeff for r in rhs)
+
+    reach = level + k
+    for beta in sorted(instance.jets, key=mi.grlex_key):
+        if mi.degree(beta) > reach or not check:
+            continue
+        target = normalized(beta)
+        acc = [FracSeries.zero(a.arity - n, a.degree) for _ in range(width)]
+        for gp, coeff in equation(beta):
+            if gp not in solved:
+                raise StructureError(f"equation at {beta} involves unsolved jet {gp}")
+            acc = [acc[i] + solved[gp][i] * coeff for i in range(width)]
+        for i in range(width):
+            if acc[i] != target[i]:
+                raise InconsistentData(f"supplied jet data at beta = {beta}, component {i}")
+
+    jets = {g: tuple(c.scale(mi.factorial(g)) for c in vec) for g, vec in solved.items()}
+    return ProlongationSolution(
+        alpha=alpha, pivot=pivot, values=jets[alpha], jets=jets,
+        max_jet_order_used=max(used_orders),
+        degree_used=min(v.num.degree for v in jets[alpha]),
+    )
+
+
+def test_jets_beyond_the_degree_of_a_are_refused():
+    """An equation of order above A's truncation degree involves blocks of A
+    that are not known."""
+    a = Series(2, 2, {(1, 0): 1, (1, 1): 1}, exact=False)
+    jets = {(j,): (Series(1, 3, {(0,): j + 1}),) for j in range(4)}
+    inst = ProlongationInstance(a, 1, jets)
+    for solve in (prolongation_solve, ref_prolongation_solve):
+        with pytest.raises(TruncationMismatch, match="block of degree 3 beyond truncation 2"):
+            solve(inst, (2,))
+
+
+def test_zero_value_over_a_power_of_a_polynomial_pivot():
+    """b = 1 has a zero jet at z^2, over P^4 for P = chi + chi^2: reported as
+    the exact zero of degree 0, as the fraction chain gives it."""
+    a = Series.polynomial(2, 6, {(0, 1): 1, (0, 2): 1, (1, 0): 1, (2, 0): 1})
+    inst = expand_instance(a, 1, [Series.one(2, 6)], 2)
+    (got,), (want,) = prolongation_solve(inst, (2,)).values, ref_prolongation_solve(inst, (2,)).values
+    assert (got.num, got.num.exact, got.den, got.den.exact) == (want.num, True, want.den, True)
+    assert (got.num.degree, got.den.poly_degree, got.cert) == (0, 8, math.inf)
+
+
+def solve_or_error(solve, instance, alpha):
+    try:
+        return solve(instance, alpha), None
+    except CrtransError as exc:
+        return None, exc
+
+
+if given is not None:
+    COEFFS = st.builds(lambda a, b, c: qr(Fraction(a, c), Fraction(b, c)),
+                       st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 2))
+
+    @st.composite
+    def chi_series(draw, p, degree, exact=None):
+        """An exact or truncated series in p variables, zero half the time."""
+        monomials = list(mi.iter_up_to(p, 3))
+        terms = draw(st.just({}) | st.dictionaries(st.sampled_from(monomials), COEFFS.filter(bool),
+                                                   min_size=1, max_size=4))
+        return Series(p, degree, terms, draw(st.booleans()) if exact is None else exact)
+
+    @st.composite
+    def prolong_case(draw):
+        """A * b with n = 1 or 2 z variables and 1 or 2 components.
+
+        A and each b component are exact polynomials or truncated series,
+        independently. The pivot block P is a unit (P(0) != 0) or vanishes at
+        the origin, and the other blocks of A sit at z-exponents above the
+        pivot's. The jets are those of A * b, or, with the pivot at z^0 where
+        every equation is one the solve uses, any series: exact or truncated,
+        zero or not, of any degree.
+        """
+        n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        degree = draw(st.integers(3, 7))
+        free = draw(st.booleans())
+        zs = sorted((z for z in mi.iter_up_to(n, 2)), key=mi.grlex_key)
+        pivot = zs[0] if free else draw(st.sampled_from(zs[:-1]))
+        unit = draw(st.booleans())
+        chis = list(mi.iter_up_to(p, 2))[0 if unit else 1:]
+        p_terms = draw(st.dictionaries(st.sampled_from(chis), COEFFS.filter(bool),
+                                       min_size=1, max_size=3))
+        if unit:
+            p_terms[(0,) * p] = draw(COEFFS.filter(bool))
+        terms = {pivot + c: v for c, v in p_terms.items()}
+        above = [z for z in zs if mi.grlex_key(z) > mi.grlex_key(pivot)]
+        for _ in range(draw(st.integers(0, 5))):
+            z, c = draw(st.sampled_from(above)), draw(st.sampled_from(list(mi.iter_up_to(p, 2))))
+            terms[z + c] = draw(COEFFS.filter(bool))
+        a = Series(n + p, degree, {e: v for e, v in terms.items() if sum(e) <= degree},
+                   draw(st.booleans()))
+        width = draw(st.integers(1, 2))
+        top = min(3 if n == 1 else 2, degree - mi.degree(pivot))
+        alpha = draw(st.sampled_from([g for g in mi.iter_up_to(n, top)]))
+        max_order = mi.degree(alpha) + mi.degree(pivot)
+        if free:
+            jets = {beta: tuple(draw(chi_series(p, draw(st.integers(0, degree))))
+                                for _ in range(width))
+                    for beta in mi.iter_up_to(n, max_order)}
+        else:
+            b = [draw(chi_series(n + p, degree)) for _ in range(width)]
+            jets = forward_expand(a, n, b, max_order)
+        return ProlongationInstance(a, n, jets), alpha, unit
+
+    def fixed_case(n, degree, a_terms, jets, alpha):
+        """An instance with truncated A; jets maps beta to (terms, degree, exact) per component."""
+        arity = len(next(iter(a_terms)))
+        a = Series(arity, degree, a_terms, False)
+        jets = {beta: tuple(Series(arity - n, d, t, x) for t, d, x in vec) for beta, vec in jets.items()}
+        return ProlongationInstance(a, n, jets), alpha, False
+
+    # cases the strategy rarely draws: the cert of the last division is set by
+    # its second term, where the chain's denominator has positive order
+    SECOND_CERT = fixed_case(
+        1, 5, {(0, 1, 0): qr(-2, -2), (0, 2, 0): qr(2, 3), (2, 1, 0): qr(0, 1)},
+        {(0,): [({}, 5, False)], (1,): [({}, 1, True)],
+         (2,): [({(3, 0): qr(1, -2), (0, 0): qr(-2, -3), (0, 3): qr(0, -1)}, 5, False)]},
+        (2,))
+    # and a chain numerator whose lowest term lies past its truncation degree
+    VANISHED_NUM = fixed_case(
+        2, 8, {(0, 0, 1): 2, (0, 0, 2): qr(2, -1), (1, 0, 0): qr(-2, 3), (1, 1, 1): qr(-2, 3),
+               (1, 1, 0): -1, (1, 0, 1): qr(3, -1)},
+        {(0, 0): [({}, 8, False)],
+         (0, 1): [({(2,): qr(0, -4), (3,): qr(-4, -6), (4,): qr(-3, -1)}, 7, False)],
+         (0, 2): [({}, 6, False)], (0, 3): [({}, 5, False)],
+         (1, 0): [({(1,): qr(2, 6), (2,): qr(5, 5)}, 7, False)],
+         (1, 1): [({(1,): qr(6, 4), (2,): qr(3, -7), (3,): qr(-4, -2)}, 6, False)],
+         (1, 2): [({(1,): qr(-12, 12), (2,): qr(6, 24), (3,): qr(10, -2)}, 5, False)],
+         (2, 0): [({(0,): qr(-22, -6), (1,): qr(12, 16)}, 6, False)],
+         (2, 1): [({(0,): qr(-2, -6), (1,): qr(-22, -6)}, 5, False)],
+         (3, 0): [({}, 5, False)]},
+        (0, 3))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(prolong_case())
+    @example(SECOND_CERT)
+    @example(VANISHED_NUM)
+    def test_solve_matches_the_fraction_chain(case):
+        inst, alpha, unit = case
+        got, got_err = solve_or_error(prolongation_solve, inst, alpha)
+        want, want_err = solve_or_error(ref_prolongation_solve, inst, alpha)
+        if isinstance(want_err, DivisionUncertifiable):
+            # when P(0) = 0 the running sums of the earlier consistency loop
+            # can vanish where no solved jet's denominator does; the solve
+            # itself must still agree
+            unchecked, err = solve_or_error(
+                lambda i, a: ref_prolongation_solve(i, a, check=False), inst, alpha)
+            if err is None:
+                want, want_err = unchecked, None
+        assert type(got_err) is type(want_err)
+        if isinstance(want_err, DivisionUncertifiable):
+            assert str(got_err) == str(want_err)
+        if want_err is not None:
+            return
+        assert (got.max_jet_order_used, got.degree_used) == (want.max_jet_order_used, want.degree_used)
+        for g, w in zip(got.values, want.values):
+            for gs, ws in ((g.num, w.num), (g.den, w.den)):
+                assert (gs, gs.exact) == (ws, ws.exact)
+            assert g.cert == w.cert
+        assert got.jets.keys() == want.jets.keys()
+        for gamma, vec in want.jets.items():
+            assert list(got.jets[gamma]) == list(vec)
+        if not unit:
+            return
+        # a jet off the pivot ladder, changed in its constant term, contradicts
+        # the solved prolongation in both solvers
+        pivot = got.pivot
+        off = [beta for beta in inst.jets if mi.degree(beta) <= mi.degree(alpha) + mi.degree(pivot)
+               and not all(x >= y for x, y in zip(beta, pivot))]
+        if not off:
+            return
+        jets = dict(inst.jets)
+        v = jets[off[0]]
+        jets[off[0]] = (v[0] + Series.one(v[0].arity, v[0].degree),) + v[1:]
+        bad = ProlongationInstance(inst.a, inst.n, jets)
+        for solve in (prolongation_solve, ref_prolongation_solve):
+            with pytest.raises(InconsistentData):
+                solve(bad, alpha)
