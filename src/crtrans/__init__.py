@@ -60,7 +60,6 @@ _EXPORTS = {
         "CRMap",
         "InstanceAnalysis",
         "TransversalOrder",
-        "basid_check",
         "compose_maps",
         "identity_map",
         "is_automorphism",
@@ -69,10 +68,8 @@ _EXPORTS = {
         "is_not_totally_degenerate",
         "is_transversally_flat",
         "jacobian",
-        "normal_component_reality_check",
         "sends_into",
         "transversal_order",
-        "trord_bound_check",
     ),
     "prolongation": (
         "ProlongationInstance",

@@ -37,8 +37,7 @@ def _realize_surface(
             return ref.name, _surface_from_q_expr(decl.expr, degree, conv)
         assert isinstance(decl, grammar.SurfaceDecl)
         return ref.name, _surface_from_ctor(decl.kind, decl.args, degree, conv)
-    kind = "q" if ref.kind == "hypersurface" else ref.kind
-    return grammar._render_ref(ref), _surface_from_ctor(kind, ref.args, degree, conv)
+    return grammar._render_ref(ref), _surface_from_ctor(ref.kind, ref.args, degree, conv)
 
 
 def _surface_from_q_expr(
@@ -53,7 +52,7 @@ def _surface_from_q_expr(
 def _surface_from_ctor(
     kind: str, args, degree: int, conv: hypersurface.Convention
 ) -> hypersurface.NormalHypersurface:
-    if kind == "q":
+    if kind == "hypersurface":
         return _surface_from_q_expr(args[0], degree, conv)
     if kind == "graph":
         n = grammar.block_size([args[0]])

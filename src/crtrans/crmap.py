@@ -14,7 +14,6 @@ from typing import Mapping, Optional, Sequence, Tuple
 from .errors import ArityMismatch, StructureError, TruncationMismatch
 from .hypersurface import (
     NormalHypersurface,
-    TypeClassification,
     infinite_unit_part,
     is_class_c,
     is_class_cm,
@@ -416,24 +415,3 @@ class InstanceAnalysis(Record, eq=False):
             diff.degree,
         )
 
-
-# ---------------- the gated conclusions on their own ----------------
-
-
-def normal_component_reality_check(
-    h: CRMap, m: NormalHypersurface, mp: NormalHypersurface
-) -> Verdict:
-    """InstanceAnalysis.normal_unit_reality of h: m -> mp."""
-    return InstanceAnalysis(h, m, mp).normal_unit_reality
-
-
-def trord_bound_check(
-    h: CRMap, m: NormalHypersurface, mp: NormalHypersurface
-) -> Verdict:
-    """InstanceAnalysis.order_bound of h: m -> mp."""
-    return InstanceAnalysis(h, m, mp).order_bound
-
-
-def basid_check(h: CRMap, m: NormalHypersurface) -> Verdict:
-    """InstanceAnalysis.unit_scale_law of the self-map h: m -> m."""
-    return InstanceAnalysis(h, m, m).unit_scale_law

@@ -155,7 +155,7 @@ class SeriesDecl(Record):
 
 class SurfaceDecl(Record):
     name: str
-    kind: str  # q | graph | heisenberg | blowup | exp_model | m_psi
+    kind: str  # hypersurface | graph | heisenberg | blowup | exp_model | m_psi
     args: Tuple
 
 
@@ -468,8 +468,6 @@ class _Parser:
             ctor = self.parse_ctor(tok)
             if ctor.kind == "map":
                 return MapDecl(name, ctor.args[0], ctor.args[1])
-            if ctor.kind == "hypersurface":
-                return SurfaceDecl(name, "q", ctor.args)
             return SurfaceDecl(name, ctor.kind, ctor.args)
         return SeriesDecl(name, self.parse_expr("any"))
 
@@ -652,8 +650,7 @@ def _render_decl(decl: Declaration) -> str:
         return f"{decl.name} = {render_expr(decl.expr)}"
     if isinstance(decl, MapDecl):
         return f"{decl.name} = " + _render_ref(CtorRef("map", (decl.components, decl.normal)))
-    kind = "hypersurface" if decl.kind == "q" else decl.kind
-    return f"{decl.name} = " + _render_ref(CtorRef(kind, decl.args))
+    return f"{decl.name} = " + _render_ref(CtorRef(decl.kind, decl.args))
 
 
 def _render_task(task: Task) -> str:

@@ -104,16 +104,6 @@ class NormalHypersurface(Record):
     def tau_index(self) -> int:
         return 2 * self.n
 
-    @property
-    def variable_names(self) -> Tuple[str, ...]:
-        if self.n == 1:
-            return ("z", "chi", "tau")
-        return tuple(
-            [f"z{i + 1}" for i in range(self.n)]
-            + [f"chi{i + 1}" for i in range(self.n)]
-            + ["tau"]
-        )
-
     def conjugate_swapped(self) -> Series:
         """conj(Q) read as a series of (chi, z, tau) in this ring's layout."""
         swap = list(range(self.n, 2 * self.n)) + list(range(self.n)) + [2 * self.n]

@@ -32,19 +32,24 @@ def _check_degree(degree: int, needed: int, what: str) -> None:
 # ---------------- quadric and weighted models ----------------
 
 
+def _quadric(n: int, degree: int, convention: Convention, coefficient) -> NormalHypersurface:
+    """Im w = coefficient * |z|^2 (factor per convention)."""
+    terms = {}
+    for i in range(n):
+        idx = [0] * (2 * n + 1)
+        idx[i] = 1
+        idx[n + i] = 1
+        terms[tuple(idx)] = coefficient
+    return from_graph(Series.polynomial(2 * n + 1, degree, terms), convention)
+
+
 @lru_cache(maxsize=None)
 def heisenberg(
     n: int = 1, degree: int = 10, convention: Convention = Convention.TWO_I
 ) -> NormalHypersurface:
     """The quadric Im w = |z|^2 (factor per convention)."""
     _check_degree(degree, 2, "the quadric model")
-    terms = {}
-    for i in range(n):
-        idx = [0] * (2 * n + 1)
-        idx[i] = 1
-        idx[n + i] = 1
-        terms[tuple(idx)] = 1
-    return from_graph(Series.polynomial(2 * n + 1, degree, terms), convention)
+    return _quadric(n, degree, convention, 1)
 
 
 @lru_cache(maxsize=None)
@@ -59,13 +64,7 @@ def scaled_heisenberg(
     if factor <= 0:
         raise StructureError("the scaling factor must be a positive rational")
     _check_degree(degree, 2, "the scaled quadric model")
-    terms = {}
-    for i in range(n):
-        idx = [0] * (2 * n + 1)
-        idx[i] = 1
-        idx[n + i] = 1
-        terms[tuple(idx)] = factor
-    return from_graph(Series.polynomial(2 * n + 1, degree, terms), convention)
+    return _quadric(n, degree, convention, factor)
 
 
 def m_psi(
@@ -150,6 +149,14 @@ def hk_map(k: int, degree: int = 10) -> CRMap:
 # ---------------- the blowup family ----------------
 
 
+def _blowup_map(b: int, c: int, degree: int, root: int) -> CRMap:
+    """(z, w) -> (root z w^b, w^c)."""
+    _check_degree(degree, max(b + 1, c), "the blowup map")
+    f = Series.polynomial(2, degree, {(1, b): root})
+    g = Series.polynomial(2, degree, {(0, c): 1})
+    return CRMap((f,), g)
+
+
 @lru_cache(maxsize=None)
 def blowup_map(b: int, c: int, degree: int = 10) -> CRMap:
     """(z, w) -> (sqrt(c) z w^b, w^c); c must be a perfect square."""
@@ -160,10 +167,7 @@ def blowup_map(b: int, c: int, degree: int = 10) -> CRMap:
         raise FieldRestriction(
             f"sqrt({c}) is not rational; use unscaled_blowup_map with a rescaled target"
         )
-    _check_degree(degree, max(b + 1, c), "the blowup map")
-    f = Series.polynomial(2, degree, {(1, b): root})
-    g = Series.polynomial(2, degree, {(0, c): 1})
-    return CRMap((f,), g)
+    return _blowup_map(b, c, degree, root)
 
 
 @lru_cache(maxsize=None)
@@ -171,10 +175,7 @@ def unscaled_blowup_map(b: int, c: int, degree: int = 10) -> CRMap:
     """(z, w) -> (z w^b, w^c), defined over the rationals for every b, c."""
     if b < 1 or c < 1:
         raise StructureError("b and c must be positive integers")
-    _check_degree(degree, max(b + 1, c), "the blowup map")
-    f = Series.polynomial(2, degree, {(1, b): 1})
-    g = Series.polynomial(2, degree, {(0, c): 1})
-    return CRMap((f,), g)
+    return _blowup_map(b, c, degree, 1)
 
 
 @lru_cache(maxsize=None)

@@ -333,185 +333,100 @@ def build_registry(
     return maps, easy
 
 
+# ---------------- statements ----------------
+
+# Every map statement reads "hypotheses about one instance => conclusion".
+# A hypothesis name is the InstanceAnalysis attribute of that name, unless
+# it is derived here from the cached verdicts.
+_DERIVED = {
+    "transversally_nonflat": lambda a: _negate(a.transversally_flat),
+    "source_infinite_type": lambda a: _infinite(a.source_type),
+    "target_infinite_type": lambda a: _infinite(a.target_type),
+    "type_at_least_2": lambda a: _infinite_at_least(a.source_type, 2),
+    "order_window": lambda a: _order_window(a.source_type, a.target_type),
+}
+
+
+def _transversal_or_flat(a: InstanceAnalysis) -> Verdict:
+    return _either("cr_transversal", a.cr_transversal, "transversally_flat", a.transversally_flat)
+
+
+# (theorem id, hypothesis names in report order, conclusion)
+_FINITE_TYPE = (
+    ("nonflat_map_is_nondegenerate_and_transversal",
+     ("source_class_c", "sends_into", "equidimensional", "transversally_nonflat"),
+     lambda a: _both("not_totally_degenerate", a.not_totally_degenerate,
+                     "cr_transversal", a.cr_transversal)),
+    ("nonzero_jacobian_forces_transversality",
+     ("source_class_c", "sends_into", "equidimensional", "jacobian_nonzero"),
+     lambda a: a.cr_transversal),
+    ("transversality_equals_nondegeneracy",
+     ("source_class_c", "sends_into", "equidimensional"),
+     lambda a: _agree("cr_transversal", a.cr_transversal,
+                      "not_totally_degenerate", a.not_totally_degenerate)),
+    ("nonflat_map_has_nonzero_jacobian",
+     ("source_holomorphically_nondegenerate", "sends_into", "equidimensional",
+      "transversally_nonflat"),
+     lambda a: a.jacobian_nonzero),
+)
+
+_INFINITE_TYPE = (
+    ("normal_unit_coefficient_is_real",
+     ("source_infinite_type", "target_infinite_type", "sends_into", "transversally_nonflat"),
+     lambda a: a.normal_unit_reality),
+    ("transversal_order_bound",
+     ("source_infinite_type", "target_infinite_type", "sends_into", "transversally_nonflat"),
+     lambda a: a.order_bound),
+    ("self_map_transversal_or_exceptional",
+     ("self_map", "type_at_least_2", "sends_into"),
+     _transversal_or_flat),
+    ("window_map_transversal_or_exceptional",
+     ("order_window", "sends_into", "equidimensional"),
+     _transversal_or_flat),
+    ("unit_scale_transformation_law",
+     ("self_map", "source_infinite_type", "sends_into", "cr_transversal"),
+     lambda a: a.unit_scale_law),
+    ("transversal_self_map_is_automorphism",
+     ("self_map", "source_class_cm", "sends_into", "cr_transversal"),
+     lambda a: a.automorphism),
+    ("self_map_flat_or_automorphism",
+     ("self_map", "source_class_cm", "type_at_least_2", "sends_into"),
+     lambda a: _either("transversally_flat", a.transversally_flat,
+                       "automorphism", a.automorphism)),
+)
+
+
 # ---------------- suites ----------------
 
 
-def suite_finite_type(instances: Sequence[MapInstance], seed: int = 0) -> List[TheoremSuiteResult]:
+def _suite(
+    instances: Sequence[MapInstance], realm: str, statements: Sequence[tuple], seed: int
+) -> List[TheoremSuiteResult]:
+    """One row per statement and instance of the realm, each instance analysed
+    once; a row decides its hypotheses in order, then its conclusion."""
     out: List[TheoremSuiteResult] = []
     for inst in instances:
-        if inst.realm != "finite":
+        if inst.realm != realm:
             continue
         a = InstanceAnalysis(inst.h, inst.source, inst.target, seed)
-        nonflat = _negate(a.transversally_flat)
-
-        out.append(
-            _row(
-                "nonflat_map_is_nondegenerate_and_transversal",
-                inst.id,
-                {
-                    "source_class_c": a.source_class_c,
-                    "sends_into": a.sends_into,
-                    "equidimensional": a.equidimensional,
-                    "transversally_nonflat": nonflat,
-                },
-                _both(
-                    "not_totally_degenerate", a.not_totally_degenerate,
-                    "cr_transversal", a.cr_transversal,
-                ),
-            )
-        )
-        out.append(
-            _row(
-                "nonzero_jacobian_forces_transversality",
-                inst.id,
-                {
-                    "source_class_c": a.source_class_c,
-                    "sends_into": a.sends_into,
-                    "equidimensional": a.equidimensional,
-                    "jacobian_nonzero": a.jacobian_nonzero,
-                },
-                a.cr_transversal,
-            )
-        )
-        out.append(
-            _row(
-                "transversality_equals_nondegeneracy",
-                inst.id,
-                {
-                    "source_class_c": a.source_class_c,
-                    "sends_into": a.sends_into,
-                    "equidimensional": a.equidimensional,
-                },
-                _agree(
-                    "cr_transversal", a.cr_transversal,
-                    "not_totally_degenerate", a.not_totally_degenerate,
-                ),
-            )
-        )
-        out.append(
-            _row(
-                "nonflat_map_has_nonzero_jacobian",
-                inst.id,
-                {
-                    "source_holomorphically_nondegenerate": a.source_holomorphically_nondegenerate,
-                    "sends_into": a.sends_into,
-                    "equidimensional": a.equidimensional,
-                    "transversally_nonflat": nonflat,
-                },
-                a.jacobian_nonzero,
-            )
-        )
+        for theorem, names, conclusion in statements:
+            hypotheses = {
+                name: _DERIVED[name](a) if name in _DERIVED else getattr(a, name)
+                for name in names
+            }
+            out.append(_row(theorem, inst.id, hypotheses, conclusion(a)))
     out.sort(key=lambda r: (r.theorem, r.instance))
     return out
+
+
+def suite_finite_type(instances: Sequence[MapInstance], seed: int = 0) -> List[TheoremSuiteResult]:
+    return _suite(instances, "finite", _FINITE_TYPE, seed)
 
 
 def suite_infinite_type(
     instances: Sequence[MapInstance], seed: int = 0
 ) -> List[TheoremSuiteResult]:
-    out: List[TheoremSuiteResult] = []
-    for inst in instances:
-        if inst.realm != "infinite":
-            continue
-        a = InstanceAnalysis(inst.h, inst.source, inst.target, seed)
-        src_inf = _infinite(a.source_type)
-        tgt_inf = _infinite(a.target_type)
-        nonflat = _negate(a.transversally_flat)
-
-        out.append(
-            _row(
-                "normal_unit_coefficient_is_real",
-                inst.id,
-                {
-                    "source_infinite_type": src_inf,
-                    "target_infinite_type": tgt_inf,
-                    "sends_into": a.sends_into,
-                    "transversally_nonflat": nonflat,
-                },
-                a.normal_unit_reality,
-            )
-        )
-        out.append(
-            _row(
-                "transversal_order_bound",
-                inst.id,
-                {
-                    "source_infinite_type": src_inf,
-                    "target_infinite_type": tgt_inf,
-                    "sends_into": a.sends_into,
-                    "transversally_nonflat": nonflat,
-                },
-                a.order_bound,
-            )
-        )
-        out.append(
-            _row(
-                "self_map_transversal_or_exceptional",
-                inst.id,
-                {
-                    "self_map": a.self_map,
-                    "type_at_least_2": _infinite_at_least(a.source_type, 2),
-                    "sends_into": a.sends_into,
-                },
-                _either(
-                    "cr_transversal", a.cr_transversal, "transversally_flat", a.transversally_flat
-                ),
-            )
-        )
-        out.append(
-            _row(
-                "window_map_transversal_or_exceptional",
-                inst.id,
-                {
-                    "order_window": _order_window(a.source_type, a.target_type),
-                    "sends_into": a.sends_into,
-                    "equidimensional": a.equidimensional,
-                },
-                _either(
-                    "cr_transversal", a.cr_transversal, "transversally_flat", a.transversally_flat
-                ),
-            )
-        )
-        out.append(
-            _row(
-                "unit_scale_transformation_law",
-                inst.id,
-                {
-                    "self_map": a.self_map,
-                    "source_infinite_type": src_inf,
-                    "sends_into": a.sends_into,
-                    "cr_transversal": a.cr_transversal,
-                },
-                a.unit_scale_law,
-            )
-        )
-        out.append(
-            _row(
-                "transversal_self_map_is_automorphism",
-                inst.id,
-                {
-                    "self_map": a.self_map,
-                    "source_class_cm": a.source_class_cm,
-                    "sends_into": a.sends_into,
-                    "cr_transversal": a.cr_transversal,
-                },
-                a.automorphism,
-            )
-        )
-        out.append(
-            _row(
-                "self_map_flat_or_automorphism",
-                inst.id,
-                {
-                    "self_map": a.self_map,
-                    "source_class_cm": a.source_class_cm,
-                    "type_at_least_2": _infinite_at_least(a.source_type, 2),
-                    "sends_into": a.sends_into,
-                },
-                _either("transversally_flat", a.transversally_flat, "automorphism", a.automorphism),
-            )
-        )
-    out.sort(key=lambda r: (r.theorem, r.instance))
-    return out
+    return _suite(instances, "infinite", _INFINITE_TYPE, seed)
 
 
 def _relation_holds(inst: IntertwinedInstance) -> Verdict:

@@ -12,17 +12,15 @@ import time
 from fractions import Fraction
 
 from crtrans.crmap import (
+    InstanceAnalysis,
     compose_maps,
-    basid_check,
     is_automorphism,
     is_cr_transversal,
     is_jacobian_nonzero,
     is_not_totally_degenerate,
     jacobian,
-    normal_component_reality_check,
     sends_into,
     transversal_order,
-    trord_bound_check,
 )
 from crtrans import multiindex as mi
 from crtrans.fracseries import FracSeries
@@ -97,7 +95,7 @@ def test_criterion_03_window_containment_and_order_bound():
     assert sends_into(h, m44, m34).is_true
     t = transversal_order(h)
     assert not t.is_flat and t.value == 1
-    bound = trord_bound_check(h, m44, m34)
+    bound = InstanceAnalysis(h, m44, m34).order_bound
     assert bound.is_true
     assert bound.witness == {
         "m_source": 5,
@@ -260,7 +258,7 @@ def test_criterion_09_unit_scale_law_and_automorphisms():
         from crtrans.crmap import CRMap
 
         h = CRMap((z,), w)
-        assert basid_check(h, m2).is_true
+        assert InstanceAnalysis(h, m2, m2).unit_scale_law.is_true
         assert is_automorphism(h).is_true
 
     z2 = Series.polynomial(2, 10, {(1, 0): 2})

@@ -6,7 +6,7 @@ import pytest
 
 from crtrans.crmap import (
     CRMap,
-    basid_check,
+    InstanceAnalysis,
     compose_maps,
     identity_map,
     is_automorphism,
@@ -15,10 +15,8 @@ from crtrans.crmap import (
     is_not_totally_degenerate,
     is_transversally_flat,
     jacobian,
-    normal_component_reality_check,
     sends_into,
     transversal_order,
-    trord_bound_check,
 )
 from crtrans.errors import ArityMismatch, StructureError
 from crtrans.hypersurface import Convention
@@ -190,28 +188,30 @@ def test_m_psi_map_lands_in_heisenberg():
 
 def test_reality_check_positive():
     h11 = blowup_map(1, 1, D)
-    v = normal_component_reality_check(h11, blowup_hypersurface(4, 4, D), blowup_hypersurface(3, 4, D))
+    m44, m34 = blowup_hypersurface(4, 4, D), blowup_hypersurface(3, 4, D)
+    v = InstanceAnalysis(h11, m44, m34).normal_unit_reality
     assert v.status is Status.CERTIFIED_TRUE
     e1 = exp_model(1, D)
-    v2 = normal_component_reality_check(scaling_map(qr(1), qr(-1)), e1, e1)
+    v2 = InstanceAnalysis(scaling_map(qr(1), qr(-1)), e1, e1).normal_unit_reality
     assert v2.status is Status.CERTIFIED_TRUE
     assert v2.witness == {"order": 1, "value": "-1"}
 
 
 def test_reality_check_hypothesis_gates():
     heis = heisenberg(1, D)
-    v = normal_component_reality_check(identity_map(1, D), heis, heis)
+    v = InstanceAnalysis(identity_map(1, D), heis, heis).normal_unit_reality
     assert v.status is Status.UNKNOWN_AT_TRUNCATION
     assert v.witness["failed_hypothesis"] == "source_infinite_type"
     e1 = exp_model(1, D)
     flat = CRMap((mono({(1, 0): 1}),), Series.zero(2, D))
-    v2 = normal_component_reality_check(flat, e1, e1)
+    v2 = InstanceAnalysis(flat, e1, e1).normal_unit_reality
     assert v2.witness["failed_hypothesis"] == "not_transversally_flat"
 
 
 def test_trord_bound_window():
     h11 = blowup_map(1, 1, D)
-    v = trord_bound_check(h11, blowup_hypersurface(4, 4, D), blowup_hypersurface(3, 4, D))
+    m44, m34 = blowup_hypersurface(4, 4, D), blowup_hypersurface(3, 4, D)
+    v = InstanceAnalysis(h11, m44, m34).order_bound
     assert v.status is Status.CERTIFIED_TRUE
     assert v.witness == {
         "m_source": 5,
@@ -220,37 +220,41 @@ def test_trord_bound_window():
         "bound_lhs": 2,
         "bound_rhs": 4,
     }
-    v2 = trord_bound_check(h11, blowup_hypersurface(3, 1, D), blowup_hypersurface(2, 1, D))
+    m31, m21 = blowup_hypersurface(3, 1, D), blowup_hypersurface(2, 1, D)
+    v2 = InstanceAnalysis(h11, m31, m21).order_bound
     assert v2.witness["bound_lhs"] == 3 and v2.witness["bound_rhs"] == 5
 
 
 def test_trord_bound_tight_on_self_map():
     m21 = blowup_hypersurface(2, 1, D)
-    v = trord_bound_check(M21_SELF, m21, m21)
+    v = InstanceAnalysis(M21_SELF, m21, m21).order_bound
     assert v.status is Status.CERTIFIED_TRUE
     assert v.witness["bound_lhs"] == v.witness["bound_rhs"] == 3
 
 
 def test_basid_self_map():
     m21 = blowup_hypersurface(2, 1, D)
-    v = basid_check(M21_SELF, m21)
+    v = InstanceAnalysis(M21_SELF, m21, m21).unit_scale_law
     assert v.status is Status.CERTIFIED_TRUE
     assert v.witness == {"m": 4, "unit_scale": "8"}
-    assert basid_check(EXP_ROT, exp_model(1, D)).status is Status.CERTIFIED_TRUE
+    e1 = exp_model(1, D)
+    assert InstanceAnalysis(EXP_ROT, e1, e1).unit_scale_law.status is Status.CERTIFIED_TRUE
 
 
 def test_basid_hypothesis_gate():
     from crtrans.models import hk_map
 
     # (2z, w^4) preserves the model but is not CR transversal
-    v = basid_check(hk_map(4, D), exp_model(4, D))
+    e4 = exp_model(4, D)
+    v = InstanceAnalysis(hk_map(4, D), e4, e4).unit_scale_law
     assert v.status is Status.UNKNOWN_AT_TRUNCATION
 
 
 def test_basid_needs_equidimensional():
     h = CRMap((mono({(1, 0): 1}), mono({(1, 0): 1})), mono({(0, 1): 1}))
+    heis = heisenberg(1, D)
     with pytest.raises(ArityMismatch):
-        basid_check(h, heisenberg(1, D))
+        InstanceAnalysis(h, heis, heis).unit_scale_law
 
 
 def test_compose_with_identity():

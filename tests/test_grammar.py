@@ -132,7 +132,7 @@ def test_surface_declaration_kinds():
         "D = m_psi(z1, z1*z2)\nE = hypersurface(tau + z*chi)\nF0 = graph(z*chi + s)"
     )
     kinds = [d.kind for d in doc.declarations]
-    assert kinds == ["heisenberg", "blowup", "exp_model", "m_psi", "q", "graph"]
+    assert kinds == ["heisenberg", "blowup", "exp_model", "m_psi", "hypersurface", "graph"]
 
 
 def test_duplicate_names_rejected():

@@ -45,7 +45,6 @@ def test_layout_and_names():
     assert m.z_block == (0, 1)
     assert m.chi_block == (2, 3)
     assert m.tau_index == 4
-    assert m.variable_names == ("z1", "z2", "chi1", "chi2", "tau")
     assert m.q.arity == 5
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from crtrans.errors import FieldRestriction, StructureError
+from crtrans.errors import FieldRestriction, StructureError, TruncationMismatch
 from crtrans.hypersurface import Convention, classify_type, validate
 from crtrans.models import (
     blowup_hypersurface,
@@ -162,6 +162,40 @@ def test_square_root_field_restrictions():
         hk_map(3, D)
     # the hypersurface itself never needs the root
     assert classify_type(blowup_hypersurface(2, 2, D)).m == 3
+
+
+# Each constructor's own checks, in their order; the messages reach reports
+# as task errors.
+@pytest.mark.parametrize(
+    "ctor, args, error, message",
+    [
+        (heisenberg, (1, 1), TruncationMismatch,
+         "the quadric model needs truncation degree at least 2"),
+        (scaled_heisenberg, (3, 1, 1), TruncationMismatch,
+         "the scaled quadric model needs truncation degree at least 2"),
+        (blowup_map, (1, 1, 1), TruncationMismatch,
+         "the blowup map needs truncation degree at least 2"),
+        (unscaled_blowup_map, (2, 3, 2), TruncationMismatch,
+         "the blowup map needs truncation degree at least 3"),
+        (scaled_heisenberg, (0,), StructureError,
+         "the scaling factor must be a positive rational"),
+        (scaled_heisenberg, (-1, 1, 1), StructureError,
+         "the scaling factor must be a positive rational"),
+        (blowup_map, (0, 1), StructureError, "b and c must be positive integers"),
+        (blowup_map, (1, -4, 1), StructureError, "b and c must be positive integers"),
+        (unscaled_blowup_map, (0, 2), StructureError, "b and c must be positive integers"),
+        (unscaled_blowup_map, (2, 0, 1), StructureError, "b and c must be positive integers"),
+        (blowup_map, (1, 2), FieldRestriction,
+         "sqrt(2) is not rational; use unscaled_blowup_map with a rescaled target"),
+        (blowup_map, (1, 3, 1), FieldRestriction,
+         "sqrt(3) is not rational; use unscaled_blowup_map with a rescaled target"),
+    ],
+)
+def test_model_refusals(ctor, args, error, message):
+    with pytest.raises(error) as err:
+        ctor(*args)
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_singular_instance_matches_smallest_blowup():
