@@ -93,10 +93,8 @@ def _realize_map(
 # ---------------- task runners ----------------
 
 
-def _run_classify(
-    task: grammar.ClassifyTask, env, degree: int, conv: hypersurface.Convention, seed: int
-) -> dict:
-    name, m = _realize_surface(task.target, env, degree, conv)
+def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: str, seed: int) -> dict:
+    name, m = _realize_surface(task.target, env, degree, hypersurface.Convention(conv))
     cls = m.classification
     result = {
         "task": "classify",
@@ -115,9 +113,8 @@ def _run_classify(
     return result
 
 
-def _run_checkmap(
-    task: grammar.CheckMapTask, env, degree: int, conv: hypersurface.Convention, seed: int
-) -> dict:
+def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: str, seed: int) -> dict:
+    conv = hypersurface.Convention(conv)
     hname, h = _realize_map(task.map, env, degree)
     sname, src = _realize_surface(task.source, env, degree, conv)
     tname, tgt = _realize_surface(task.target, env, degree, conv)
@@ -142,7 +139,8 @@ def _run_checkmap(
     }
 
 
-def _run_prolong(task: grammar.ProlongTask, env, degree: int) -> dict:
+def _run_prolong(task: grammar.ProlongTask, env, degree: int, *_) -> dict:
+    """The convention and the seed do not enter a prolongation."""
     a_decl = env[task.a]
     exprs = [a_decl.expr] + [env[c].expr for c in task.components]
     n = grammar.block_size(exprs)
@@ -206,7 +204,7 @@ _FAMILIES = [
 ]
 
 
-def _run_examples(degree: int, conv: hypersurface.Convention, seed: int) -> dict:
+def _run_examples(degree: int, conv: hypersurface.Convention) -> dict:
     maps, easy = verify.build_registry(degree, conv)
     instances = []
     for inst in maps:
@@ -295,7 +293,7 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _document_command(args, kinds, runner) -> int:
+def _document_command(args, kind, runner) -> int:
     try:
         text = _read_document(args.document)
     except OSError as exc:
@@ -309,10 +307,10 @@ def _document_command(args, kinds, runner) -> int:
     degree = args.degree if args.degree is not None else (doc.degree or 10)
     conv = args.complexify or doc.convention or "2i"  # a Convention's value
     env = {d.name: d for d in doc.declarations}
-    tasks = [t for t in doc.tasks if isinstance(t, kinds)]
+    tasks = [t for t in doc.tasks if isinstance(t, kind)]
     results: List[dict] = []
     errors: List[dict] = []
-    if not tasks and isinstance(kinds, tuple) and grammar.ClassifyTask in kinds:
+    if not tasks and kind is grammar.ClassifyTask:
         # default work: classify every declared hypersurface
         tasks = [
             grammar.ClassifyTask(grammar.NameRef(d.name))
@@ -387,72 +385,47 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(grammar.GRAMMAR_TEXT)
         return 0
 
-    if args.command == "classify":
-        return _document_command(
-            args,
-            (grammar.ClassifyTask,),
-            lambda t, env, d, c, s: _run_classify(t, env, d, hypersurface.Convention(c), s),
-        )
-    if args.command == "check-map":
-        return _document_command(
-            args,
-            (grammar.CheckMapTask,),
-            lambda t, env, d, c, s: _run_checkmap(t, env, d, hypersurface.Convention(c), s),
-        )
-    if args.command == "prolong":
-        return _document_command(
-            args,
-            (grammar.ProlongTask,),
-            lambda t, env, d, c, s: _run_prolong(t, env, d),
-        )
+    if args.command not in ("verify", "examples"):
+        # built only here: reading a task class loads the grammar, which
+        # `verify` and `examples` do not use
+        kind, runner = {
+            "classify": (grammar.ClassifyTask, _run_classify),
+            "check-map": (grammar.CheckMapTask, _run_checkmap),
+            "prolong": (grammar.ProlongTask, _run_prolong),
+        }[args.command]
+        return _document_command(args, kind, runner)
 
     degree = args.degree if args.degree is not None else 10
     conv = hypersurface.Convention(args.complexify or "2i")
     try:
         if args.command == "verify":
             body = _run_verify(args.suite, degree, conv, args.seed)
-        else:
-            body = _run_examples(degree, conv, args.seed)
-    except CrtransError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "verify":
-        report = {"schema": SCHEMA, "version": __version__, "command": "verify", **body}
-        counts = report["counts"]
-        _emit(
-            report,
-            args.json,
-            [
+            counts = body["counts"]
+            summary = (
                 f"verify: {counts['confirmed']} confirmed, "
                 f"{counts['hypothesis_not_certified']} gated, "
                 f"{counts['falsified']} falsified"
-            ],
-        )
-        return 1 if report["falsified"] else 0
-
-    if args.command == "examples":
-        report = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": "examples",
-            "degree": degree,
-            "convention": conv.value,
-            "seed": args.seed,
-            **body,
-        }
-        _emit(
-            report,
-            args.json,
-            [
+            )
+        else:
+            body = _run_examples(degree, conv)
+            summary = (
                 f"examples: {len(body['families'])} families, "
                 f"{len(body['map_instances'])} map instances"
-            ],
-        )
-        return 0
-
-    parser.error(f"unknown command {args.command}")  # pragma: no cover
-    return 2  # pragma: no cover
+            )
+    except CrtransError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = {
+        "schema": SCHEMA,
+        "version": __version__,
+        "command": args.command,
+        "degree": degree,
+        "convention": conv.value,
+        "seed": args.seed,
+        **body,
+    }
+    _emit(report, args.json, [summary])
+    return 1 if body.get("falsified") else 0
 
 
 if __name__ == "__main__":

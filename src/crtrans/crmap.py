@@ -167,14 +167,6 @@ class TransversalOrder(Record):
     def is_flat(self) -> bool:
         return self.value is None
 
-    def to_json(self) -> Mapping:
-        return {
-            "value": self.value,
-            "witness": dict(self.witness),
-            "degree_used": self.degree_used,
-            "exact": self.exact,
-        }
-
 
 def transversal_order(h: CRMap) -> TransversalOrder:
     g = h.g

@@ -62,14 +62,6 @@ class TypeClassification(Record):
     def is_infinite(self) -> bool:
         return self.kind is TypeKind.INFINITE
 
-    def to_json(self) -> Mapping:
-        return {
-            "kind": self.kind.value,
-            "m": self.m,
-            "witness": dict(self.witness),
-            "degree_used": self.degree_used,
-        }
-
 
 class NormalHypersurface(Record):
     """w = Q(z, chi, tau) with Q in normal form."""
@@ -308,31 +300,23 @@ def _gradient_family_rank(
     return unknown(wit, src.degree)
 
 
-def is_class_c(m: NormalHypersurface, k_max: Optional[int] = None, seed: int = 0) -> Verdict:
+def is_class_c(m: NormalHypersurface, seed: int = 0) -> Verdict:
     """Generic spanning of the chi-gradients of Q(., ., 0)'s z-coefficients."""
-    if k_max is None:
-        k_max = max(m.degree - 1, 1)
     src = m.q.set_zero([m.tau_index])
-    return _gradient_family_rank(src, m.n, tuple(range(m.n)), m.n, k_max, seed)
+    return _gradient_family_rank(src, m.n, tuple(range(m.n)), m.n, max(m.degree - 1, 1), seed)
 
 
-def is_class_cm(m: NormalHypersurface, k_max: Optional[int] = None, seed: int = 0) -> Verdict:
+def is_class_cm(m: NormalHypersurface, seed: int = 0) -> Verdict:
     """Class-C test applied to the unit part of an infinite-type normal form."""
     mm, qt = infinite_unit_part(m)
-    if k_max is None:
-        k_max = max(qt.degree - 1, 1)
     src = qt.set_zero([m.tau_index])
-    return _gradient_family_rank(src, m.n, tuple(range(m.n)), m.n, k_max, seed)
+    return _gradient_family_rank(src, m.n, tuple(range(m.n)), m.n, max(qt.degree - 1, 1), seed)
 
 
-def is_holomorphically_nondegenerate(
-    m: NormalHypersurface, k_max: Optional[int] = None, seed: int = 0
-) -> Verdict:
+def is_holomorphically_nondegenerate(m: NormalHypersurface, seed: int = 0) -> Verdict:
     """Generic spanning of full (chi, tau)-gradients of Q's z-coefficients."""
-    if k_max is None:
-        k_max = max(m.degree - 1, 1)
     return _gradient_family_rank(
-        m.q, m.n, tuple(range(m.n + 1)), m.n + 1, k_max, seed
+        m.q, m.n, tuple(range(m.n + 1)), m.n + 1, max(m.degree - 1, 1), seed
     )
 
 

@@ -36,7 +36,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ArityMismatch, NotSolvableAtTruncation, StructureError
 from .fracseries import FracSeries, _times
@@ -224,6 +224,8 @@ def _bareiss(mat: List[List[Tuple[int, int]]]) -> Tuple[int, int, Tuple[int, int
 
 # ---------------- rank ----------------
 
+_SAMPLES = 4  # random points that propose a candidate rank
+
 
 class RankState:
     """Sample points, evaluated rows and expanded minors of a growing row family.
@@ -234,8 +236,8 @@ class RankState:
     step (see the module docstring).
     """
 
-    def __init__(self, seed: int = 0, samples: int = 4) -> None:
-        self.seed, self.samples = seed, samples
+    def __init__(self, seed: int = 0) -> None:
+        self.seed = seed
         self.mat = SeriesMatrix(())
         self.points: Optional[list] = None
         self.values: dict = {}  # point -> [Gaussian-integer row, None for a zero row]
@@ -259,7 +261,7 @@ class RankState:
             self.points = [
                 tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                       for _ in range(self.mat.arity))
-                for _ in range(self.samples)
+                for _ in range(_SAMPLES)
             ]
         return self.points
 
@@ -291,16 +293,6 @@ class GenericRank(Record):
     at_least: Verdict
     at_most: Verdict
     evaluations: tuple
-
-    def to_json(self) -> Mapping:
-        return {
-            "rank": self.r,
-            "at_least": self.at_least.to_json(),
-            "at_most": self.at_most.to_json(),
-            "evaluations": [
-                {"point": list(pt), "rank": rk} for pt, rk in self.evaluations
-            ],
-        }
 
 
 def _scan_minors(state: RankState, size: int):
@@ -342,19 +334,17 @@ def _scan_minors(state: RankState, size: int):
     return None, all_exact
 
 
-def generic_rank(
-    m: MatrixLike, seed: int = 0, samples: int = 4, state: Optional[RankState] = None
-) -> GenericRank:
+def generic_rank(m: MatrixLike, seed: int = 0, state: Optional[RankState] = None) -> GenericRank:
     """Generic rank of `m`, with a certified lower and upper bound.
 
-    Pass the same `state` (built with this seed and sample count) while rows
-    are appended to `m`, and no row is evaluated at a sample point twice and
-    no minor expanded twice; without one, a fresh state is used.
+    Pass the same `state` (built with this seed) while rows are appended to
+    `m`, and no row is evaluated at a sample point twice and no minor
+    expanded twice; without one, a fresh state is used.
     """
     if state is None:
-        state = RankState(seed, samples)
-    elif (state.seed, state.samples) != (seed, samples):
-        raise StructureError("rank state was built with another seed or sample count")
+        state = RankState(seed)
+    elif state.seed != seed:
+        raise StructureError("rank state was built with another seed")
     mat = state.extend(m).mat
     maxs = min(mat.nrows, mat.ncols)
     degree_used = min((e.degree for row in mat.rows for e in row), default=0)

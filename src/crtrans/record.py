@@ -15,13 +15,19 @@ frozen dataclass does.
 `functools.cached_property` works on records, as it writes the instance
 `__dict__` directly; `__post_init__` normalises a field with
 `object.__setattr__`.
+
+`to_json()` is the report form of a record: its fields in order, each
+rendered by `jsonable`. This is the one place that decides how a result
+becomes report JSON.
 """
 
 from __future__ import annotations
 
+import enum
+from collections.abc import Mapping
 from typing import Any, Dict
 
-__all__ = ["Record"]
+__all__ = ["Record", "jsonable"]
 
 # stores a field the way a frozen dataclass does, in the instance's own value
 # storage; filling `self.__dict__` instead would give every record a dict of
@@ -99,3 +105,29 @@ class Record:
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({body})"
+
+    def to_json(self) -> Dict[str, Any]:
+        return {name: jsonable(getattr(self, name)) for name in self._fields}
+
+
+# checked by exact type, which is cheaper than `isinstance` on the thousands
+# of values a `verify` report renders, and leaves the str-subclass enums out
+_PLAIN = frozenset((type(None), bool, int, float, str))
+
+
+def jsonable(value: Any) -> Any:
+    """Report JSON for a value: None, bools, ints, floats and strings as they
+    are, enums by value, records, mappings and sequences recursively, anything
+    else (an exact scalar, a series) as its string."""
+    if type(value) in _PLAIN:
+        return value
+    # `str()` of a str-subclass enum gives the member's qualified name
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return str(value)

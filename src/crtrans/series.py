@@ -584,11 +584,6 @@ class Series:
             raise TruncationMismatch("cannot lift a series that is only known truncated")
         return Series._make(self.arity, d, self._num, self._den, True)
 
-    def evaluate(self, point: Sequence[ScalarLike]) -> GaussianRational:
-        """Value of the stored polynomial part at an exact point (see `evaluate_row`)."""
-        [(re, im)], den = evaluate_row((self,), point)
-        return _scalar(re, im, den)
-
     # ---------------- display ----------------
 
     def to_str(self, names: Optional[Sequence[str]] = None) -> str:

@@ -41,13 +41,6 @@ class Verdict(Record):
     def is_unknown(self) -> bool:
         return self.status is Status.UNKNOWN_AT_TRUNCATION
 
-    def to_json(self) -> dict:
-        return {
-            "status": self.status.value,
-            "witness": _jsonable(self.witness),
-            "degree_used": self.degree_used,
-        }
-
 
 def certified_true(witness: Optional[Mapping[str, Any]] = None, degree: Optional[int] = None) -> Verdict:
     return Verdict(Status.CERTIFIED_TRUE, witness, degree)
@@ -68,16 +61,3 @@ def vanishes(s: "Series", witness: Mapping[str, Any]) -> Verdict:
         return certified_true(witness, s.degree)
     lead = s.leading_index()
     return certified_false({"index": list(lead), "value": str(s.coefficient(lead))}, s.degree)
-
-
-def _jsonable(value: Any) -> Any:
-    """Render witnesses with exact scalars as strings, containers recursively."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)

@@ -60,16 +60,6 @@ class TheoremSuiteResult(Record):
     status: SuiteStatus
     note: Optional[str] = None
 
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "instance": self.instance,
-            "hypotheses": {k: v.to_json() for k, v in self.hypotheses.items()},
-            "conclusion": self.conclusion.to_json(),
-            "status": self.status.value,
-            "note": self.note,
-        }
-
 
 class MapInstance(Record):
     """One map row of the registry: h sends (or fails to send) source into target."""

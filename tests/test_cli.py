@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from crtrans import verify
 from crtrans.cli import SCHEMA, main
+from crtrans.verdict import certified_false
 
 POWER_DOC = """\
 T2 = map(F = z, G = w^2)
@@ -129,6 +131,26 @@ def test_verify_runs_clean(capsys):
         "falsified": 0,
     }
     assert "0 falsified" in err
+
+
+def test_verify_exits_one_on_a_falsified_row(capsys, monkeypatch):
+    theorem, names, conclude = verify._FINITE_TYPE[1]
+    forced = []
+
+    def false_once(a):
+        # the first instance whose hypotheses all hold gets a false conclusion
+        if not forced and all(getattr(a, name).is_true for name in names):
+            forced.append(a)
+            return certified_false({"note": "forced"})
+        return conclude(a)
+
+    rows = list(verify._FINITE_TYPE)
+    rows[1] = (theorem, names, false_once)
+    monkeypatch.setattr(verify, "_FINITE_TYPE", tuple(rows))
+    code, rep, err = run_json(capsys, ["verify", "--suite", "finite_type"])
+    assert code == 1
+    assert rep["falsified"] is True
+    assert "1 falsified" in err
 
 
 def test_verify_single_suite(capsys):

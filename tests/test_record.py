@@ -1,15 +1,23 @@
 """Record against a frozen dataclass twin: construction, normalisation,
 immutability, equality and hashing by class, repr, identity equality, and
-cached properties."""
+cached properties. Then the report form, `to_json`, and the keys of the
+records whose JSON is report schema."""
 
 import dataclasses
+import enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
 import pytest
 
+from crtrans.crmap import TransversalOrder
 from crtrans.grammar import Exp, ExamplesTask, Imag, Neg, Num, VerifyTask
+from crtrans.hypersurface import TypeClassification, TypeKind
 from crtrans.record import Record
+from crtrans.scalar import qr
+from crtrans.verdict import certified_true
+from crtrans.verify import SuiteStatus, TheoremSuiteResult
 
 
 class Point(Record):
@@ -152,3 +160,45 @@ def test_cached_property_on_a_frozen_record():
     assert c == Counted(4)
     assert hash(c) == hash(Counted(4))
     assert repr(c) == "Counted(n=4)"
+
+
+class Tag(str, enum.Enum):
+    ONE = "one"
+
+
+class Tagged(Record):
+    tag: Tag
+    inner: object
+    data: object = None
+
+
+def test_to_json_renders_fields_in_order_and_values_recursively():
+    inner = Tagged(Tag.ONE, qr(Fraction(1, 2), -1))
+    j = Tagged(Tag.ONE, inner, {1: (Tag.ONE, None, True, 3, 0.5), "s": [inner]}).to_json()
+    rendered_inner = {"tag": "one", "inner": "1/2-i", "data": None}
+    assert list(j) == ["tag", "inner", "data"]
+    assert j == {
+        "tag": "one",
+        "inner": rendered_inner,
+        "data": {"1": ["one", None, True, 3, 0.5], "s": [rendered_inner]},
+    }
+    # an enum renders by its value, not as the str-subclass member itself
+    assert type(j["tag"]) is str and type(j["data"]["1"][0]) is str
+
+
+# these keys are report schema: every report names them
+REPORT_KEYS = [
+    (certified_true({"k": 1}, 3), ["status", "witness", "degree_used"]),
+    (TypeClassification(TypeKind.FINITE, None, {}, 4), ["kind", "m", "witness", "degree_used"]),
+    (TransversalOrder(None, {}, 4, True), ["value", "witness", "degree_used", "exact"]),
+    (
+        TheoremSuiteResult("t", "i", {"h": certified_true()}, certified_true(),
+                           SuiteStatus.CONFIRMED),
+        ["theorem", "instance", "hypotheses", "conclusion", "status", "note"],
+    ),
+]
+
+
+@pytest.mark.parametrize("record, keys", REPORT_KEYS, ids=lambda x: type(x).__name__)
+def test_report_records_keep_their_keys(record, keys):
+    assert list(record.to_json()) == keys

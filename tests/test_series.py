@@ -25,6 +25,7 @@ from crtrans.scalar import GaussianRational, I, qr
 from crtrans.series import (
     Series,
     compose,
+    evaluate_row,
     exp_series,
     identity_components,
     invert_unit,
@@ -273,8 +274,8 @@ def test_permute_and_embed():
 
 def test_evaluate():
     f = Series.polynomial(2, 4, {(1, 0): 1, (1, 1): 2, (0, 0): 3})
-    v = f.evaluate([Fraction(1, 2), qr(0, 1)])
-    assert v == qr(Fraction(7, 2), 1)
+    # f(1/2, i) = 7/2 + i, as (re, im) over one denominator
+    assert evaluate_row((f,), [Fraction(1, 2), qr(0, 1)]) == ([(7, 2)], 2)
 
 
 # ---------------- composition ----------------
