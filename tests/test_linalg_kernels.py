@@ -185,6 +185,19 @@ def series_matrix(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
+def test_evaluate_matches_reference(data):
+    arity = data.draw(st.integers(1, 3))
+    s = data.draw(series(arity, data.draw(st.integers(0, 6))))
+    point = [data.draw(st.one_of(st.just(ZERO), gaussian(9, 9), st.integers(-3, 3)))
+             for _ in range(arity)]
+    # one series is a one-entry row: its value alone, in lowest terms
+    [(re, im)], den = evaluate_row([s], point)
+    assert qr(Fraction(re, den), Fraction(im, den)) == ref_evaluate(s, point)
+    assert math.gcd(den, re, im) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
 def test_evaluate_row_matches_reference(data):
     arity = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(0, 6))
@@ -196,10 +209,6 @@ def test_evaluate_row_matches_reference(data):
         ref_evaluate(s, point) for s in row
     ]
     assert math.gcd(den, *(x for pair in nums for x in pair)) == 1
-    # a one-entry row is the value of that series alone, in lowest terms
-    [(re, im)], den = evaluate_row(row[:1], point)
-    assert qr(Fraction(re, den), Fraction(im, den)) == ref_evaluate(row[0], point)
-    assert math.gcd(den, re, im) == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
