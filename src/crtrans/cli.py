@@ -2,16 +2,22 @@
 
 The JSON report goes to stdout (or to --json PATH); a short human summary goes
 to stderr. Exit codes: 0 when everything certified or gated cleanly, 1 when a
-suite row is falsified or the document is invalid, 2 for usage and I/O errors.
+suite row is falsified or the document is invalid, 2 for usage, I/O and
+encoding errors.
+
+`main` returns the exit code; `run`, the process entry of `python -m crtrans`
+and of the `crtrans` script, ends the process with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
+import os
 import sys
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 # modules, not names: a module loads when a command first reads from it
 from . import __version__, crmap, fracseries, grammar, hypersurface, models, prolongation, verify
@@ -19,7 +25,7 @@ from .errors import CrtransError, GrammarError
 
 SCHEMA = "crtrans-report/1"
 
-__all__ = ["main", "SCHEMA"]
+__all__ = ["main", "run", "SCHEMA"]
 
 
 # ---------------- realizing declarations ----------------
@@ -229,21 +235,45 @@ def _run_examples(degree: int, conv: hypersurface.Convention) -> dict:
 
 
 def _read_document(path: Optional[str]) -> str:
+    """The document decoded as strict UTF-8 (UnicodeDecodeError otherwise).
+
+    A file's newlines are translated as text-mode `open` translates them;
+    stdin keeps its own, as `sys.stdin` does on POSIX. Either way the text,
+    and so the report's `input_digest`, is the one a text-mode read gives.
+    """
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        stdin = getattr(sys.stdin, "buffer", None)
+        if stdin is None:  # a text stream put in place of stdin
+            return sys.stdin.read()
+        return stdin.read().decode("utf-8")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _emit(report: dict, json_path: Optional[str], summary: List[str]) -> None:
+def _emit(report: dict, json_path: Optional[str], summary: List[str], code: int) -> int:
+    """Write the report, then the summary; return `code`, or 2 with one error
+    line and no summary when the report cannot be written."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if json_path:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not json_path:
+            # what stdout still buffers would fail again at exit (see the
+            # note on SIGPIPE in the `signal` documentation)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     for line in summary:
         print(line, file=sys.stderr)
+    return code
 
 
 def _verdict_word(v: Optional[dict]) -> str:
@@ -299,6 +329,11 @@ def _document_command(args, kind, runner) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        source = "stdin" if args.document in (None, "-") else args.document
+        print(f"error: {source} is not UTF-8: {exc.reason} at byte offset {exc.start}",
+              file=sys.stderr)
+        return 2
     try:
         doc = grammar.parse(text)
     except GrammarError as exc:
@@ -336,8 +371,7 @@ def _document_command(args, kind, runner) -> int:
         "errors": errors,
     }
     summary = _summarize(results) + [f"error: {e['error']}" for e in errors]
-    _emit(report, args.json, summary)
-    return 1 if errors else 0
+    return _emit(report, args.json, summary, 1 if errors else 0)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -424,9 +458,54 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "seed": args.seed,
         **body,
     }
-    _emit(report, args.json, [summary])
-    return 1 if body.get("falsified") else 0
+    return _emit(report, args.json, [summary], 1 if body.get("falsified") else 0)
+
+
+def _interpreter_needed() -> bool:
+    """Whether something still watches or needs the interpreter after `main`:
+    a trace or profile function, from Python 3.12 on any `sys.monitoring` tool
+    (how cProfile and coverage attach there), `-i` or `-X dev`, a second
+    thread, or an interpreter without `atexit._run_exitfuncs`."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)):
+        return True
+    if sys.flags.inspect or sys.flags.dev_mode:
+        return True
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return True
+    return not hasattr(atexit, "_run_exitfuncs")
+
+
+def _flushed() -> bool:
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        return False
+    return True
+
+
+def run() -> NoReturn:
+    """Run `main` on the command line and end the process with its exit code.
+
+    A finished run needs no interpreter teardown: its report is written and
+    flushed, and module teardown with the final collection costs more than the
+    mathematics of a one-document process. So once stdout and stderr are
+    flushed, the process runs its `atexit` callbacks, flushes again and ends
+    with `os._exit`. It takes the ordinary `sys.exit` when `main` raised
+    (argparse's usage exit included), when a flush fails, or when
+    `_interpreter_needed` says something still watches the interpreter.
+    """
+    code = main()
+    if not _interpreter_needed() and _flushed():
+        atexit._run_exitfuncs()
+        if _flushed():
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

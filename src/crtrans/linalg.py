@@ -38,8 +38,8 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
+from . import fracseries  # the lazy module: only the fraction-field solves load it
 from .errors import ArityMismatch, NotSolvableAtTruncation, StructureError
-from .fracseries import FracSeries, _times
 from .record import Record
 from .scalar import ZERO, GaussianRational
 from .series import Series, _scalar, _split, evaluate_row
@@ -412,6 +412,7 @@ def solve_triangular(lower: MatrixLike, rhs: Sequence) -> list:
                 raise StructureError(f"entry ({i},{j}) above the diagonal is nonzero")
     arity = mat.arity
     degree = min(e.degree for row in mat.rows for e in row)
+    FracSeries = fracseries.FracSeries
     xs: list[FracSeries] = []
     for i in range(n):
         acc = FracSeries.coerce(rhs[i], arity, degree)
@@ -431,13 +432,13 @@ def solve_triangular(lower: MatrixLike, rhs: Sequence) -> list:
 # ---------------- span membership ----------------
 
 
-def _clear_denominators(row: Sequence[FracSeries]) -> list[Series]:
+def _clear_denominators(row: Sequence[fracseries.FracSeries]) -> list[Series]:
     out = []
     for i, f in enumerate(row):
         s = f.num
         for j, g in enumerate(row):
             if j != i:
-                s = _times(s, g.den)
+                s = fracseries._times(s, g.den)
         out.append(s)
     return out
 
@@ -446,6 +447,7 @@ def span_membership(vector: Sequence, generators: Sequence[Sequence], seed: int 
     """Is `vector` in the span of `generators` over the series fraction field?"""
     if not vector:
         raise StructureError("empty vector")
+    FracSeries = fracseries.FracSeries
     width = len(vector)
     arity = None
     for entry in vector:

@@ -282,3 +282,41 @@ def test_input_digest_is_sha256_of_a_non_ascii_document(capsys, monkeypatch, hid
     code, rep, _ = run_json(capsys, ["prolong"], stdin=NON_ASCII_DOC, monkeypatch=monkeypatch)
     assert code == 0
     assert rep["input_digest"] == hashlib.sha256(NON_ASCII_DOC.encode("utf-8")).hexdigest()
+
+
+def binary_stdin(monkeypatch, data: bytes) -> None:
+    # newline="\n" as for sys.stdin on POSIX: no translation on read
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+
+
+BAD_BYTE_DOC = b"degree 6\n# \xff\nM = graph(z*chi)\nclassify M\n"
+
+
+def test_non_utf8_document_exits_two(capsys, monkeypatch, tmp_path):
+    # the stray byte sits in a comment: it must fail the read, not the input digest
+    path = tmp_path / "doc.txt"
+    path.write_bytes(BAD_BYTE_DOC)
+    code, out, err = run(capsys, ["classify", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path} is not UTF-8: invalid start byte at byte offset 11\n"
+    binary_stdin(monkeypatch, BAD_BYTE_DOC)
+    code, out, err = run(capsys, ["classify", "-"])
+    assert (code, out) == (2, "")
+    assert err == "error: stdin is not UTF-8: invalid start byte at byte offset 11\n"
+
+
+def test_crlf_document_digests_are_those_of_a_text_read(capsys, monkeypatch, tmp_path):
+    """A file's newlines are translated, as text-mode `open` does; stdin keeps them."""
+    import hashlib
+
+    data = b"degree 6\r\nM = graph(z*chi)\r\nclassify M\r\n"
+    path = tmp_path / "doc.txt"
+    path.write_bytes(data)
+    code, rep, _ = run_json(capsys, ["classify", str(path)])
+    assert code == 0
+    assert rep["input_digest"] == hashlib.sha256(data.replace(b"\r\n", b"\n")).hexdigest()
+    binary_stdin(monkeypatch, data)
+    code, rep, _ = run_json(capsys, ["classify", "-"])
+    assert code == 0
+    assert rep["input_digest"] == hashlib.sha256(data).hexdigest()

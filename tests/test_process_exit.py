@@ -1,0 +1,151 @@
+"""The process entry `cli.run`, in fresh processes: the exit code and the
+report are those of `main`, `atexit` callbacks run, and the interpreter is not
+torn down unless something still watches it. A report that cannot be written
+ends with one error line and exit 2.
+"""
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from crtrans.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+VALID_DOC = "M = graph(z*chi + z^2*chi^2*s)\nclassify M\n"
+TASK_ERROR_DOC = "M = blowup(1, 2)\nclassify M\n"
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def crtrans(argv, stdin: str = "") -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "crtrans", *argv], input=stdin.encode(),
+                          capture_output=True, env=child_env(), timeout=120)
+
+
+def in_process(capsys, monkeypatch, argv, stdin=""):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage exit
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, expected",
+    [
+        (["classify", "--degree", "6"], VALID_DOC, 0),
+        (["classify"], TASK_ERROR_DOC, 1),
+        (["bogus"], "", 2),
+    ],
+)
+def test_exit_code_is_the_code_of_main(capsys, monkeypatch, argv, stdin, expected):
+    assert in_process(capsys, monkeypatch, argv, stdin)[0] == expected
+    assert crtrans(argv, stdin).returncode == expected
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [(["classify", "--degree", "6"], VALID_DOC), (["verify", "--suite", "easystuff"], "")],
+)
+def test_stdout_is_byte_identical_to_main(capsys, monkeypatch, argv, stdin):
+    _, out, err = in_process(capsys, monkeypatch, argv, stdin)
+    proc = crtrans(argv, stdin)
+    assert proc.stdout == out.encode("utf-8")
+    assert proc.stderr == err.encode("utf-8")
+
+
+# Runs `python -m crtrans print-grammar` through runpy; the `finally` line is
+# printed only when `run` leaves by `sys.exit`, the ordinary exit.
+PROBE = """\
+import atexit, runpy, sys
+atexit.register(print, "atexit callback ran", file=sys.stderr)
+{setup}
+sys.argv = ["crtrans", "print-grammar"]
+try:
+    runpy.run_module("crtrans", run_name="__main__")
+finally:
+    print("ordinary exit", file=sys.stderr)
+"""
+
+
+def probe(setup: str = "", flags=()) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *flags, "-c", PROBE.format(setup=setup)],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+
+
+def test_a_finished_run_runs_atexit_callbacks_and_skips_teardown():
+    proc = probe()
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("document")
+    assert proc.stderr == "atexit callback ran\n"
+
+
+GUARDS = {
+    "trace function": ("sys.settrace(lambda *args: None)", ()),
+    "profile function": ("sys.setprofile(lambda *args: None)", ()),
+    "second thread": (
+        "import threading, time\nthreading.Thread(target=time.sleep, args=(0.5,)).start()", ()
+    ),
+    "-X dev": ("", ("-X", "dev")),
+    "-i": ("", ("-i",)),
+}
+if hasattr(sys, "monitoring"):
+    GUARDS["sys.monitoring tool"] = ("sys.monitoring.use_tool_id(3, 'probe')", ())
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_a_watched_interpreter_gets_the_ordinary_exit(guard):
+    setup, flags = GUARDS[guard]
+    proc = probe(setup, flags)
+    assert proc.returncode == 0
+    assert "atexit callback ran" in proc.stderr
+    assert "ordinary exit" in proc.stderr
+
+
+def test_cprofile_still_prints_its_stats():
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "crtrans", "print-grammar"],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+def assert_one_error_line(returncode: int, stderr: bytes, reason: str) -> None:
+    assert returncode == 2
+    err = stderr.decode()
+    assert err.startswith("error: cannot write the report: ") and reason in err
+    assert err.count("\n") == 1  # no traceback, no "Exception ignored" line
+
+
+def test_unwritable_json_path_exits_two(tmp_path):
+    proc = crtrans(["verify", "--suite", "easystuff", "--json", str(tmp_path / "no" / "x.json")])
+    assert_one_error_line(proc.returncode, proc.stderr, "No such file or directory")
+    assert proc.stdout == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_device_on_stdout_exits_two():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "crtrans", "verify", "--suite", "easystuff"],
+                              stdout=full, stderr=subprocess.PIPE, env=child_env(), timeout=120)
+    assert_one_error_line(proc.returncode, proc.stderr, "No space left on device")
+
+
+def test_stdout_closed_before_the_report_exits_two():
+    with subprocess.Popen([sys.executable, "-m", "crtrans", "verify", "--suite", "easystuff"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as child:
+        child.stdout.close()  # long before the report: start-up alone takes longer
+        err = child.stderr.read()
+        returncode = child.wait(timeout=120)
+    assert_one_error_line(returncode, err, "Broken pipe")

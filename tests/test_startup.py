@@ -61,7 +61,7 @@ print(json.dumps({"code": code, "loaded": loaded, "openssl": "_hashlib" in sys.m
 """
 
 BASE = {"cli", "errors", "grammar", "multiindex", "record", "scalar", "series"}
-RANK = {"fracseries", "hypersurface", "linalg", "verdict"}
+RANK = {"hypersurface", "linalg", "verdict"}
 REGISTRY = (BASE - {"grammar"}) | RANK | {"crmap", "models", "verify"}
 
 SUBCOMMANDS = {
