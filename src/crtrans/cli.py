@@ -5,13 +5,18 @@ to stderr. Exit codes: 0 when everything certified or gated cleanly, 1 when a
 suite row is falsified or the document is invalid, 2 for usage, I/O and
 encoding errors.
 
+The command line is read against one table, `_COMMANDS`: the flags each
+command accepts, each with its type or its choices, and whether it takes a
+document. A usage error is one `error:` line and SystemExit(2). argparse is
+not used: its import loads `gettext` and `locale`, and with building the
+parsers it cost about 7 ms of every process (Python 3.11.7, 2-core host).
+
 `main` returns the exit code; `run`, the process entry of `python -m crtrans`
 and of the `crtrans` script, ends the process with it.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import json
 import os
@@ -199,7 +204,7 @@ def _run_verify(
         "infinite_type": lambda: verify.suite_infinite_type(maps, seed=seed),
         "easystuff": lambda: verify.suite_easystuff(easy, seed=seed),
     }[suite]()
-    return verify.suite_report({suite: rows}, degree, conv, seed)
+    return verify.suite_report({suite: rows})
 
 
 _FAMILIES = [
@@ -323,14 +328,14 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _document_command(args, kind, runner) -> int:
+def _document_command(command: str, opts: dict, kind, runner) -> int:
     try:
-        text = _read_document(args.document)
+        text = _read_document(opts["document"])
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:
-        source = "stdin" if args.document in (None, "-") else args.document
+        source = "stdin" if opts["document"] in (None, "-") else opts["document"]
         print(f"error: {source} is not UTF-8: {exc.reason} at byte offset {exc.start}",
               file=sys.stderr)
         return 2
@@ -339,8 +344,8 @@ def _document_command(args, kind, runner) -> int:
     except GrammarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    degree = args.degree if args.degree is not None else (doc.degree or 10)
-    conv = args.complexify or doc.convention or "2i"  # a Convention's value
+    degree = opts["degree"] if opts["degree"] is not None else (doc.degree or 10)
+    conv = opts["complexify"] or doc.convention or "2i"  # a Convention's value
     env = {d.name: d for d in doc.declarations}
     tasks = [t for t in doc.tasks if isinstance(t, kind)]
     results: List[dict] = []
@@ -356,84 +361,162 @@ def _document_command(args, kind, runner) -> int:
         errors.append({"task": None, "error": "document contains no task for this command"})
     for task in tasks:
         try:
-            results.append(runner(task, env, degree, conv, args.seed))
+            results.append(runner(task, env, degree, conv, opts["seed"]))
         except CrtransError as exc:
             errors.append({"task": grammar._render_task(task), "error": str(exc)})
     report = {
         "schema": SCHEMA,
         "version": __version__,
-        "command": args.command,
+        "command": command,
         "input_digest": _sha256_hex(text.encode("utf-8")),
         "degree": degree,
         "convention": conv,
-        "seed": args.seed,
+        "seed": opts["seed"],
         "results": results,
         "errors": errors,
     }
     summary = _summarize(results) + [f"error: {e['error']}" for e in errors]
-    return _emit(report, args.json, summary, 1 if errors else 0)
+    return _emit(report, opts["json"], summary, 1 if errors else 0)
+
+
+# ---------------- command line ----------------
+
+_COMMON = {"--degree": int, "--complexify": ("2i", "i"), "--seed": int, "--json": str}
+
+# command -> (the flags it accepts, each with its type or its choices; whether it takes a document)
+_COMMANDS = {
+    "classify": (_COMMON, True),
+    "check-map": (_COMMON, True),
+    "prolong": (_COMMON, True),
+    "verify": ({**_COMMON, "--suite": ("finite_type", "infinite_type", "easystuff")}, False),
+    "examples": (_COMMON, False),
+    "print-grammar": ({}, False),
+}
+
+_HELP = """\
+usage: crtrans COMMAND [FLAGS] [DOCUMENT]
+
+exact truncated-series toolkit for normal-form hypersurfaces and the maps between them
+
+commands:
+  classify        classify declared hypersurfaces
+  check-map       run checkmap tasks from a document
+  prolong         run prolong tasks from a document
+  verify          run the statement suites on the built-in registry
+  examples        list the built-in model families and instances
+  print-grammar   print the input grammar (takes no flags)
+
+flags, as --flag VALUE or --flag=VALUE, before or after the document, spelled
+in full (abbreviations are refused); the last repeat of a flag wins:
+  -h, --help             print this help
+  --degree N             truncation degree (default 10)
+  --complexify {2i,i}    graph complexification convention (default 2i)
+  --seed N               seed for randomized rank certificates (default 0)
+  --json PATH            write the JSON report here
+  --suite {finite_type,infinite_type,easystuff}
+                         verify only: run a single suite instead of all three
+
+classify, check-map and prolong read DOCUMENT, or stdin when it is '-' or absent;
+after '--' every argument is a document.
+"""
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _help() -> NoReturn:
+    sys.stdout.write(_HELP)
+    raise SystemExit(0)
+
+
+def _is_flag(arg: str, flags) -> bool:
+    """Whether `arg` reads as a flag rather than a value. As in argparse, one
+    of `flags`, also as `--flag=...`, is a flag, while `-`, negative numbers
+    and other strings with a space are values."""
+    if arg.partition("=")[0] in flags:
+        return True
+    if arg[:1] != "-" or arg == "-" or " " in arg:
+        return False
+    whole, dot, frac = arg[1:].partition(".")
+    number = frac.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return not number
+
+
+def _parse_command_line(argv: Sequence[str]) -> Tuple[str, dict]:
+    """The command and its values: `degree`, `complexify`, `seed`, `json`,
+    `suite` and `document`. A flag's last repeat wins; after `--` every
+    argument is a document. `-h`/`--help` prints the help and raises
+    SystemExit(0), a usage error one `error:` line and SystemExit(2)."""
+    if not argv:
+        _usage_error(f"missing command; choose from {', '.join(_COMMANDS)}")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        _help()
+    if command not in _COMMANDS:
+        _usage_error(f"unknown command {command!r}; choose from {', '.join(_COMMANDS)}")
+    flags, takes_document = _COMMANDS[command]
+    values = {"degree": None, "complexify": None, "seed": 0, "json": None, "suite": None}
+    documents: List[str] = []
+    unknown: List[str] = []  # refused after the loop, as a later -h still gives the help
+    args = iter(argv[1:])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if arg == "--":
+            documents += args
+        elif arg in ("-h", "--help"):
+            _help()
+        elif name in flags:
+            if not eq:
+                value = next(args, None)
+                if value is None or _is_flag(value, flags):
+                    _usage_error(f"{name} needs a value")
+            kind = flags[name]
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(f"{name}: invalid int value {value!r}")
+            elif kind is not str and value not in kind:
+                _usage_error(f"{name}: invalid choice {value!r}; choose from {', '.join(kind)}")
+            values[name[2:]] = value
+        elif _is_flag(arg, flags):
+            unknown.append(name)
+        else:
+            documents.append(arg)
+    if unknown:
+        _usage_error(f"{command} has no flag {unknown[0]!r}; its flags: {', '.join(flags) or 'none'}")
+    if documents and not takes_document:
+        _usage_error(f"{command} takes no document, got {documents[0]!r}")
+    if len(documents) > 1:
+        _usage_error(f"{command} takes one document, got a second: {documents[1]!r}")
+    values["document"] = documents[0] if documents else None
+    return command, values
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="crtrans",
-        description="exact truncated-series toolkit for normal-form hypersurfaces and the maps between them",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    command, opts = _parse_command_line(sys.argv[1:] if argv is None else argv)
 
-    def common(p, document: bool) -> None:
-        p.add_argument("--degree", type=int, default=None, help="truncation degree (default 10)")
-        p.add_argument(
-            "--complexify",
-            choices=("2i", "i"),
-            default=None,
-            help="graph complexification convention (default 2i)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized rank certificates")
-        p.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
-        if document:
-            p.add_argument(
-                "document",
-                nargs="?",
-                default=None,
-                help="input document (defaults to stdin; '-' also reads stdin)",
-            )
-
-    common(sub.add_parser("classify", help="classify declared hypersurfaces"), True)
-    common(sub.add_parser("check-map", help="run checkmap tasks from a document"), True)
-    common(sub.add_parser("prolong", help="run prolong tasks from a document"), True)
-    p_verify = sub.add_parser("verify", help="run the statement suites on the built-in registry")
-    common(p_verify, False)
-    p_verify.add_argument(
-        "--suite",
-        choices=("finite_type", "infinite_type", "easystuff"),
-        default=None,
-        help="run a single suite instead of all three",
-    )
-    common(sub.add_parser("examples", help="list the built-in model families and instances"), False)
-    sub.add_parser("print-grammar", help="print the input grammar")
-
-    args = parser.parse_args(argv)
-
-    if args.command == "print-grammar":
+    if command == "print-grammar":
         sys.stdout.write(grammar.GRAMMAR_TEXT)
         return 0
 
-    if args.command not in ("verify", "examples"):
+    if command not in ("verify", "examples"):
         # built only here: reading a task class loads the grammar, which
         # `verify` and `examples` do not use
         kind, runner = {
             "classify": (grammar.ClassifyTask, _run_classify),
             "check-map": (grammar.CheckMapTask, _run_checkmap),
             "prolong": (grammar.ProlongTask, _run_prolong),
-        }[args.command]
-        return _document_command(args, kind, runner)
+        }[command]
+        return _document_command(command, opts, kind, runner)
 
-    degree = args.degree if args.degree is not None else 10
-    conv = hypersurface.Convention(args.complexify or "2i")
+    degree = opts["degree"] if opts["degree"] is not None else 10
+    conv = hypersurface.Convention(opts["complexify"] or "2i")
     try:
-        if args.command == "verify":
-            body = _run_verify(args.suite, degree, conv, args.seed)
+        if command == "verify":
+            body = _run_verify(opts["suite"], degree, conv, opts["seed"])
             counts = body["counts"]
             summary = (
                 f"verify: {counts['confirmed']} confirmed, "
@@ -452,13 +535,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = {
         "schema": SCHEMA,
         "version": __version__,
-        "command": args.command,
+        "command": command,
         "degree": degree,
         "convention": conv.value,
-        "seed": args.seed,
+        "seed": opts["seed"],
         **body,
     }
-    return _emit(report, args.json, [summary], 1 if body.get("falsified") else 0)
+    return _emit(report, opts["json"], [summary], 1 if body.get("falsified") else 0)
 
 
 def _interpreter_needed() -> bool:
@@ -496,8 +579,9 @@ def run() -> NoReturn:
     mathematics of a one-document process. So once stdout and stderr are
     flushed, the process runs its `atexit` callbacks, flushes again and ends
     with `os._exit`. It takes the ordinary `sys.exit` when `main` raised
-    (argparse's usage exit included), when a flush fails, or when
-    `_interpreter_needed` says something still watches the interpreter.
+    (the SystemExit of `-h` and of a usage error included), when a flush
+    fails, or when `_interpreter_needed` says something still watches the
+    interpreter.
     """
     code = main()
     if not _interpreter_needed() and _flushed():

@@ -463,13 +463,9 @@ def suite_easystuff(
 # ---------------- entry point ----------------
 
 
-def suite_report(
-    suites: Mapping[str, Sequence[TheoremSuiteResult]],
-    degree: int,
-    convention: Convention,
-    seed: int,
-) -> dict:
-    """The rows of the named suites with their status counts."""
+def suite_report(suites: Mapping[str, Sequence[TheoremSuiteResult]]) -> dict:
+    """The rows of the named suites with their status counts. The degree,
+    convention and seed they ran at are the report envelope's."""
     counts = {"confirmed": 0, "hypothesis_not_certified": 0, "falsified": 0}
     for rows in suites.values():
         for r in rows:
@@ -480,9 +476,6 @@ def suite_report(
             else:
                 counts["hypothesis_not_certified"] += 1
     return {
-        "degree": degree,
-        "convention": convention.value,
-        "seed": seed,
         "suites": {name: [r.to_json() for r in rows] for name, rows in suites.items()},
         "counts": counts,
         "falsified": counts["falsified"] > 0,
@@ -498,4 +491,4 @@ def run_all(degree: int = 10, convention: Convention = Convention.TWO_I, seed: i
     }
     notes = {inst.id: inst.note for inst in maps if inst.note}
     notes.update({inst.id: inst.note for inst in easy if inst.note})
-    return {**suite_report(suites, degree, convention, seed), "instance_notes": notes}
+    return {**suite_report(suites), "instance_notes": notes}

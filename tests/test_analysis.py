@@ -2,7 +2,10 @@
 
 The digests were recorded before the suites and check-map shared one
 InstanceAnalysis per instance; they pin every report byte of the registry
-suites and of the check-map shapes the benchmark runs.
+suites and of the check-map shapes the benchmark runs. The verify bodies'
+digests were re-recorded when `degree`, `convention` and `seed` left the body
+for the CLI's report envelope: each is the earlier body's digest with those
+three keys removed.
 """
 
 import hashlib
@@ -23,14 +26,14 @@ def digest(body) -> str:
 
 
 RUN_ALL = {
-    Convention.TWO_I: "4d8de3c5eba992744cbd2086798b1477fafcae5c256a893d9aa384f3bf3e046a",
-    Convention.I: "eacbc15f6c370061b242887321c509b8409526469c5865b65387be8acb4c3c36",
+    Convention.TWO_I: "5c9da7f24f6b7b5c5784d024f1c98b17d2e0cde3f8b0180f6cfdb812f5a55915",
+    Convention.I: "7cb9b5988e00516dbbbc9cef11496708d8b540dfaa0318349bb42afa418d9827",
 }
 
 SINGLE_SUITE = {
-    "finite_type": "85c68a719fc8bed1071118a50fbe5a58f96df4080a8af3f752546d8e7d130c22",
-    "infinite_type": "e5ad64b2ad2b8c5cf400bc0cb9dc242732eda6a4356b1de3770c69eebfaa83a4",
-    "easystuff": "e7411bb997e5876234e174a89cb17dc908dd37ff721773d8d06c2a4656b8629e",
+    "finite_type": "2e23b1d17dafc8149764f366088fa73d44e756f32f931419387626adb9becae6",
+    "infinite_type": "95cf365ef0c057140193d88c3a22345f3812474953be541e3148f4c935d1752a",
+    "easystuff": "19fed79a893c79333da3c6bfd99b1bd607207c4d113674c7248355361f4b852c",
 }
 
 # (map, source, target) -> digest of the check-map result at degree 12; the

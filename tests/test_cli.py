@@ -156,6 +156,7 @@ def test_verify_exits_one_on_a_falsified_row(capsys, monkeypatch):
 def test_verify_single_suite(capsys):
     code, rep, _ = run_json(capsys, ["verify", "--suite", "easystuff"])
     assert code == 0
+    assert (rep["degree"], rep["convention"], rep["seed"]) == (10, "2i", 0)
     assert list(rep["suites"]) == ["easystuff"]
     assert rep["counts"] == {
         "confirmed": 4,
@@ -248,6 +249,78 @@ def test_usage_error_exits_two(capsys):
         main(["bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+PARSER_DOC = "M = graph(z*chi + z^2*chi^2)\nclassify M\n"
+
+# (canonical argv, an equivalent form); "{doc}" is a file holding PARSER_DOC,
+# which the classify forms otherwise read from stdin
+EQUIVALENT_ARGV = [
+    (["classify", "--degree", "6", "-"], ["classify", "-", "--degree=6"]),
+    (["classify", "--degree", "6", "-"], ["classify", "--degree", "6"]),
+    (["classify", "--degree", "6", "-"], ["classify", "--degree", "5", "--degree", "6", "-"]),
+    (["classify", "--degree", "6", "-"], ["classify", "{doc}", "--degree", "6"]),
+    (["classify", "--degree", "6", "-"], ["classify", "--degree=6", "--", "{doc}"]),
+    (["classify", "--seed", "-3", "--complexify", "i", "-"], ["classify", "--complexify=i", "--seed=-3"]),
+    (["verify", "--suite", "easystuff", "--degree", "8"], ["verify", "--degree=8", "--suite=easystuff"]),
+    (
+        ["verify", "--suite", "easystuff", "--degree", "8"],
+        ["verify", "--suite", "finite_type", "--degree", "8", "--suite", "easystuff"],
+    ),
+]
+
+
+@pytest.mark.parametrize("canonical, form", EQUIVALENT_ARGV, ids=lambda a: " ".join(a))
+def test_equivalent_argv_forms_give_the_same_report(capsys, monkeypatch, tmp_path, canonical, form):
+    path = tmp_path / "doc.txt"
+    path.write_text(PARSER_DOC, encoding="utf-8")
+    form = [str(path) if a == "{doc}" else a for a in form]
+    want = run(capsys, canonical, stdin=PARSER_DOC, monkeypatch=monkeypatch)
+    assert want[0] == 0
+    assert run(capsys, form, stdin=PARSER_DOC, monkeypatch=monkeypatch) == want
+
+
+USAGE_ERRORS = {
+    "no command": [],
+    "unknown command": ["bogus"],
+    "unknown flag": ["classify", "--bogus", "-"],
+    "abbreviated flag": ["classify", "--deg", "5"],
+    "flag of another command": ["classify", "--suite", "easystuff"],
+    "flag without a value at the end": ["classify", "--degree"],
+    "flag followed by a flag": ["classify", "--json", "--degree", "5"],
+    "non-int degree": ["classify", "--degree", "x"],
+    "'--' as a degree": ["classify", "--degree=--"],
+    "non-int seed": ["verify", "--seed=1.5"],
+    "complexify outside the choices": ["classify", "--complexify", "j"],
+    "suite outside the choices": ["verify", "--suite", "all"],
+    "second document": ["classify", "a.doc", "b.doc"],
+    "document to verify": ["verify", "a.doc"],
+    "document to examples": ["examples", "a.doc"],
+    "document to print-grammar": ["print-grammar", "a.doc"],
+    "flag to print-grammar": ["print-grammar", "--degree", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["classify", "-h"], ["verify", "--degree", "5", "--help"]]
+)
+def test_help_names_every_command_and_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    for name in ("classify", "check-map", "prolong", "verify", "examples", "print-grammar",
+                 "--degree", "--complexify", "--seed", "--json", "--suite"):
+        assert name in out
 
 
 def test_document_without_matching_tasks_exits_one(capsys, monkeypatch):

@@ -35,7 +35,7 @@ def in_process(capsys, monkeypatch, argv, stdin=""):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     try:
         code = main(argv)
-    except SystemExit as exc:  # argparse's usage exit
+    except SystemExit as exc:  # the usage exit of the command line parser
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err

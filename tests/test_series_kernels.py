@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from crtrans import multiindex as mi, series  # noqa: E402
 from crtrans.errors import CrtransError  # noqa: E402
 from crtrans.scalar import ONE, ZERO, GaussianRational, qr  # noqa: E402
-from crtrans.series import Series, compose  # noqa: E402
+from crtrans.series import Series, compose, exp_series, solve_implicit  # noqa: E402
 
 
 class Ref:
@@ -373,3 +373,46 @@ def test_coefficient_blocks_match_reference(data):
         assert dict(got.terms) == want.terms
         assert_canonical(got)
         assert got == a.coefficient_series(vs, alpha)
+
+
+@st.composite
+def exact_pointed(draw, arity, degree, without=()):
+    """An exact pointed series of truncation degree `degree` >= 1, with no term
+    at the indices `without`."""
+    indices = [k for k in list(mi.iter_up_to(arity, degree))[1:] if k not in without]
+    keys = draw(st.lists(st.sampled_from(indices), max_size=6, unique=True))
+    return Series(arity, degree, {k: draw(COEFFS) for k in keys}, True)
+
+
+def exact_component(arity, degree):
+    """An exact pointed series or a plain variable, which `compose` takes as a shift."""
+    variable = st.builds(Series.variable, st.integers(0, arity - 1), st.just(arity), st.just(degree))
+    return st.one_of(variable, exact_pointed(arity, degree))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_lifted_exact_inputs_give_the_same_compose_implicit_solution_and_exp(data):
+    """Degree lifting: exact inputs lifted from degree d to d + k give results
+    of `compose`, `solve_implicit` and `exp_series` that truncate back to the
+    degree-d results, and a degree-d result flagged exact is the lifted
+    result, exact, too."""
+    d = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 4))
+    inner = data.draw(st.integers(1, 2))
+    f = data.draw(exact_pointed(2, d))
+    comps = [data.draw(exact_component(inner, d)) for _ in range(2)]
+    arity = data.draw(st.integers(2, 3))
+    # solve_implicit needs rhs free of the unknown's linear term
+    rhs = data.draw(exact_pointed(arity, d, without=[mi.unit(arity, arity - 1)]))
+    cases = [
+        (compose(f, comps), compose(f.lift(d + k), [c.lift(d + k) for c in comps])),
+        (solve_implicit(rhs), solve_implicit(rhs.lift(d + k))),
+        (exp_series(f), exp_series(f.lift(d + k))),
+    ]
+    for low, high in cases:
+        assert high.degree == d + k
+        assert high.truncate(d) == low
+        if low.exact:
+            assert high.exact
+            assert high == low.lift(d + k)

@@ -57,7 +57,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 loaded = sorted(n.split(".", 1)[1] for n, m in sys.modules.items()
                 if n.startswith("crtrans.") and type(m) is types.ModuleType)
-print(json.dumps({"code": code, "loaded": loaded, "openssl": "_hashlib" in sys.modules}))
+parsing = [n for n in ("argparse", "gettext", "locale") if n in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded, "openssl": "_hashlib" in sys.modules,
+                  "parsing": parsing}))
 """
 
 BASE = {"cli", "errors", "grammar", "multiindex", "record", "scalar", "series"}
@@ -95,6 +97,8 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
     assert set(run["loaded"]) == expected
     # a document's digest comes from the builtin SHA-256, so no command loads OpenSSL
     assert run["openssl"] is False
+    # the command line is parsed without argparse, which loads gettext and locale
+    assert run["parsing"] == []
 
 
 def _tracer_tables():

@@ -103,9 +103,8 @@ def test_report_counts_and_sizes(report):
         "hypothesis_not_certified": 53,
         "falsified": 0,
     }
-    assert report["degree"] == 10
-    assert report["convention"] == "2i"
-    assert report["seed"] == 0
+    # the CLI's report envelope writes them, once
+    assert not {"degree", "convention", "seed"} & set(report)
 
 
 def test_report_is_deterministic_json(report):
@@ -324,4 +323,4 @@ def test_suites_respect_realm_tags():
 def test_other_convention_also_runs_clean():
     rep = run_all(degree=8, convention=Convention.I)
     assert rep["falsified"] is False
-    assert rep["convention"] == "i"
+    assert sum(rep["counts"].values()) == 102
