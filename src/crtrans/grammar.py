@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from . import scalar, series  # the lazy modules: only `evaluate` loads the series kernel
 from .errors import GrammarError, StructureError
 from .record import Record
-from .scalar import qr
-from .series import Series, exp_series
 
 __all__ = [
     "GRAMMAR_TEXT",
@@ -740,8 +739,9 @@ def pair_layout(n: int) -> Tuple[Dict[str, int], int]:
     return layout, 2 * n
 
 
-def evaluate(node: ExprNode, layout: Dict[str, int], arity: int, degree: int) -> Series:
+def evaluate(node: ExprNode, layout: Dict[str, int], arity: int, degree: int) -> series.Series:
     """Evaluate an expression to a truncated series over the given layout."""
+    Series, qr = series.Series, scalar.qr
     if isinstance(node, Num):
         return Series.polynomial(arity, degree, {(0,) * arity: node.value})
     if isinstance(node, Imag):
@@ -754,7 +754,7 @@ def evaluate(node: ExprNode, layout: Dict[str, int], arity: int, degree: int) ->
     if isinstance(node, Neg):
         return -evaluate(node.arg, layout, arity, degree)
     if isinstance(node, Exp):
-        return exp_series(evaluate(node.arg, layout, arity, degree))
+        return series.exp_series(evaluate(node.arg, layout, arity, degree))
     if isinstance(node, Pow):
         return evaluate(node.base, layout, arity, degree) ** node.exponent
     if isinstance(node, BinOp):

@@ -34,6 +34,8 @@ def _check_degree(degree: int, needed: int, what: str) -> None:
 
 def _quadric(n: int, degree: int, convention: Convention, coefficient) -> NormalHypersurface:
     """Im w = coefficient * |z|^2 (factor per convention)."""
+    if n < 1:
+        raise StructureError("n must be a positive integer")
     terms = {}
     for i in range(n):
         idx = [0] * (2 * n + 1)

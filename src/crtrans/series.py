@@ -690,8 +690,11 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
     exponent to x_j in the key of each term of f and makes no product. The
     terms of f are grouped by their exponents in the other components. One
     group becomes one polynomial over f's denominator in the shifted keys,
-    where terms landing on the same key are summed, and costs one product
-    with the product of those components' cached powers.
+    where terms landing on the same key are summed. The groups are then
+    evaluated by truncated Horner in the last other component, each Horner
+    coefficient being the same evaluation in the remaining components, so a
+    step costs one product, taken only through the degree the rest of the
+    scheme needs (see `_horner`).
 
     The result is exact when f is, no term of f lies beyond the truncation
     degree or is lost to an inexact zero component, and every term's image
@@ -744,28 +747,56 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
         cur = num.get(key)
         num[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
 
-    powers = {i: [comps[i].truncate(d)] for i in others}  # powers[i][e - 1] = comps[i]^e
+    powers = [[comps[i].truncate(d)] for i in others]
+    return _horner(groups, powers, arity, d, f._den)._with_exact(exact)
 
-    def power(i: int, e: int) -> Series:
-        cache = powers[i]
-        while len(cache) < e:
-            cache.append(cache[-1] * cache[0])
-        return cache[e - 1]
 
-    acc = Series.zero(arity, d)
-    for rest, num in groups.items():
-        num = {k: v for k, v in num.items() if v[0] or v[1]}
-        if not num:
+def _power(cache: List[Series], e: int) -> Series:
+    """cache[0]^e, where cache[j] holds cache[0]^(j + 1) and grows on demand."""
+    while len(cache) < e:
+        cache.append(cache[-1] * cache[0])
+    return cache[e - 1]
+
+
+def _horner(groups: Dict[Tuple[int, ...], NumMap], powers: List[List[Series]],
+            arity: int, d: int, den: int) -> Series:
+    """Sum of G_alpha * prod_i c_i^alpha_i through degree d, by truncated Horner.
+
+    `groups` maps alpha to the numerators of G_alpha over `den`, and
+    powers[i] is the power cache of c_i (see `_power`). The last component c,
+    of order o, is the Horner variable. With G_e the sum of the groups whose
+    last exponent is e, r <- r * c^(e' - e) + G_e runs down the exponents
+    present, e' the one before e, and a final r <- r * c^e' brings it to 0;
+    c^1 is c itself, so only a gap in the exponents reads a cached power.
+    Step e is needed only through degree d - e*o, since c^e has order e*o.
+    So r, known through d - e'*o, is re-declared at d - e*o: its unknown tail
+    times c^(e' - e) lies beyond that degree. Each G_e is the same sum over
+    the other components at that reduced degree.
+    """
+    if not powers:
+        limit = (d + 1) << (arity * _W)
+        num = {k: v for k, v in groups.get((), {}).items() if k < limit and (v[0] or v[1])}
+        return Series._reduced(arity, d, num, den, True)
+    cache, rest = powers[-1], powers[:-1]
+    o = min(cache[0].order(), d + 1)  # a c that is zero through d contributes only at e = 0
+    by_e: Dict[int, Dict[Tuple[int, ...], NumMap]] = {}
+    for alpha, num in groups.items():
+        if alpha[-1] * o <= d:
+            by_e.setdefault(alpha[-1], {})[alpha[:-1]] = num
+    r: Optional[Series] = None
+    at = 0  # the exponent r stands at
+    for e in sorted(by_e, reverse=True):
+        g = _horner(by_e[e], rest, arity, d - e * o, den)
+        if g.is_zero:
             continue
-        p: Optional[Series] = None
-        for i, e in zip(others, rest):
-            if e:
-                p = power(i, e) if p is None else p * power(i, e)
-        g = Series._reduced(arity, d, num, f._den, True)
-        if p is not None:
-            g = p.scale(g.constant_term) if len(num) == 1 and 0 in num else g * p
-        acc = acc + g
-    return acc._with_exact(exact)
+        if r is not None:
+            g = Series._make(arity, g.degree, r._num, r._den, False) * _power(cache, at - e) + g
+        r, at = g, e
+    if r is None:
+        return Series.zero(arity, d)
+    if at:
+        r = Series._make(arity, d, r._num, r._den, False) * _power(cache, at)
+    return r
 
 
 def invert_unit(f: Series) -> Series:

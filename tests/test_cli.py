@@ -210,6 +210,22 @@ def test_task_level_error_is_embedded(capsys, monkeypatch):
     assert [r["name"] for r in rep["results"]] == ["G"]
 
 
+@pytest.mark.parametrize(
+    "ctor, message",
+    [
+        ("heisenberg(0)", "n must be a positive integer"),
+        ("exp_model(0)", "k must be a positive integer"),
+        ("blowup(0, 0)", "b and c must be positive integers"),
+    ],
+)
+def test_model_refusal_is_one_error_line(capsys, monkeypatch, ctor, message):
+    doc = f"M = {ctor}\nclassify M\n"
+    code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["errors"] == [{"task": "classify M", "error": message}]
+    assert err == f"error: {message}\n"
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, ["classify", "/no/such/file.doc"])
     assert code == 2

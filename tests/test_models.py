@@ -189,6 +189,8 @@ def test_square_root_field_restrictions():
          "sqrt(2) is not rational; use unscaled_blowup_map with a rescaled target"),
         (blowup_map, (1, 3, 1), FieldRestriction,
          "sqrt(3) is not rational; use unscaled_blowup_map with a rescaled target"),
+        (heisenberg, (0,), StructureError, "n must be a positive integer"),
+        (scaled_heisenberg, (2, 0), StructureError, "n must be a positive integer"),
     ],
 )
 def test_model_refusals(ctor, args, error, message):

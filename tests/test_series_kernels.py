@@ -7,7 +7,8 @@ and equality against them, another every coefficient block of a random
 variable block, and another products with a one-term factor. Fixed cases
 cover the packed keys at their edges: arity 0, the largest degree a key field
 holds and the refusal past it, and the tuple boundary of `terms`,
-`sorted_terms`, `order`, `poly_degree` and `leading_index`. Needs the
+`sorted_terms`, `order`, `poly_degree` and `leading_index`. `compose` is
+also checked against the plain sum of products of component powers. Needs the
 optional `hypothesis` package (the `test` extra); the module is skipped
 without it.
 """
@@ -264,6 +265,53 @@ def test_integer_kernels_match_reference(data):
         assert (x.terms == y.terms) == same
         if (x.arity, x.degree) == (y.arity, y.degree):
             assert (x == y) == same
+
+
+@st.composite
+def non_shift(draw, inner, degree):
+    """A component `compose` does not take as a shift: a pointed series, a
+    scaled variable, an inexact variable or a zero, each exact or not."""
+    kind = draw(st.sampled_from(("series", "variable", "zero")))
+    exact = draw(st.booleans())
+    if kind == "series":
+        return Series(*draw(raw_series(inner, degree, pointed=True)))
+    if kind == "zero":
+        return Series.zero(inner, degree, exact)
+    c = draw(st.sampled_from((ONE, qr(2), qr(-1), qr(0, 1))))
+    x = mi.unit(inner, draw(st.integers(0, inner - 1)))
+    return Series(inner, degree, {x: c}, exact and c != ONE)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_compose_matches_the_sum_of_component_power_products(data):
+    """compose(f, comps) against sum_alpha c_alpha * prod_i comps[i]^alpha_i,
+    built from Series `*` and `+`. One to three components are not shifts, so
+    the truncated Horner scheme nests, skips gaps in the exponents and meets
+    zero and inexact components."""
+    arity = data.draw(st.integers(1, 4))
+    inner = data.draw(st.integers(1, 3))
+    degree = data.draw(st.integers(0, 8))
+    indices = list(mi.iter_up_to(arity, degree + 1))
+    keys = data.draw(st.lists(st.sampled_from(indices), max_size=16, unique=True))
+    f = Series(arity, degree, {k: data.draw(COEFFS) for k in keys}, data.draw(st.booleans()))
+    others = data.draw(st.permutations(range(arity)))[: data.draw(st.integers(1, min(3, arity)))]
+    comps = [
+        data.draw(non_shift(inner, data.draw(st.integers(1, 8)))) if i in others
+        else Series.variable(data.draw(st.integers(0, inner - 1)), inner, data.draw(st.integers(1, 8)))
+        for i in range(arity)
+    ]
+    d = min([f.degree] + [c.degree for c in comps])
+    want = Series.zero(inner, d)
+    for alpha, c in f.terms.items():
+        p = Series.one(inner, d)
+        for comp, e in zip(comps, alpha):
+            for _ in range(e):
+                p = p * comp
+        want = want + p.scale(c)
+    got = compose(f, comps)
+    assert got == want
+    assert_canonical(got)
 
 
 @pytest.mark.parametrize(
