@@ -23,13 +23,20 @@ the jets its equation subtracts, so e grows linearly in |gamma|:
 with t_beta = v_beta / beta! and delta = beta - j. No series fraction is
 formed, and the powers of p are built once per (exponent, degree).
 
-The reported values keep the form that cross-multiplied `FracSeries`
-arithmetic gives them: num / p^E with E = 1 + the sum of the predecessors' E,
-so E is exponential in |gamma| (31 at order (4, 4) of the benchmark's A, 511
-at (8, 0)). `_Replay` follows that chain's truncation degrees, `exact` flags
-and certs with integers, and alpha's values alone are brought to it once, at
-the end, as N_alpha p^(E - e_alpha) / p^E. Every other jet is N_gamma /
-p^e_gamma, the same fraction.
+Alpha's values keep the denominator that cross-multiplied `FracSeries`
+arithmetic gives them, p^E with E = 1 + the sum of the predecessors' E, so E
+is exponential in |gamma| (31 at order (4, 4) of the benchmark's A, 511 at
+(8, 0)): each is N_alpha p^(E - e_alpha) / p^E, with p^E through every degree
+the numerator knows. N_alpha / p^e_alpha is the same fraction and shorter,
+but it prints other value strings, among them the benchmark's smoke document,
+whose report digest is recorded. When p(0) = 0, p^E can vanish through that
+degree where p^e_alpha does not; the solve then refuses with
+`DivisionUncertifiable`. Every other jet is N_gamma / p^e_gamma.
+
+`degree_used` is the degree through which the values are certified: the
+smallest `cert` the `FracSeries` constructor gives them, which accounts for
+the vanishing order of p^E. It is None when every value is an exact quotient,
+and negative when no coefficient is certified.
 
 The triangularity is not taken on faith: whenever a not-yet-solved unknown
 would enter an equation, the solver asserts that its A-coefficient vanishes.
@@ -45,20 +52,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from . import multiindex as mi
-from .errors import (
-    DivisionUncertifiable,
-    InconsistentData,
-    NoWitness,
-    StructureError,
-    TruncationMismatch,
-)
-from .fracseries import Cert, FracSeries, _plus, _series_eq, _times
+from .errors import InconsistentData, NoWitness, StructureError, TruncationMismatch
+from .fracseries import FracSeries, _plus, _series_eq, _times
 from .record import Record
-from .series import INFINITE_ORDER, Order, Series
+from .series import Series
 
 
 class ProlongationInstance(Record):
@@ -100,7 +100,7 @@ class ProlongationSolution(Record):
     values: Tuple[FracSeries, ...]
     jets: Mapping[Tuple[int, ...], Tuple[FracSeries, ...]]
     max_jet_order_used: int
-    degree_used: int
+    degree_used: Optional[int]
 
 
 def minimal_ordered_nonzero(a: Series, n: int) -> Tuple[int, ...]:
@@ -154,71 +154,6 @@ def _add(a: Series, b: Series, sign: int = 1) -> Series:
     elif b.exact and not a.exact:
         b = b.lift(a.degree)
     return _plus(a, b, sign)
-
-
-# A form (degree, exact, v, k) describes one series of the cross-multiplied
-# chain: the value v * p^k truncated at `degree` (v None stands for 1), where
-# v is a series the solver holds and p the pivot coefficient.
-_Form = Tuple[int, bool, Optional[Series], int]
-
-
-def _as(s: Series, form: _Form) -> Series:
-    """s (the form's value) truncated, or lifted when exact, to the form's
-    degree, under its `exact` flag."""
-    degree, exact = form[0], form[1]
-    s = s.lift(degree)
-    return s if s.exact == exact else s._with_exact(exact)
-
-
-class _Replay:
-    """Degrees, `exact` flags and certs of the cross-multiplied fraction chain.
-
-    `times` and `plus` give the degree and flag that `fracseries._times` and
-    `fracseries._plus` give a product and a sum of two forms. Orders, zero
-    tests and exact polynomial degrees come from v and p, as
-    ord(v p^k) = ord(v) + k ord(p), and the same for polynomial degrees.
-    """
-
-    def __init__(self, pivot: Series) -> None:
-        self.order_p = pivot.order()
-        self.pd_p = pivot.poly_degree
-
-    def order(self, f: _Form) -> Order:
-        degree, exact, v, k = f
-        o = (0 if v is None else v.order()) + k * self.order_p
-        return o if exact or o <= degree else INFINITE_ORDER
-
-    def _pd(self, f: _Form) -> int:
-        """Polynomial degree of an exact form."""
-        v, k = f[2], f[3]
-        if v is None:
-            return k * self.pd_p
-        return 0 if v.is_zero else v.poly_degree + k * self.pd_p
-
-    def _exact_zero(self, f: _Form) -> bool:
-        return f[1] and self.order(f) == INFINITE_ORDER
-
-    def times(self, f: _Form, g: _Form, v: Optional[Series], k: int) -> _Form:
-        if f[1] and g[1]:
-            return (self._pd(f) + self._pd(g), True, v, k)
-        # an exact zero absorbs the other factor's unknown tail
-        return (min(f[0], g[0]), self._exact_zero(f) or self._exact_zero(g), v, k)
-
-    def plus(self, f: _Form, g: _Form, v: Optional[Series], k: int) -> _Form:
-        if f[1] and g[1]:
-            return (max(self._pd(f), self._pd(g)), True, v, k)
-        return (min(f[0], g[0]), False, v, k)
-
-    def den(self, f: _Form) -> _Form:
-        """A denominator form, refused as `FracSeries` refuses one that vanishes."""
-        if self.order(f) == INFINITE_ORDER:
-            raise DivisionUncertifiable(f"denominator vanishes up to truncation degree {f[0]}")
-        return f
-
-
-def _cert(s: Series) -> Cert:
-    """`FracSeries.from_series(s).cert`."""
-    return math.inf if s.exact else s.degree
 
 
 def prolongation_solve(
@@ -303,24 +238,17 @@ def prolongation_solve(
             powers[j, e] = s
         return s
 
-    def scaled(s: Series, j: int, d: Optional[int] = None) -> Series:
-        """s p^j through degree d, by default through every degree s knows."""
+    def scaled(s: Series, j: int) -> Series:
+        """s p^j through every degree s knows."""
         if not j:
             return s
-        if d is None:
-            d = p.degree if s.exact else s.degree
-        return _mul(s, power(j, d))
+        return _mul(s, power(j, p.degree if s.exact else s.degree))
 
-    replay = _Replay(p)
-    p_one: _Form = (p.degree, True, None, 0)
-    p_form: _Form = (p.degree, p.exact, None, 1)
-    inv_cert = _cert(p) - 2 * replay.order_p  # cert of 1 / p
-
-    # gamma -> e_gamma, the numerators N_gamma, and per component the forms of
-    # the chain's (num, den) with its cert
+    # gamma -> e_gamma, the numerators N_gamma, and E_gamma, the exponent of
+    # the cross-multiplied chain's denominator: 1 + the sum over the predecessors
     exps: Dict[Tuple[int, ...], int] = {}
     nums: Dict[Tuple[int, ...], Tuple[Series, ...]] = {}
-    forms: Dict[Tuple[int, ...], list] = {}
+    chain: Dict[Tuple[int, ...], int] = {}
     for ell in range(level + 1):
         for gamma in sorted(mi.iter_degree(n, ell)):
             beta = mi.add(pivot, gamma)
@@ -337,41 +265,14 @@ def prolongation_solve(
                     )
                 preds.append((gp, block))
             m = max((exps[gp] for gp, _ in preds), default=0)
-            # N_gamma = t p^m - sum N_j A_delta p^(m - e_j); the chain's rhs is
-            # N_gamma p^(E - m) over p^E after each subtraction
+            # N_gamma = t p^m - sum N_j A_delta p^(m - e_j)
             acc = [scaled(t, m) for t in ts]
-            num: List[_Form] = [(t.degree, t.exact, t, 0) for t in ts]
-            den: List[_Form] = [(t.degree, True, None, 0) for t in ts]
-            cert: List[Cert] = [_cert(t) for t in ts]
             for gp, block in preds:
-                e = exps[gp]
-                a_form: _Form = (block.degree, block.exact, block, 0)
-                a_one: _Form = (block.degree, True, None, 0)
-                a_cert, a_order = _cert(block), block.order()
                 for i in range(width):
-                    c_num, c_den, c_cert = forms[gp][i]
-                    na = _mul(nums[gp][i], block)
-                    acc[i] = _add(acc[i], scaled(na, m - e), -1)
-                    cc_num = replay.times(c_num, a_form, na, c_num[3])
-                    cc_den = replay.den(replay.times(c_den, a_one, None, c_den[3]))
-                    cc_cert = min(c_cert + a_order,
-                                  a_cert + replay.order(c_num) - replay.order(c_den))
-                    x = replay.times(num[i], cc_den, num[i][2], num[i][3] + cc_den[3])
-                    y = replay.times(cc_num, den[i], na, cc_num[3] + den[i][3])
-                    den[i] = replay.den(replay.times(den[i], cc_den, None, den[i][3] + cc_den[3]))
-                    num[i] = replay.plus(x, y, acc[i], den[i][3] - m)
-                    cert[i] = min(cert[i], cc_cert)
+                    acc[i] = _add(acc[i], scaled(_mul(nums[gp][i], block), m - exps[gp]), -1)
             exps[gamma] = m + 1
             nums[gamma] = tuple(acc)
-            forms[gamma] = [
-                (
-                    replay.times(num[i], p_one, acc[i], num[i][3]),
-                    replay.den(replay.times(den[i], p_form, None, den[i][3] + 1)),
-                    min(cert[i] - replay.order_p,
-                        inv_cert + replay.order(num[i]) - replay.order(den[i])),
-                )
-                for i in range(width)
-            ]
+            chain[gamma] = 1 + sum(chain[gp] for gp, _ in preds)
 
     # consistency: every supplied equation of reachable order must hold; the
     # ones the solve used hold by construction of N_gamma
@@ -404,26 +305,25 @@ def prolongation_solve(
             f"solver touched jets of order {max_used} beyond the bound {reach}"
         )  # pragma: no cover
 
-    def reported(n_form: _Form, d_form: _Form, cert: Cert) -> FracSeries:
-        """The chain's N p^(E - e) / p^E, at its degrees and flags."""
-        num = _as(scaled(n_form[2], n_form[3], n_form[0]), n_form)
-        return FracSeries(num, _as(power(d_form[3], d_form[0]), d_form), cert)
+    def over(s: Series, j: int) -> FracSeries:
+        """s / p^j, with p^j through every degree s knows."""
+        return FracSeries(s, power(j, p.degree if s.exact else s.degree))
 
-    # alpha's values in the chain's form; the other jets as N / p^e, with p^e
-    # at the degree the chain's denominator has, where it does not vanish
+    # alpha's values in the chain's form N p^(E - e) / p^E; the other jets as N / p^e
     jets_out = {
         gamma: tuple(
-            (reported(*f) if gamma == alpha else FracSeries(s, power(exps[gamma], f[1][0])))
-            .scale(mi.factorial(gamma))
-            for s, f in zip(vec, forms[gamma])
+            (over(scaled(s, chain[gamma] - exps[gamma]), chain[gamma]) if gamma == alpha
+             else over(s, exps[gamma])).scale(mi.factorial(gamma))
+            for s in vec
         )
         for gamma, vec in nums.items()
     }
+    cert = min(v.cert for v in jets_out[alpha])
     return ProlongationSolution(
         alpha=alpha,
         pivot=pivot,
         values=jets_out[alpha],
         jets=jets_out,
         max_jet_order_used=max_used,
-        degree_used=min(v.num.degree for v in jets_out[alpha]),
+        degree_used=None if cert == math.inf else cert,
     )

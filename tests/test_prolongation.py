@@ -2,10 +2,11 @@
 
 `ref_prolongation_solve` keeps the earlier solver, which carried every jet as
 a `FracSeries` and summed each consistency equation as a running fraction. A
-property test holds `prolongation_solve` to it: the reported values agree in
-numerator, denominator, truncation degrees, `exact` flags and `cert`, and
-every other jet is the same fraction. It needs the optional `hypothesis`
-package (the `test` extra) and is left out without it.
+property test holds `prolongation_solve` to it: every solved jet is the same
+fraction, and `degree_used` is the certified degree of the reported values.
+A second property solves the same A and b at truncation degrees D and D + k:
+the two values agree through the `degree_used` of the first. Both need the
+optional `hypothesis` package (the `test` extra) and are left out without it.
 """
 
 import hashlib
@@ -211,7 +212,11 @@ PROLONG_DATA = [
 
 # (data, alpha, degree) -> SHA-256 of the cli._run_prolong body, recorded
 # before Series keys were packed into ints (the exp data) and before one-term
-# factors left the general product (the polynomial data)
+# factors left the general product (the polynomial data). The five polynomial
+# pins of data 2-4 were re-recorded when `degree_used` became the certified
+# degree: their quotients are exact, and each body is the earlier one with
+# `degree_used` null instead of the chain's numerator degree (2, 0, 4, 3, 0
+# in the order below)
 PROLONG = {
     (0, (1, 1), 6): "62042697afefdc91e438a6db8167cf82c50b322beaa355bfb51c4d584d347d99",
     (1, (1, 1), 6): "361bbbbc799816e14a849df1fc7172e11c7cacbc4ac70fc7d1861d62de89a25b",
@@ -219,11 +224,11 @@ PROLONG = {
     (1, (2, 0), 6): "1c3796d04fbfa892f1cf63d63bea82367125ec92bbca5f10bb1d5e7037b41c14",
     (0, (0, 2), 9): "144385391f644beb80dced72d4a1cebd879d8ba24a2b5f0fdcfabf7aaec0899b",
     (1, (0, 2), 9): "470da16a2e267089fdd18887bac8e83f1ed229f136d945b2ace10ace9315f7dd",
-    (2, (2, 1), 6): "d690fe3115fd9ea2249afd492ee41cba816abd572d83c1d5f24c1c6f6fea565c",
-    (2, (1, 2), 9): "6e474472358f91dab8e4ab81c0edb5c171cd5aea9557fa0743052fb3b7c9b6c4",
-    (3, (1, 1), 8): "b82cb6dc694ef436f4c406926b3e8e06a425edc08e26bedf9682bb910d955c82",
-    (3, (2, 0), 6): "5196d36bfaa04dd6fc311e3474c2897102adf1e9babd91825f29294d9f6c2a49",
-    (4, (2, 1), 9): "aa8839a1b1d5b4f805da4b05521133b2b6a6f8507f8f835d1847b78bc1b939f1",
+    (2, (2, 1), 6): "2ff4b57738a4565c3b87e937ba8ff4bae11ca7fe278a432426045ff17d75727d",
+    (2, (1, 2), 9): "84ebfb732a8ee6f165691fca5289bfe565e4475566c67590fff65e51d8ca72ef",
+    (3, (1, 1), 8): "1fdcd5ee119f16543b4fec8b4ee339fdd011c7cdfd8e49515a5132dff5735aa8",
+    (3, (2, 0), 6): "9c30139566f90f58faefafb0ea2ae1b677fe41ec3e2551c058b512998a7b09b6",
+    (4, (2, 1), 9): "a31d59d4b8b4954bee2ec843feb94646a99c5039450eeddaa69a4715813b27ca",
 }
 
 # the same for documents deep enough that the reported denominators are P^511
@@ -241,6 +246,8 @@ def test_prolong_report_is_byte_stable(case):
     assert body["matches_direct_expansion"]
     if data < 2:  # exp data: every value has a non-constant denominator
         assert all(v.startswith("(") and ") / (" in v for v in body["values"])
+    else:  # polynomial data: the quotient is exact
+        assert body["degree_used"] is None
     assert digest == PROLONG[case]
 
 
@@ -359,7 +366,7 @@ def ref_prolongation_solve(instance, alpha, check=True):
     return ProlongationSolution(
         alpha=alpha, pivot=pivot, values=jets[alpha], jets=jets,
         max_jet_order_used=max(used_orders),
-        degree_used=min(v.num.degree for v in jets[alpha]),
+        degree_used=None,  # the tests below hold degree_used to its definition
     )
 
 
@@ -375,13 +382,59 @@ def test_jets_beyond_the_degree_of_a_are_refused():
 
 
 def test_zero_value_over_a_power_of_a_polynomial_pivot():
-    """b = 1 has a zero jet at z^2, over P^4 for P = chi + chi^2: reported as
-    the exact zero of degree 0, as the fraction chain gives it."""
+    """b = 1 has a zero jet at z^2, over P^4 for P = chi + chi^2: the exact
+    zero, a quotient known completely, so `degree_used` is None."""
     a = Series.polynomial(2, 6, {(0, 1): 1, (0, 2): 1, (1, 0): 1, (2, 0): 1})
     inst = expand_instance(a, 1, [Series.one(2, 6)], 2)
-    (got,), (want,) = prolongation_solve(inst, (2,)).values, ref_prolongation_solve(inst, (2,)).values
-    assert (got.num, got.num.exact, got.den, got.den.exact) == (want.num, True, want.den, True)
-    assert (got.num.degree, got.den.poly_degree, got.cert) == (0, 8, math.inf)
+    sol = prolongation_solve(inst, (2,))
+    (got,), (want,) = sol.values, ref_prolongation_solve(inst, (2,)).values
+    assert got == want and got.is_zero
+    assert (got.num.exact, got.den, got.den.exact) == (True, want.den, True)
+    assert (got.den.poly_degree, got.cert, sol.degree_used) == (8, math.inf, None)
+
+
+def solve_document(text, degree):
+    """The cli._run_prolong body of a one-task prolong document at `degree`,
+    and the solution behind it."""
+    doc = grammar.parse(f"degree {degree}\n{text}")
+    env = {d.name: d for d in doc.declarations}
+    task = doc.tasks[0]
+    n = len(task.alpha)
+    layout, arity = grammar.pair_layout(n)
+    a, *b = (grammar.evaluate(env[name].expr, layout, arity, degree)
+             for name in (task.a, *task.components))
+    order = mi.degree(task.alpha) + mi.degree(minimal_ordered_nonzero(a, n))
+    return _run_prolong(task, env, degree), prolongation_solve(expand_instance(a, n, b, order), task.alpha)
+
+
+def agreement(v, w):
+    """The degree through which the quotients v and w agree, infinite when they
+    are equal, with each known numerator and denominator taken as an exact
+    polynomial."""
+    def lifted(f):
+        return FracSeries(*(Series.polynomial(s.arity, s.degree, s.terms) for s in (f.num, f.den)))
+    return (lifted(v) - lifted(w)).valuation - 1
+
+
+# (document, degree, the degree its value is certified through): pivots that
+# vanish at chi = 0 under truncated data, where `degree_used` was the smallest
+# numerator degree of the fraction chain and claimed coefficients that the
+# data do not fix: 2 for the first, 1 for the second, whose value was "0"
+MISCERTIFIED = [
+    ("A = z1*(chi1^2 + chi1^3)\nb = z1*exp(chi1)\nprolong A, b at (1)\n", 4, 0),
+    ("A = z2*(chi1 + chi2) + z1^2\nb = z1^2*z2*exp(chi1) + z2^3*exp(chi2)\n"
+     "prolong A, b at (2, 1)\n", 10, 4),
+]
+
+
+@pytest.mark.parametrize("text, degree, certified", MISCERTIFIED, ids=["order-2-pivot", "two-chi-pivot"])
+def test_degree_used_is_the_degree_the_value_is_certified_through(text, degree, certified):
+    """The value agrees with the degree-16 solve through `degree_used` and not
+    one degree further."""
+    body, sol = solve_document(text, degree)
+    assert body["degree_used"] == sol.degree_used == certified
+    _, deep = solve_document(text, 16)
+    assert [agreement(v, w) for v, w in zip(sol.values, deep.values)] == [certified]
 
 
 def solve_or_error(solve, instance, alpha):
@@ -452,14 +505,16 @@ if given is not None:
         jets = {beta: tuple(Series(arity - n, d, t, x) for t, d, x in vec) for beta, vec in jets.items()}
         return ProlongationInstance(a, n, jets), alpha, False
 
-    # cases the strategy rarely draws: the cert of the last division is set by
-    # its second term, where the chain's denominator has positive order
+    # cases the strategy rarely draws: the cert the fraction chain carried
+    # through its last division (3) exceeds what the constructor's formula
+    # certifies for the value it gives (0)
     SECOND_CERT = fixed_case(
         1, 5, {(0, 1, 0): qr(-2, -2), (0, 2, 0): qr(2, 3), (2, 1, 0): qr(0, 1)},
         {(0,): [({}, 5, False)], (1,): [({}, 1, True)],
          (2,): [({(3, 0): qr(1, -2), (0, 0): qr(-2, -3), (0, 3): qr(0, -1)}, 5, False)]},
         (2,))
-    # and a chain numerator whose lowest term lies past its truncation degree
+    # and one the chain refused: with P(0) = 0, its denominator for the jet at
+    # (2, 1) is P^6, which vanishes through the degree 5 of that jet's data
     VANISHED_NUM = fixed_case(
         2, 8, {(0, 0, 1): 2, (0, 0, 2): qr(2, -1), (1, 0, 0): qr(-2, 3), (1, 1, 1): qr(-2, 3),
                (1, 1, 0): -1, (1, 0, 1): qr(3, -1)},
@@ -474,6 +529,12 @@ if given is not None:
          (3, 0): [({}, 5, False)]},
         (0, 3))
 
+    def certified(values):
+        """The smallest degree the `FracSeries` constructor certifies for the
+        values, None when it is infinite."""
+        cert = min(FracSeries(v.num, v.den).cert for v in values)
+        return None if cert == math.inf else cert
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(prolong_case())
     @example(SECOND_CERT)
@@ -484,22 +545,25 @@ if given is not None:
         want, want_err = solve_or_error(ref_prolongation_solve, inst, alpha)
         if isinstance(want_err, DivisionUncertifiable):
             # when P(0) = 0 the running sums of the earlier consistency loop
-            # can vanish where no solved jet's denominator does; the solve
-            # itself must still agree
+            # can vanish where no solved jet's denominator does
             unchecked, err = solve_or_error(
                 lambda i, a: ref_prolongation_solve(i, a, check=False), inst, alpha)
             if err is None:
                 want, want_err = unchecked, None
-        assert type(got_err) is type(want_err)
-        if isinstance(want_err, DivisionUncertifiable):
-            assert str(got_err) == str(want_err)
-        if want_err is not None:
+        # the chain refuses where the solve answers, as for VANISHED_NUM, when
+        # P(0) = 0 and some solved jet's denominator, P to a power exponential
+        # in the jet's order, vanishes through its truncation degree. The
+        # solve divides that jet by a power linear in its order, and alpha's
+        # values by their power of P at the degree their numerators know
+        refused = got_err is None and isinstance(want_err, DivisionUncertifiable)
+        # where both refuse, the degrees they name belong to different powers of P
+        assert refused or type(got_err) is type(want_err)
+        if got_err is not None:
             return
-        assert (got.max_jet_order_used, got.degree_used) == (want.max_jet_order_used, want.degree_used)
-        for g, w in zip(got.values, want.values):
-            for gs, ws in ((g.num, w.num), (g.den, w.den)):
-                assert (gs, gs.exact) == (ws, ws.exact)
-            assert g.cert == w.cert
+        assert got.degree_used == certified(got.values)
+        if refused:
+            return
+        assert got.max_jet_order_used == want.max_jet_order_used
         assert got.jets.keys() == want.jets.keys()
         for gamma, vec in want.jets.items():
             assert list(got.jets[gamma]) == list(vec)
@@ -519,3 +583,54 @@ if given is not None:
         for solve in (prolongation_solve, ref_prolongation_solve):
             with pytest.raises(InconsistentData):
                 solve(bad, alpha)
+
+    @st.composite
+    def lifted_case(draw):
+        """A and the components of b through degree D + k, each an exact
+        polynomial or a series known through D + k only, with terms up to that
+        degree; and alpha, D.
+
+        The pivot block P is a unit or vanishes at the origin, and has a term
+        of total degree at most 3, so that A truncated at D keeps its pivot.
+        """
+        n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        degree = draw(st.integers(3, 6))
+        top = degree + draw(st.integers(1, 4))
+        pivot = draw(st.sampled_from(list(mi.iter_up_to(n, 1))))
+        unit = draw(st.booleans())
+        low = list(mi.iter_up_to(p, 2))[0 if unit else 1:]
+        p_terms = draw(st.dictionaries(st.sampled_from(low), COEFFS.filter(bool), min_size=1, max_size=2))
+        if unit:
+            p_terms[(0,) * p] = draw(COEFFS.filter(bool))
+        p_terms.update(draw(st.dictionaries(st.sampled_from(list(mi.iter_up_to(p, top - sum(pivot)))),
+                                            COEFFS.filter(bool), max_size=2)))
+        terms = {pivot + c: v for c, v in p_terms.items() if unit or any(c)}
+        above = [z for z in mi.iter_up_to(n, 2) if mi.grlex_key(z) > mi.grlex_key(pivot)]
+        for _ in range(draw(st.integers(0, 4))):
+            z = draw(st.sampled_from(above))
+            terms[z + draw(st.sampled_from(list(mi.iter_up_to(p, top - sum(z)))))] = draw(COEFFS.filter(bool))
+        monomials = list(mi.iter_up_to(n + p, top))
+        b = [Series(n + p, top, draw(st.dictionaries(st.sampled_from(monomials), COEFFS.filter(bool),
+                                                     max_size=5)), draw(st.booleans()))
+             for _ in range(draw(st.integers(1, 2)))]
+        a = Series(n + p, top, terms, draw(st.booleans()))
+        alpha = draw(st.sampled_from(list(mi.iter_up_to(n, min(3 if n == 1 else 2, degree - sum(pivot))))))
+        return a, b, n, alpha, degree
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lifted_case())
+    def test_value_holds_through_degree_used_when_the_data_are_lifted(case):
+        """The value from A and b truncated at D agrees through its
+        `degree_used` with the value from the same A and b at D + k."""
+        a, b, n, alpha, degree = case
+        order = mi.degree(alpha) + mi.degree(minimal_ordered_nonzero(a, n))
+        (low, low_err), (high, high_err) = (
+            solve_or_error(prolongation_solve, expand_instance(a, n, b, order), alpha)
+            for a, b in ((a.truncate(degree), [s.truncate(degree) for s in b]), (a, b)))
+        # P^E vanishes through the degree its numerator knows, where P(0) = 0;
+        # at D + k too, since a block of A known there can raise E
+        if low_err or high_err:
+            assert all(isinstance(e, (DivisionUncertifiable, type(None))) for e in (low_err, high_err))
+            return
+        cert = math.inf if low.degree_used is None else low.degree_used
+        assert all(agreement(v, w) >= cert for v, w in zip(low.values, high.values))
