@@ -119,7 +119,7 @@ def is_transversally_flat(h: CRMap) -> Verdict:
     return vanishes(h.g, {"note": "normal component vanishes", "exact": h.g.exact})
 
 
-def is_not_totally_degenerate(h: CRMap, seed: int = 0) -> Verdict:
+def is_not_totally_degenerate(h: CRMap) -> Verdict:
     """Generic rank of dF/dz restricted to w = 0 equals the source dimension."""
     n = h.source_n
     rows = []
@@ -128,7 +128,7 @@ def is_not_totally_degenerate(h: CRMap, seed: int = 0) -> Verdict:
             c.derivative(j).coefficient_series([h.w_index], (0,)) for j in range(n)
         ]
         rows.append(entries)
-    g = generic_rank(rows, seed=seed)
+    g = generic_rank(rows)
     if g.r >= n:
         return certified_true(dict(g.at_least.witness or {}), h.degree)
     if g.at_most.is_true:
@@ -238,7 +238,6 @@ class InstanceAnalysis(Record, eq=False):
     h: CRMap
     source: NormalHypersurface
     target: NormalHypersurface
-    seed: int = 0
 
     # the analyzers are looked up at call time, so wrapping a module function
     # (as perfbench/tracer.py does) also sees the calls made from here; a
@@ -249,20 +248,18 @@ class InstanceAnalysis(Record, eq=False):
     transversal_order = cached_property(lambda self: transversal_order(self.h))
     transversally_flat = cached_property(lambda self: is_transversally_flat(self.h))
     cr_transversal = cached_property(lambda self: is_cr_transversal(self.h))
-    not_totally_degenerate = cached_property(
-        lambda self: is_not_totally_degenerate(self.h, seed=self.seed)
-    )
+    not_totally_degenerate = cached_property(lambda self: is_not_totally_degenerate(self.h))
     automorphism = cached_property(lambda self: is_automorphism(self.h))
-    source_class_c = cached_property(lambda self: is_class_c(self.source, seed=self.seed))
+    source_class_c = cached_property(lambda self: is_class_c(self.source))
     source_holomorphically_nondegenerate = cached_property(
-        lambda self: is_holomorphically_nondegenerate(self.source, seed=self.seed)
+        lambda self: is_holomorphically_nondegenerate(self.source)
     )
 
     @cached_property
     def source_class_cm(self) -> Verdict:
         if not self.source_type.is_infinite:
             return unknown({"note": "source type not certified infinite"})
-        return is_class_cm(self.source, seed=self.seed)
+        return is_class_cm(self.source)
 
     @cached_property
     def equidimensional(self) -> Verdict:

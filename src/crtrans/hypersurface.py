@@ -257,22 +257,23 @@ def infinite_unit_part(m: NormalHypersurface) -> Tuple[int, Series]:
 # ---------------- nondegeneracy classes ----------------
 
 
-def _gradient_family_rank(
-    src: Series, n: int, grad_vars: Tuple[int, ...], target: int, k_max: int, seed: int
-) -> Verdict:
-    """Generic rank of chi/tau gradients of the z-coefficient family of src.
+def _gradient_family_rank(src: Series, n: int, grad_vars: Tuple[int, ...]) -> Verdict:
+    """Generic rank of the grad_vars-gradients of the z-coefficient family of src.
 
-    Rows are indexed by z-exponents alpha with |alpha| <= k; the k loop stops
-    at the first certified rank >= target. Step k only appends the rows of
-    degree k, and earlier rows stay the same Series objects, so one RankState
-    serves every step: each row is evaluated once per sample point, and each
-    minor, named by its (row indices, column indices), is expanded once.
+    Rows are indexed by z-exponents alpha with |alpha| <= k; the k loop runs
+    up to src.degree - 1, the highest degree whose coefficients still have a
+    known gradient, and stops at the first certified rank >= target, the
+    number of gradient variables. Step k only appends the rows of degree k,
+    and earlier rows stay the same Series objects, so one RankState serves
+    every step: each minor, named by its (row indices, column indices), is
+    expanded once.
     """
     z_block = tuple(range(n))
-    k_cap = min(k_max, src.degree - 1) if src.degree >= 1 else -1
+    target = len(grad_vars)
+    k_cap = src.degree - 1
     blocks = src.coefficient_blocks(z_block)
     rows = []
-    state = RankState(seed)
+    state = RankState()
     last = None
     for k in range(k_cap + 1):
         for alpha in sorted(mi.iter_degree(n, k)):
@@ -280,7 +281,7 @@ def _gradient_family_rank(
             rows.append([c.derivative(j) for j in grad_vars])
         if not rows:
             continue
-        g = generic_rank(rows, seed=seed, state=state)
+        g = generic_rank(rows, state=state)
         last = g
         if g.r >= target:
             wit = {"k": k}
@@ -300,24 +301,20 @@ def _gradient_family_rank(
     return unknown(wit, src.degree)
 
 
-def is_class_c(m: NormalHypersurface, seed: int = 0) -> Verdict:
+def is_class_c(m: NormalHypersurface) -> Verdict:
     """Generic spanning of the chi-gradients of Q(., ., 0)'s z-coefficients."""
-    src = m.q.set_zero([m.tau_index])
-    return _gradient_family_rank(src, m.n, tuple(range(m.n)), m.n, max(m.degree - 1, 1), seed)
+    return _gradient_family_rank(m.q.set_zero([m.tau_index]), m.n, tuple(range(m.n)))
 
 
-def is_class_cm(m: NormalHypersurface, seed: int = 0) -> Verdict:
+def is_class_cm(m: NormalHypersurface) -> Verdict:
     """Class-C test applied to the unit part of an infinite-type normal form."""
     mm, qt = infinite_unit_part(m)
-    src = qt.set_zero([m.tau_index])
-    return _gradient_family_rank(src, m.n, tuple(range(m.n)), m.n, max(qt.degree - 1, 1), seed)
+    return _gradient_family_rank(qt.set_zero([m.tau_index]), m.n, tuple(range(m.n)))
 
 
-def is_holomorphically_nondegenerate(m: NormalHypersurface, seed: int = 0) -> Verdict:
+def is_holomorphically_nondegenerate(m: NormalHypersurface) -> Verdict:
     """Generic spanning of full (chi, tau)-gradients of Q's z-coefficients."""
-    return _gradient_family_rank(
-        m.q, m.n, tuple(range(m.n + 1)), m.n + 1, max(m.degree - 1, 1), seed
-    )
+    return _gradient_family_rank(m.q, m.n, tuple(range(m.n + 1)))
 
 
 # ---------------- the exceptional hypersurface ----------------

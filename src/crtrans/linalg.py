@@ -15,27 +15,28 @@ Scalar rank and scalar determinant share one kernel: fraction-free Bareiss
 elimination (Bareiss, Math. Comp. 22, 1968) over the Gaussian integers,
 applied after each row is scaled by the common denominator of its entries.
 
-Generic rank is decided symbolically: random rational evaluation points
-only propose a candidate, and every reported bound is backed by a minor
-whose determinant is nonzero as a series (lower bound) or by exhaustive
-vanishing of the next minor size (upper bound).
+Generic rank is decided by the minor scan alone, up from size 1: the rank
+is the largest size with a minor whose determinant is nonzero as a series
+(the lower bound's witness, the first such minor in lexicographic order),
+and the upper bound is certified by the exact vanishing of every minor one
+size larger. The sizes with a nonzero minor are always 1..r, since a
+nonzero (k+1)-minor expands along a row into k-minors of its own rows and
+columns, and truncating those expansions commutes with truncating the
+entries; so no starting size other than 1 could change the answer.
 
 A gradient family grows one degree at a time and is asked for its rank after
 each step, so `generic_rank` runs through a `RankState` that the caller may
-keep between calls. It holds the sample points, each point's rows evaluated
-so far (a whole row at once, through `series.evaluate_row`) and every minor
-expanded so far, keyed by (row indices, column indices). Rows are only
-appended and keep their Series objects, which `RankState.extend` checks by
-identity, so a key names the same minor at every step, and the scan visits
-minors in the same order and returns the same witness as one from scratch.
+keep between calls. It holds the rows and every minor expanded so far, keyed
+by (row indices, column indices). Rows are only appended and keep their
+Series objects, which `RankState.extend` checks by identity, so a key names
+the same minor at every step, and the scan visits minors in the same order
+and returns the same witness as one from scratch.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from . import fracseries  # the lazy module: only the fraction-field solves load it
@@ -224,24 +225,16 @@ def _bareiss(mat: List[List[Tuple[int, int]]]) -> Tuple[int, int, Tuple[int, int
 
 # ---------------- rank ----------------
 
-_SAMPLES = 4  # random points that propose a candidate rank
-
-
 class RankState:
-    """Sample points, evaluated rows and expanded minors of a growing row family.
+    """Rows and expanded minors of a growing row family.
 
-    The points are drawn from the seed once the family has a row and a
-    column. `extend` takes appended rows only, checked by identity, so the
+    `extend` takes appended rows only, checked by identity, so the
     (row indices, column indices) key of `dets` names the same minor at every
     step (see the module docstring).
     """
 
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
+    def __init__(self) -> None:
         self.mat = SeriesMatrix(())
-        self.points: Optional[list] = None
-        self.values: dict = {}  # point -> [Gaussian-integer row, None for a zero row]
-        self.ranks: dict = {}  # point -> (live rows, rank) at its last elimination
         self.dets: dict = {}  # (rows, cols) -> determinant of that minor
 
     def extend(self, m: MatrixLike) -> "RankState":
@@ -255,35 +248,13 @@ class RankState:
         self.mat = mat
         return self
 
-    def sample_points(self) -> list:
-        if self.points is None:
-            rng = random.Random(self.seed)
-            self.points = [
-                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(self.mat.arity))
-                for _ in range(_SAMPLES)
-            ]
-        return self.points
 
-
-def rank_at_point(m: Union[MatrixLike, RankState], point: Sequence) -> int:
-    """Rank of the matrix evaluated at an exact point.
-
-    Rows of zero series contribute nothing to the rank and are not evaluated.
-    Given a RankState, only the rows not yet evaluated at this point are, and
-    the elimination runs again only when a live row was appended since the
-    last one.
-    """
-    state = m if isinstance(m, RankState) else RankState().extend(m)
-    key = tuple(point)
-    vals = state.values.setdefault(key, [])
-    for row in state.mat.rows[len(vals):]:
-        vals.append(None if all(e.is_zero for e in row) else evaluate_row(row, point)[0])
-    live = [v for v in vals if v is not None]
-    last = state.ranks.get(key)
-    if last is None or last[0] != len(live):
-        last = state.ranks[key] = (len(live), _bareiss([list(v) for v in live])[0])
-    return last[1]
+def rank_at_point(m: MatrixLike, point: Sequence) -> int:
+    """Rank of the matrix evaluated at an exact point, a lower bound of its
+    generic rank. Rows of zero series add nothing and are not evaluated."""
+    rows = _as_matrix(m).rows
+    return _bareiss([evaluate_row(row, point)[0] for row in rows
+                     if not all(e.is_zero for e in row)])[0]
 
 
 class GenericRank(Record):
@@ -292,7 +263,6 @@ class GenericRank(Record):
     r: int
     at_least: Verdict
     at_most: Verdict
-    evaluations: tuple
 
 
 def _scan_minors(state: RankState, size: int):
@@ -334,46 +304,24 @@ def _scan_minors(state: RankState, size: int):
     return None, all_exact
 
 
-def generic_rank(m: MatrixLike, seed: int = 0, state: Optional[RankState] = None) -> GenericRank:
+def generic_rank(m: MatrixLike, state: Optional[RankState] = None) -> GenericRank:
     """Generic rank of `m`, with a certified lower and upper bound.
 
-    Pass the same `state` (built with this seed) while rows are appended to
-    `m`, and no row is evaluated at a sample point twice and no minor
+    Pass the same `state` while rows are appended to `m`, and no minor is
     expanded twice; without one, a fresh state is used.
     """
-    if state is None:
-        state = RankState(seed)
-    elif state.seed != seed:
-        raise StructureError("rank state was built with another seed")
-    mat = state.extend(m).mat
+    state = (state or RankState()).extend(m)
+    mat = state.mat
     maxs = min(mat.nrows, mat.ncols)
     degree_used = min((e.degree for row in mat.rows for e in row), default=0)
 
-    evaluations = []
-    candidate = 0
-    if maxs > 0:
-        for pt in state.sample_points():
-            rk = rank_at_point(state, pt)
-            evaluations.append((tuple(str(c) for c in pt), rk))
-            candidate = max(candidate, rk)
-
-    r = candidate
-    wit = None
-    while r > 0:
-        wit, _ = _scan_minors(state, r)
-        if wit is not None:
-            break
-        r -= 1
-
-    above_exact = True
+    r, wit, above_exact = 0, None, True
     while r < maxs:
         w2, all_exact = _scan_minors(state, r + 1)
-        if w2 is not None:
-            r += 1
-            wit = w2
-        else:
+        if w2 is None:
             above_exact = all_exact
             break
+        r, wit = r + 1, w2
 
     if r == 0:
         at_least = certified_true({"note": "zero is a trivial lower bound"}, degree_used)
@@ -392,7 +340,7 @@ def generic_rank(m: MatrixLike, seed: int = 0, state: Optional[RankState] = None
             degree_used,
         )
 
-    return GenericRank(r, at_least, at_most, tuple(evaluations))
+    return GenericRank(r, at_least, at_most)
 
 
 # ---------------- solving ----------------
@@ -443,7 +391,7 @@ def _clear_denominators(row: Sequence[fracseries.FracSeries]) -> list[Series]:
     return out
 
 
-def span_membership(vector: Sequence, generators: Sequence[Sequence], seed: int = 0) -> Verdict:
+def span_membership(vector: Sequence, generators: Sequence[Sequence]) -> Verdict:
     """Is `vector` in the span of `generators` over the series fraction field?"""
     if not vector:
         raise StructureError("empty vector")
@@ -481,10 +429,8 @@ def span_membership(vector: Sequence, generators: Sequence[Sequence], seed: int 
             degree_used,
         )
 
-    base = generic_rank(SeriesMatrix(tuple(tuple(r) for r in grows)), seed=seed)
-    extended = generic_rank(
-        SeriesMatrix(tuple(tuple(r) for r in grows) + (tuple(vrow),)), seed=seed
-    )
+    base = generic_rank(SeriesMatrix(tuple(tuple(r) for r in grows)))
+    extended = generic_rank(SeriesMatrix(tuple(tuple(r) for r in grows) + (tuple(vrow),)))
 
     if extended.r > base.r:
         return certified_false(

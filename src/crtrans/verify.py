@@ -390,7 +390,7 @@ _INFINITE_TYPE = (
 
 
 def _suite(
-    instances: Sequence[MapInstance], realm: str, statements: Sequence[tuple], seed: int
+    instances: Sequence[MapInstance], realm: str, statements: Sequence[tuple]
 ) -> List[TheoremSuiteResult]:
     """One row per statement and instance of the realm, each instance analysed
     once; a row decides its hypotheses in order, then its conclusion."""
@@ -398,7 +398,7 @@ def _suite(
     for inst in instances:
         if inst.realm != realm:
             continue
-        a = InstanceAnalysis(inst.h, inst.source, inst.target, seed)
+        a = InstanceAnalysis(inst.h, inst.source, inst.target)
         for theorem, names, conclusion in statements:
             hypotheses = {
                 name: _DERIVED[name](a) if name in _DERIVED else getattr(a, name)
@@ -409,14 +409,12 @@ def _suite(
     return out
 
 
-def suite_finite_type(instances: Sequence[MapInstance], seed: int = 0) -> List[TheoremSuiteResult]:
-    return _suite(instances, "finite", _FINITE_TYPE, seed)
+def suite_finite_type(instances: Sequence[MapInstance]) -> List[TheoremSuiteResult]:
+    return _suite(instances, "finite", _FINITE_TYPE)
 
 
-def suite_infinite_type(
-    instances: Sequence[MapInstance], seed: int = 0
-) -> List[TheoremSuiteResult]:
-    return _suite(instances, "infinite", _INFINITE_TYPE, seed)
+def suite_infinite_type(instances: Sequence[MapInstance]) -> List[TheoremSuiteResult]:
+    return _suite(instances, "infinite", _INFINITE_TYPE)
 
 
 def _relation_holds(inst: IntertwinedInstance) -> Verdict:
@@ -428,15 +426,11 @@ def _relation_holds(inst: IntertwinedInstance) -> Verdict:
     return vanishes(diff, {"exact": diff.exact})
 
 
-def suite_easystuff(
-    instances: Sequence[IntertwinedInstance], seed: int = 0
-) -> List[TheoremSuiteResult]:
+def suite_easystuff(instances: Sequence[IntertwinedInstance]) -> List[TheoremSuiteResult]:
     out: List[TheoremSuiteResult] = []
     for inst in instances:
         n = inst.n
-        rank = _gradient_family_rank(
-            inst.a, n, tuple(range(n)), n, k_max=inst.a.degree - 1, seed=seed
-        )
+        rank = _gradient_family_rank(inst.a, n, tuple(range(n)))
         relation = _relation_holds(inst)
         db0 = [
             [c.coefficient(tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
@@ -465,7 +459,7 @@ def suite_easystuff(
 
 def suite_report(suites: Mapping[str, Sequence[TheoremSuiteResult]]) -> dict:
     """The rows of the named suites with their status counts. The degree,
-    convention and seed they ran at are the report envelope's."""
+    convention they ran at and the seed are the report envelope's."""
     counts = {"confirmed": 0, "hypothesis_not_certified": 0, "falsified": 0}
     for rows in suites.values():
         for r in rows:
@@ -482,12 +476,12 @@ def suite_report(suites: Mapping[str, Sequence[TheoremSuiteResult]]) -> dict:
     }
 
 
-def run_all(degree: int = 10, convention: Convention = Convention.TWO_I, seed: int = 0) -> dict:
+def run_all(degree: int = 10, convention: Convention = Convention.TWO_I) -> dict:
     maps, easy = build_registry(degree, convention)
     suites = {
-        "finite_type": suite_finite_type(maps, seed=seed),
-        "infinite_type": suite_infinite_type(maps, seed=seed),
-        "easystuff": suite_easystuff(easy, seed=seed),
+        "finite_type": suite_finite_type(maps),
+        "infinite_type": suite_infinite_type(maps),
+        "easystuff": suite_easystuff(easy),
     }
     notes = {inst.id: inst.note for inst in maps if inst.note}
     notes.update({inst.id: inst.note for inst in easy if inst.note})

@@ -357,7 +357,7 @@ def test_criterion_10_generic_rank_matches_minor_rank():
                 else:
                     row.append(_random_poly(rng, 2, 20, rng.randint(1, 3), 4))
             rows.append(row)
-        gr = generic_rank(rows, seed=trial)
+        gr = generic_rank(rows)
         assert gr.at_least.is_true or gr.r == 0
         assert gr.r == _minor_rank(rows), f"trial {trial}"
         for _ in range(5):

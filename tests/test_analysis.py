@@ -56,7 +56,7 @@ def checkmap(shape, conv: Convention) -> dict:
     hmap, src, tgt = shape
     doc = grammar.parse(f"checkmap {hmap} : {src} -> {tgt}\n")
     env = {d.name: d for d in doc.declarations}
-    return _run_checkmap(doc.tasks[0], env, 12, conv, 0)
+    return _run_checkmap(doc.tasks[0], env, 12, conv)
 
 
 @pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
@@ -66,7 +66,7 @@ def test_run_all_report_is_byte_stable(conv):
 
 @pytest.mark.parametrize("suite", sorted(SINGLE_SUITE))
 def test_single_suite_report_is_byte_stable(suite):
-    body = _run_verify(suite, 10, Convention.TWO_I, 0)
+    body = _run_verify(suite, 10, Convention.TWO_I)
     assert "instance_notes" not in body
     assert digest(body) == SINGLE_SUITE[suite]
 

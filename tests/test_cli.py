@@ -8,6 +8,8 @@ from crtrans import verify
 from crtrans.cli import SCHEMA, main
 from crtrans.verdict import certified_false
 
+from test_classify import DEGENERATE, DENSE
+
 POWER_DOC = """\
 T2 = map(F = z, G = w^2)
 M2 = exp_model(2)
@@ -171,6 +173,28 @@ def test_verify_json_file_is_byte_stable(capsys, tmp_path):
     assert main(["verify", "--seed", "5", "--json", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# argv -> stdin document (None for the commands that read none): a dense and
+# a Levi-degenerate classify, whose rank scans run to their caps, a check-map
+# and the registry commands
+SEED_FREE = {
+    "classify dense": (["classify", "--degree", "8"], f"M = graph({DENSE})\nclassify M\n"),
+    "classify degenerate": (["classify", "--degree", "8"], f"M = graph({DEGENERATE})\nclassify M\n"),
+    "check-map": (["check-map", "--degree", "12"], POWER_DOC),
+    "verify easystuff": (["verify", "--suite", "easystuff"], None),
+    "examples": (["examples"], None),
+}
+
+
+@pytest.mark.parametrize("argv, doc", list(SEED_FREE.values()), ids=list(SEED_FREE))
+def test_reports_do_not_depend_on_the_seed(capsys, monkeypatch, argv, doc):
+    reports = []
+    for seed in (0, 999):
+        code, rep, err = run_json(capsys, argv + ["--seed", str(seed)], doc, monkeypatch)
+        assert rep.pop("seed") == seed
+        reports.append((code, rep, err))
+    assert reports[0] == reports[1]
 
 
 def test_examples_catalog(capsys):

@@ -135,9 +135,10 @@ def test_generic_rank_bounds_point_ranks():
     for _ in range(6):
         rows = [[rand_poly(rng, 2, 3, density=0.5) for _ in range(3)]
                 for _ in range(2)]
-        g = generic_rank(rows, seed=1)
-        for pt, rk in g.evaluations:
-            assert rk <= g.r
+        g = generic_rank(rows)
+        for _ in range(4):
+            point = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
+            assert rank_at_point(rows, point) <= g.r
 
 
 def test_generic_rank_monotone_under_row_append():
@@ -150,15 +151,13 @@ def test_generic_rank_monotone_under_row_append():
 def test_rank_state_takes_appended_rows_only():
     rng = random.Random(54)
     rows = [[rand_poly(rng, 2, 3) for _ in range(2)] for _ in range(3)]
-    state = RankState(seed=1)
-    generic_rank(rows[:2], seed=1, state=state)
-    generic_rank(rows, seed=1, state=state)
+    state = RankState()
+    generic_rank(rows[:2], state=state)
+    generic_rank(rows, state=state)
     with pytest.raises(StructureError):
-        generic_rank(rows[:2], seed=1, state=state)  # rows dropped
+        generic_rank(rows[:2], state=state)  # rows dropped
     with pytest.raises(StructureError):
-        generic_rank([rows[1], rows[0], rows[2]], seed=1, state=state)  # rows reordered
-    with pytest.raises(StructureError):
-        generic_rank(rows, seed=2, state=state)  # points drawn from another seed
+        generic_rank([rows[1], rows[0], rows[2]], state=state)  # rows reordered
 
 
 def test_generic_rank_truncation_unknown():

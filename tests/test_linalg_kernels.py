@@ -2,19 +2,23 @@
 
 The `ref_*` functions below are the earlier code kept as references:
 `Series.evaluate` term by term in GaussianRational, Gauss elimination for the
-scalar rank, the permutation expansion for the scalar determinant, and the
-minor scan over every row and column. Derandomized property tests check the
-Bareiss kernel, the integer `evaluate` and the scan that skips exact-zero rows
-and columns against them, and against sympy over Q(i) when it is installed.
-They also check that a generic rank kept up to date while rows are appended
-(one `RankState` for the whole family) equals the rank computed from scratch
-on every prefix.
+scalar rank, the permutation expansion for the scalar determinant, the minor
+scan over every row and column, and the generic rank whose scan started at
+the largest rank found at seeded random sample points. Derandomized property
+tests check the Bareiss kernel, the integer `evaluate`, the scan that skips
+exact-zero rows and columns and the scan up from size 1 against them, and
+against sympy over Q(i) when it is installed. They also check that a generic
+rank kept up to date while rows are appended (one `RankState` for the whole
+family) equals the rank computed from scratch on every prefix, and how the
+rank behaves when exact rows are lifted to a higher truncation degree or
+rows are truncated to a lower one.
 Needs the optional `hypothesis` package (the `test` extra); the module is
 skipped without it.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -38,6 +42,7 @@ from crtrans.linalg import (  # noqa: E402
 )
 from crtrans.scalar import ZERO, GaussianRational, qr  # noqa: E402
 from crtrans.series import Series, evaluate_row  # noqa: E402
+from crtrans.verdict import certified_true, unknown  # noqa: E402
 
 from test_classify import DEGENERATE, classify  # noqa: E402
 
@@ -122,6 +127,42 @@ def ref_rank_at_point(m, point):
     return ref_scalar_rank([[ref_evaluate(e, point) for e in row] for row in mat.rows])
 
 
+def ref_generic_rank(mat, seed):
+    """(r, at_least, at_most) of the sample-guided scan: the largest rank at 4
+    seeded random points proposes a size, the scan goes down from it to the
+    first size with a nonzero minor, then up while the next size has one."""
+    rng = random.Random(seed)
+    points = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(mat.arity))
+              for _ in range(4)]
+    maxs = min(mat.nrows, mat.ncols)
+    degree_used = min((e.degree for row in mat.rows for e in row), default=0)
+    r = max(ref_rank_at_point(mat, p) for p in points) if maxs else 0
+    wit = None
+    while r > 0:
+        wit, _ = ref_scan_minors(mat, r)
+        if wit is not None:
+            break
+        r -= 1
+    above_exact = True
+    while r < maxs:
+        w2, all_exact = ref_scan_minors(mat, r + 1)
+        if w2 is None:
+            above_exact = all_exact
+            break
+        r, wit = r + 1, w2
+    at_least = certified_true(wit or {"note": "zero is a trivial lower bound"}, degree_used)
+    if r == maxs:
+        at_most = certified_true({"note": "bounded by matrix size"}, degree_used)
+    elif above_exact:
+        at_most = certified_true(
+            {"note": f"every minor of size {r + 1} vanishes identically"}, degree_used
+        )
+    else:
+        at_most = unknown({"note": f"minors of size {r + 1} vanish up to truncation only"},
+                          degree_used)
+    return r, at_least, at_most
+
+
 # ---------------- strategies ----------------
 
 
@@ -163,20 +204,21 @@ def series(draw, arity, degree, exact=None):
 
 
 @st.composite
-def series_matrix(draw):
-    """A series matrix with exact-zero rows and columns and inexact-zero rows inserted."""
+def series_matrix(draw, degrees=st.integers(1, 3), exact=None):
+    """A series matrix with exact-zero rows and columns and zero rows inserted,
+    inexact ones among them unless every entry is to be `exact`."""
     arity = draw(st.integers(1, 2))
-    degree = draw(st.integers(1, 3))
+    degree = draw(degrees)
     nr, nc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    rows = [[draw(series(arity, degree)) for _ in range(nc)] for _ in range(nr)]
+    rows = [[draw(series(arity, degree, exact)) for _ in range(nc)] for _ in range(nr)]
     zero = Series.zero(arity, degree)
     for _ in range(draw(st.integers(0, 2))):
         j = draw(st.integers(0, len(rows[0])))
         rows = [r[:j] + [zero] + r[j:] for r in rows]
     for _ in range(draw(st.integers(0, 3))):
-        exact = draw(st.booleans())
+        flag = draw(st.booleans()) if exact is None else exact
         i = draw(st.integers(0, len(rows)))
-        rows.insert(i, [Series.zero(arity, degree, exact=exact)] * len(rows[0]))
+        rows.insert(i, [Series.zero(arity, degree, exact=flag)] * len(rows[0]))
     return SeriesMatrix(tuple(tuple(r) for r in rows))
 
 
@@ -241,28 +283,53 @@ def test_rank_and_determinant_match_sympy(rows, square):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(series_matrix(), st.integers(0, 3))
-def test_generic_rank_matches_reference_scan(mat, seed):
+@given(series_matrix())
+def test_generic_rank_matches_reference_scan(mat):
     for size in range(1, min(mat.nrows, mat.ncols) + 1):
         assert _scan_minors(RankState().extend(mat), size) == ref_scan_minors(mat, size)
-    got = generic_rank(mat, seed=seed).to_json()
-    # generic_rank hands its RankState to both; the references read its matrix
+    got = generic_rank(mat).to_json()
+    # generic_rank hands its RankState to the scan; the reference reads its matrix
     with mock.patch.object(linalg, "_scan_minors",
-                           lambda state, size: ref_scan_minors(state.mat, size)), \
-            mock.patch.object(linalg, "rank_at_point",
-                              lambda state, point: ref_rank_at_point(state.mat, point)):
-        want = generic_rank(mat, seed=seed).to_json()
+                           lambda state, size: ref_scan_minors(state.mat, size)):
+        want = generic_rank(mat).to_json()
     assert got == want
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(series_matrix(), st.integers(0, 3))
-def test_incremental_rank_matches_from_scratch_on_every_prefix(mat, seed):
-    state = RankState(seed)
+def test_scan_from_size_one_matches_the_sample_guided_scan(mat, seed):
+    # a nonzero (k+1)-minor forces a nonzero k-minor, so where the scan
+    # starts cannot change the rank, its witness or the exactness above it
+    g = generic_rank(mat)
+    assert (g.r, g.at_least, g.at_most) == ref_generic_rank(mat, seed)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(series_matrix(exact=True), st.integers(1, 4))
+def test_lifting_exact_rows_keeps_the_rank_and_its_certificates(mat, k):
+    lifted = SeriesMatrix(tuple(tuple(e.lift(e.degree + k) for e in row) for row in mat.rows))
+    g, h = generic_rank(mat), generic_rank(lifted)
+    assert h.r == g.r
+    assert h.at_least.witness == g.at_least.witness
+    assert h.at_most.status is g.at_most.status
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(series_matrix(degrees=st.integers(2, 5)), st.integers(1, 4))
+def test_truncating_rows_never_raises_the_rank(mat, k):
+    low = max(mat.rows[0][0].degree - k, 0)
+    cut = SeriesMatrix(tuple(tuple(e.truncate(low) for e in row) for row in mat.rows))
+    assert generic_rank(cut).r <= generic_rank(mat).r
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(series_matrix())
+def test_incremental_rank_matches_from_scratch_on_every_prefix(mat):
+    state = RankState()
     for p in range(1, mat.nrows + 1):
         rows = mat.rows[:p]
-        got = generic_rank(rows, seed=seed, state=state).to_json()
-        assert got == generic_rank(rows, seed=seed).to_json()
+        got = generic_rank(rows, state=state).to_json()
+        assert got == generic_rank(rows).to_json()
 
 
 @pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
@@ -270,13 +337,13 @@ def test_incremental_rank_matches_from_scratch_on_a_degenerate_family(monkeypatc
     # every step of class C and holomorphic nondegeneracy runs to the cap k = 7
     calls = []
 
-    def recording(rows, seed=0, state=None):
-        g = linalg.generic_rank(rows, seed=seed, state=state)
-        calls.append((list(rows), seed, g.to_json()))
+    def recording(rows, state=None):
+        g = linalg.generic_rank(rows, state=state)
+        calls.append((list(rows), g.to_json()))
         return g
 
     monkeypatch.setattr(hypersurface, "generic_rank", recording)
-    classify(DEGENERATE, 8, conv, 675)
+    classify(DEGENERATE, 8, conv)
     assert len(calls) == 16
-    for rows, seed, got in calls:
-        assert generic_rank(rows, seed=seed).to_json() == got
+    for rows, got in calls:
+        assert generic_rank(rows).to_json() == got

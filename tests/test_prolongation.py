@@ -437,6 +437,15 @@ def test_degree_used_is_the_degree_the_value_is_certified_through(text, degree, 
     assert [agreement(v, w) for v, w in zip(sol.values, deep.values)] == [certified]
 
 
+def test_a_value_certified_through_no_degree_matches_nothing():
+    """The pivot chi1^3 leaves the degree-4 value certified through degree -1,
+    and a quotient known through no degree compares equal to any other, so
+    the report must not count it as matching the forward data (exp(chi1))."""
+    body, sol = solve_document("A = z1*chi1^3\nb = z1*exp(chi1)\nprolong A, b at (1)\n", 4)
+    assert (body["values"], body["degree_used"], sol.degree_used) == (["0"], -1, -1)
+    assert body["matches_direct_expansion"] is False
+
+
 def solve_or_error(solve, instance, alpha):
     try:
         return solve(instance, alpha), None
