@@ -741,11 +741,13 @@ def pair_layout(n: int) -> Tuple[Dict[str, int], int]:
 
 def evaluate(node: ExprNode, layout: Dict[str, int], arity: int, degree: int) -> series.Series:
     """Evaluate an expression to a truncated series over the given layout."""
-    Series, qr = series.Series, scalar.qr
-    if isinstance(node, Num):
-        return Series.polynomial(arity, degree, {(0,) * arity: node.value})
-    if isinstance(node, Imag):
-        return Series.polynomial(arity, degree, {(0,) * arity: qr(0, 1)})
+    Series = series.Series
+    if isinstance(node, (Num, Imag)):
+        if degree < 0:  # refused as `Series` refuses it, since the trusted constructor does not
+            raise StructureError("arity and truncation degree must be non-negative")
+        # key 0 is the constant term, and a Gaussian integer over 1 is in lowest terms
+        num = {0: (0, 1)} if isinstance(node, Imag) else {0: (node.value, 0)} if node.value else {}
+        return Series._make(arity, degree, num, 1, True)
     if isinstance(node, Var):
         idx = layout.get(node.name)
         if idx is None:
@@ -771,5 +773,5 @@ def evaluate(node: ExprNode, layout: Dict[str, int], arity: int, degree: int) ->
         c = right.constant_term
         if not c:
             raise StructureError("division by zero")
-        return left.scale(qr(1) / c)
+        return left.scale(scalar.qr(1) / c)
     raise StructureError(f"cannot evaluate {node!r}")

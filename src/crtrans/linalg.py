@@ -111,6 +111,8 @@ def _det(entries: Sequence[Sequence[Series]]) -> Series:
         work = min(e.degree for row in entries for e in row)
         entries = [[e.truncate(work) if e.degree > work else e for e in row]
                    for row in entries]
+    if n == 1:  # the expansion would multiply the entry by Series.one: the same terms and flag
+        return entries[0][0]
 
     memo: dict = {}
 

@@ -17,14 +17,13 @@ of a product term is the sum of the keys: a kept product has degree at most
 the truncation degree, so no field carries. A truncation degree above
 MAX_DEGREE does not fit and raises StructureError. Exponent tuples are built
 only at the boundary: `terms` is a read-only `idx -> GaussianRational` view,
-and GaussianRational stays the type every public query returns.
+and GaussianRational stays the type every public query returns. Series
+objects are immutable by convention.
 
 The `exact` flag records when the stored terms are known to be the whole
 series (a polynomial). It is metadata, not part of equality; consumers use it
 to upgrade "zero up to truncation" into certified vanishing. Operations
 propagate it conservatively: when in doubt the flag is dropped, never invented.
-
-Series objects are immutable by convention; `terms` is a read-only view.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ Order = Union[int, float]  # math.inf marks "no visible nonzero term"
 INFINITE_ORDER: float = math.inf
 
 NumMap = Dict[int, Tuple[int, int]]  # packed key -> Gaussian-integer numerator (re, im)
+Groups = Dict[Tuple[int, ...], NumMap]  # exponents in the non-shift components -> polynomial
 
 _W = 16  # bits per key field, an unsigned short, so keys convert through struct
 _MASK = (1 << _W) - 1
@@ -373,7 +373,11 @@ class Series:
         num = {k: (-re, -im) for k, (re, im) in self._num.items()}
         return Series._make(self.arity, self.degree, num, self._den, self.exact)
 
-    def _add_signed(self, other: "Series", sign: int) -> "Series":
+    def _add_signed(self, other: Union["Series", ScalarLike], sign: int) -> "Series":
+        if not isinstance(other, Series):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
+            other = Series.constant(other, self.arity, self.degree)
         self._check_arity(other)
         d = min(self.degree, other.degree)
         a = self.truncate(d)
@@ -393,19 +397,11 @@ class Series:
         return Series._reduced(self.arity, d, out, den, a.exact and b.exact)
 
     def __add__(self, other: Union["Series", ScalarLike]) -> "Series":
-        if not isinstance(other, Series):
-            if not isinstance(other, _SCALARS):
-                return NotImplemented
-            other = Series.constant(other, self.arity, self.degree)
         return self._add_signed(other, +1)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Series", ScalarLike]) -> "Series":
-        if not isinstance(other, Series):
-            if not isinstance(other, _SCALARS):
-                return NotImplemented
-            other = Series.constant(other, self.arity, self.degree)
         return self._add_signed(other, -1)
 
     def __rsub__(self, other: ScalarLike) -> "Series":
@@ -540,11 +536,8 @@ class Series:
         return Series._make(self.arity, self.degree - amount, out, self._den, self.exact)
 
     def permute(self, new_positions: Sequence[int]) -> "Series":
-        """Send old variable i to position new_positions[i]."""
-        pos = tuple(new_positions)
-        if sorted(pos) != list(range(self.arity)):
-            raise StructureError(f"{pos} is not a permutation of range({self.arity})")
-        return self.embed(self.arity, pos)
+        """Send old variable i to position new_positions[i]; `embed` refuses a non-permutation."""
+        return self.embed(self.arity, new_positions)
 
     def embed(self, arity: int, positions: Sequence[int]) -> "Series":
         """View this series inside a larger ring; old var i becomes positions[i]."""
@@ -599,18 +592,12 @@ class Series:
                 if e > 0
             )
             cs = str(v)
-            if mono:
-                if cs == "1":
-                    body = mono
-                elif cs == "-1":
-                    body = f"-{mono}"
-                else:
-                    if ("+" in cs[1:]) or ("-" in cs[1:]):
-                        cs = f"({cs})"
-                    body = f"{cs}*{mono}"
-            else:
-                body = cs if not (("+" in cs[1:]) or ("-" in cs[1:])) else f"({cs})"
-            parts.append(body)
+            if ("+" in cs[1:]) or ("-" in cs[1:]):
+                cs = f"({cs})"
+            if not mono:
+                parts.append(cs)
+            else:  # a coefficient of 1 or -1 shows as the monomial or its negative
+                parts.append(cs[:-1] + mono if cs in ("1", "-1") else f"{cs}*{mono}")
         text = parts[0]
         for p in parts[1:]:
             text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -688,20 +675,13 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
     A component that is exactly a variable x_j as `Series.variable` builds it
     (exact, one term of degree 1, coefficient 1) is a shift: it adds its
     exponent to x_j in the key of each term of f and makes no product. The
-    terms of f are grouped by their exponents in the other components. One
-    group becomes one polynomial over f's denominator in the shifted keys,
-    where terms landing on the same key are summed. The groups are then
-    evaluated by truncated Horner in the last other component, each Horner
-    coefficient being the same evaluation in the remaining components, so a
-    step costs one product, taken only through the degree the rest of the
-    scheme needs (see `_horner`).
+    terms of f are grouped by their exponents in the other components (see
+    `_group`), and the groups are evaluated by truncated Horner in those
+    components, one product a step (see `_horner`).
 
     The result is exact when f is, no term of f lies beyond the truncation
     degree or is lost to an inexact zero component, and every term's image
-    is an exact polynomial within the truncation degree: its components are
-    exact and the sum of exponent times component degree is at most the
-    truncation degree. That is decided term by term, before the terms of a
-    group can cancel, so a cancellation never hides a term that overflowed.
+    is an exact polynomial within the truncation degree (see `_fits`).
     """
     comps = list(components)
     if len(comps) != f.arity:
@@ -709,46 +689,58 @@ def compose(f: Series, components: Sequence[Series]) -> Series:
     if f.arity == 0:
         return f
     arity = comps[0].arity
-    degrees = [c.degree for c in comps]
     for c in comps:
         if c.arity != arity:
             raise ArityMismatch("substitution components live in different rings")
         if not c.is_pointed:
             raise NotPointed("substitution requires components with zero constant term")
-    d = min([f.degree] + degrees)
+    d = min([f.degree] + [c.degree for c in comps])
     shifts = [_shift_key(c) for c in comps]
-    others = [i for i, x in enumerate(shifts) if x is None]
-    poly_degrees = [c.poly_degree for c in comps]
+    others = [c for c, x in zip(comps, shifts) if x is None]
+    groups, exact = _group(f, d, shifts)
+    exact = exact and _fits(groups, others, arity, d)
+    return _horner(groups, [[c.truncate(d)] for c in others], arity, d, f._den)._with_exact(exact)
+
+
+def _group(f: Series, d: int, shifts: Sequence[Optional[int]]) -> Tuple[Groups, bool]:
+    """f's terms through degree d as `_horner` groups, and whether none lies beyond d.
+
+    shifts[i] is component i's key if it is a shift (see `_shift_key`), else
+    None. A term joins the group of its non-shift exponents at the key its
+    shifts give, summed with any term already there.
+    """
     exact = f.exact
-    groups: Dict[Tuple[int, ...], NumMap] = {}
+    groups: Groups = {}
     for k, (re, im) in f._num.items():
         if k >> (f.arity * _W) > d:
-            # contributes only beyond the truncation degree
-            exact = False
+            exact = False  # contributes only beyond the truncation degree
             continue
         alpha = _index(k, f.arity)
-        zero = next((i for i, e in enumerate(alpha) if e and comps[i].is_zero), None)
-        if zero is not None:
-            exact = exact and comps[zero].exact
-            continue
-        key = 0
-        top = 0  # degree of the term's image before truncation
-        for i, e in enumerate(alpha):
-            if e:
-                if shifts[i] is None:
-                    exact = exact and comps[i].exact
-                    top += e * poly_degrees[i]
-                else:
-                    key += e * shifts[i]
-                    top += e
-        if top > d:
-            exact = False
-        num = groups.setdefault(tuple(alpha[i] for i in others), {})
+        key = sum(e * x for e, x in zip(alpha, shifts) if x is not None)
+        num = groups.setdefault(tuple(e for e, x in zip(alpha, shifts) if x is None), {})
         cur = num.get(key)
         num[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    return groups, exact
 
-    powers = [[comps[i].truncate(d)] for i in others]
-    return _horner(groups, powers, arity, d, f._den)._with_exact(exact)
+
+def _fits(groups: Groups, comps: Sequence[Series], arity: int, d: int) -> bool:
+    """Whether each group's image under the non-shift `comps` is exact within degree d.
+
+    A group on a zero component has no image, exact when that zero is. Any
+    other needs exact components and its largest key's degree plus exponent
+    times component degree at most d; a cancelled sum stays as a zero entry.
+    """
+    for alpha, num in groups.items():
+        used = [(e, c) for e, c in zip(alpha, comps) if e]
+        zero = next((c for _, c in used if c.is_zero), None)
+        if zero is not None:
+            fits = zero.exact
+        else:
+            top = (max(num) >> (arity * _W)) + sum(e * c.poly_degree for e, c in used)
+            fits = top <= d and all(c.exact for _, c in used)
+        if not fits:
+            return False
+    return True
 
 
 def _power(cache: List[Series], e: int) -> Series:
@@ -758,8 +750,7 @@ def _power(cache: List[Series], e: int) -> Series:
     return cache[e - 1]
 
 
-def _horner(groups: Dict[Tuple[int, ...], NumMap], powers: List[List[Series]],
-            arity: int, d: int, den: int) -> Series:
+def _horner(groups: Groups, powers: List[List[Series]], arity: int, d: int, den: int) -> Series:
     """Sum of G_alpha * prod_i c_i^alpha_i through degree d, by truncated Horner.
 
     `groups` maps alpha to the numerators of G_alpha over `den`, and
@@ -779,7 +770,7 @@ def _horner(groups: Dict[Tuple[int, ...], NumMap], powers: List[List[Series]],
         return Series._reduced(arity, d, num, den, True)
     cache, rest = powers[-1], powers[:-1]
     o = min(cache[0].order(), d + 1)  # a c that is zero through d contributes only at e = 0
-    by_e: Dict[int, Dict[Tuple[int, ...], NumMap]] = {}
+    by_e: Dict[int, Groups] = {}
     for alpha, num in groups.items():
         if alpha[-1] * o <= d:
             by_e.setdefault(alpha[-1], {})[alpha[:-1]] = num
@@ -807,8 +798,7 @@ def invert_unit(f: Series) -> Series:
     d = f.degree
     # f = c0 * (1 - u) with u pointed; inverse is c0^(-1) * sum u^j
     u = (Series.constant(c0, f.arity, d) - f) / c0
-    acc = Series.one(f.arity, d)
-    p = Series.one(f.arity, d)
+    acc = p = Series.one(f.arity, d)
     for _ in range(d):
         p = p * u
         if p.is_zero:
@@ -819,27 +809,38 @@ def invert_unit(f: Series) -> Series:
 
 
 def solve_implicit(rhs: Series) -> Series:
-    """Solve u = rhs(x, u) for the last variable by degree-graded iteration.
+    """Solve u = rhs(x, u) for the last variable by degree-graded Picard iteration.
 
     Preconditions: rhs(0, 0) = 0 and d(rhs)/du(0, 0) = 0. Under these the
     coefficients of the solution stabilize degree by degree and the returned
-    series satisfies the equation exactly up to its truncation degree.
+    series satisfies the equation exactly up to its truncation degree d.
+
+    With o the order of d(rhs)/du: if u agrees with the solution u* through
+    degree k, rhs(x, u) - rhs(x, u*) is (u - u*) times a series of order at
+    least o, so rhs(x, u) agrees with u* through k + o. So from 0, step j
+    composes only through p = j*o, for every p below d, with the last iterate
+    re-declared at p. The full-degree loop starts from that iterate, declared
+    exact like a zero start: one composition reaches d and one confirms
+    nu == u and sets `exact`, sound since a confirmed exact u solves
+    u = rhs(x, u) as polynomials. rhs is grouped by its u-exponent once.
     """
     if rhs.arity < 1:
         raise ArityMismatch("rhs needs at least the unknown variable")
     if not rhs.is_pointed:
         raise NormalizationRequired("rhs(0, 0) must vanish")
-    m = rhs.arity - 1
-    d = rhs.degree
-    lin_u = rhs.terms.get(unit(rhs.arity, m), ZERO)
-    if lin_u:
+    m, d = rhs.arity - 1, rhs.degree
+    o = rhs.derivative(m).order()
+    if o == 0:
         raise NormalizationRequired(
             "d(rhs)/du(0,0) is nonzero; divide the equation by (1 - that coefficient) first"
         )
-    ids = [Series.variable(i, m, d) for i in range(m)]
+    groups, exact = _group(rhs, d, [_shift_key(x) for x in identity_components(m, d)] + [None])
     u = Series.zero(m, d)
+    for p in range(o, d, o) if o < d else ():
+        u = _horner(groups, [[Series._make(m, p, u._num, u._den, True)]], m, p, rhs._den)
+    u = Series._make(m, d, u._num, u._den, True)
     for _ in range(d + 2):
-        nu = compose(rhs, ids + [u])
+        nu = _horner(groups, [[u]], m, d, rhs._den)._with_exact(exact and _fits(groups, [u], m, d))
         if nu == u:
             return nu
         u = nu
@@ -851,8 +852,7 @@ def exp_series(f: Series) -> Series:
     if not f.is_pointed:
         raise NotPointed("exp needs a series with zero constant term")
     d = f.degree
-    acc = Series.one(f.arity, d)
-    p = Series.one(f.arity, d)
+    acc = p = Series.one(f.arity, d)
     fact = 1
     for j in range(1, d + 1):
         p = p * f

@@ -266,6 +266,16 @@ def test_evaluate_layout_mismatch_is_an_error():
         evaluate(expr_of("tau"), layout, arity, 6)
 
 
+
+@pytest.mark.parametrize("node, value", [(Num(0), 0), (Num(7), 7), (Imag(), qr(0, 1))])
+def test_constants_evaluate_to_the_canonical_constant_series(node, value):
+    layout, arity = q_layout(1)
+    got, want = evaluate(node, layout, arity, 6), Series.polynomial(arity, 6, {(0, 0, 0): value})
+    assert (got._num, got._den, got.degree, got.exact) == (
+        want._num, want._den, want.degree, want.exact)
+    with pytest.raises(StructureError, match="non-negative"):
+        evaluate(node, layout, arity, -1)
+
 def test_division_by_series_rejected():
     with pytest.raises(StructureError):
         eval_q("z/chi")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from crtrans import hypersurface, series
 from crtrans.errors import ArityMismatch, StructureError
 from crtrans.hypersurface import (
     Convention,
@@ -19,7 +20,7 @@ from crtrans.hypersurface import (
 )
 from crtrans.models import blowup_hypersurface, exp_model, heisenberg
 from crtrans.scalar import qr
-from crtrans.series import Series
+from crtrans.series import Series, exp_series
 from crtrans.verdict import Status
 
 D = 8
@@ -114,6 +115,41 @@ def test_from_graph_of_a_dense_graph_makes_few_products(monkeypatch):
     assert m.validity.status is Status.CERTIFIED_TRUE
     assert len(calls) <= 17
 
+
+
+def test_solve_implicit_composes_each_step_only_through_the_degree_it_certifies(monkeypatch):
+    """from_graph of the degree-40 exp graph z*chi*exp(z*chi + s^2) + z^2*chi^2
+    solves for Q with d(rhs)/du of order o = 3, from its term z*chi*s^2 with
+    s = (tau + u)/2: the graded steps compose at 3, 6, ..., 39, and at most two
+    compositions run at degree 40, one that reaches it and one that confirms
+    the fixed point."""
+    d = 40
+    z, chi, s = (Series.variable(i, 3, d) for i in range(3))
+    phi = z * chi * exp_series(z * chi + s * s) + z**2 * chi**2
+    orders, degrees, solving = [], [], []
+    horner, solve = series._horner, hypersurface.solve_implicit
+
+    def traced_horner(groups, powers, arity, degree, den):
+        if solving and powers:  # one composition; its nested evaluations have no powers left
+            degrees.append(degree)
+        return horner(groups, powers, arity, degree, den)
+
+    def traced_solve(rhs):
+        orders.append(rhs.derivative(rhs.arity - 1).order())
+        solving.append(rhs)
+        try:
+            return solve(rhs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(series, "_horner", traced_horner)
+    monkeypatch.setattr(hypersurface, "solve_implicit", traced_solve)
+    m = from_graph(phi, Convention.TWO_I)
+    assert m.validity.status is Status.CERTIFIED_TRUE
+    (o,) = orders
+    stages = list(range(o, d, o))
+    assert o == 3 and degrees[: len(stages)] == stages
+    assert 1 <= len(degrees) - len(stages) <= 2 and set(degrees[len(stages):]) == {d}
 
 def test_to_graph_of_heisenberg():
     assert to_graph(heisenberg(1, D)) == poly(3, {(1, 1, 0): 1})

@@ -1,9 +1,10 @@
 """Integer rank kernels against the GaussianRational kernels they replaced.
 
-The `ref_*` functions below are the earlier code kept as references:
-`Series.evaluate` term by term in GaussianRational, Gauss elimination for the
-scalar rank, the permutation expansion for the scalar determinant, the minor
-scan over every row and column, and the generic rank whose scan started at
+The `ref_*` functions below are the earlier code kept as references: the
+Laplace expansion of `_det` down to 1x1 minors, `Series.evaluate` term by
+term in GaussianRational, Gauss elimination for the scalar rank, the
+permutation expansion for the scalar determinant, the minor scan over every
+row and column, and the generic rank whose scan started at
 the largest rank found at seeded random sample points. Derandomized property
 tests check the Bareiss kernel, the integer `evaluate`, the scan that skips
 exact-zero rows and columns and the scan up from size 1 against them, and
@@ -100,6 +101,32 @@ def ref_scalar_determinant(rows):
         acc = acc + term
     return acc
 
+
+
+def ref_det(entries):
+    """Laplace expansion over every size, 1x1 included: entries lifted to the
+    degree of the polynomial determinant when all are exact, else truncated
+    to the lowest degree, and every leaf a product with `Series.one`."""
+    n, arity = len(entries), entries[0][0].arity
+    if all(e.exact for row in entries for e in row):
+        work = sum(max(e.poly_degree for e in row) for row in entries)
+        entries = [[e.lift(work) for e in row] for row in entries]
+    else:
+        work = min(e.degree for row in entries for e in row)
+        entries = [[e.truncate(work) for e in row] for row in entries]
+
+    def rec(i, cols):
+        if i == n:
+            return Series.one(arity, work)
+        acc = Series.zero(arity, work)
+        for sign, j in zip(itertools.cycle((1, -1)), cols):
+            e = entries[i][j]
+            if not (e.is_zero and e.exact):
+                term = e * rec(i + 1, [c for c in cols if c != j])
+                acc = acc + term if sign > 0 else acc - term
+        return acc
+
+    return rec(0, list(range(n)))
 
 def ref_scan_minors(mat, size):
     all_exact = True
@@ -252,6 +279,24 @@ def test_evaluate_row_matches_reference(data):
     ]
     assert math.gcd(den, *(x for pair in nums for x in pair)) == 1
 
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_det_matches_the_laplace_expansion(data):
+    """`_det` returns a 1x1 minor as its entry, lifted or truncated, and
+    expands larger ones; both give the expansion's terms, denominator,
+    truncation degree and `exact` flag, for exact, inexact and zero entries
+    of mixed truncation degrees."""
+    arity = data.draw(st.integers(1, 2))
+    n = data.draw(st.sampled_from([1, 1, 2, 3]))
+    entries = [[data.draw(st.one_of(
+        series(arity, data.draw(st.integers(0, 4))),
+        st.builds(Series.zero, st.just(arity), st.integers(0, 4), st.booleans()),
+    )) for _ in range(n)] for _ in range(n)]
+    got, want = _det(entries), ref_det(entries)
+    assert (got._num, got._den, got.degree, got.exact) == (
+        want._num, want._den, want.degree, want.exact)
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(scalar_matrix(), scalar_matrix(square=True))

@@ -8,9 +8,10 @@ variable block, and another products with a one-term factor. Fixed cases
 cover the packed keys at their edges: arity 0, the largest degree a key field
 holds and the refusal past it, and the tuple boundary of `terms`,
 `sorted_terms`, `order`, `poly_degree` and `leading_index`. `compose` is
-also checked against the plain sum of products of component powers. Needs the
-optional `hypothesis` package (the `test` extra); the module is skipped
-without it.
+also checked against the plain sum of products of component powers, and
+`solve_implicit` against the full-degree Picard loop it replaced
+(`ref_solve_implicit`). Needs the optional `hypothesis` package (the `test`
+extra); the module is skipped without it.
 """
 
 import itertools
@@ -134,6 +135,20 @@ def ref_compose(f, comps):
         acc = ref_add(acc, ref_scale(prod, c))
     return Ref(arity, d, acc.terms, acc.exact and not tail_unknown)
 
+
+
+def ref_solve_implicit(rhs):
+    """The full-degree Picard loop: from u = 0, every step composes rhs with
+    the last iterate through rhs's whole truncation degree, until nu == u."""
+    m, d = rhs.arity - 1, rhs.degree
+    ids = [Series.variable(i, m, d) for i in range(m)]
+    u = Series.zero(m, d)
+    for _ in range(d + 2):
+        nu = compose(rhs, ids + [u])
+        if nu == u:
+            return nu
+        u = nu
+    raise AssertionError("the Picard iteration did not stabilize")
 
 def fields(key, arity):
     """The arity + 1 fields of a packed key, the degree field first."""
@@ -464,3 +479,43 @@ def test_lifted_exact_inputs_give_the_same_compose_implicit_solution_and_exp(dat
         if low.exact:
             assert high.exact
             assert high == low.lift(d + k)
+
+
+@st.composite
+def implicit_rhs(draw):
+    """A valid `solve_implicit` rhs whose d(rhs)/du has order o in 1, 2 or 3,
+    or contains no u at all; exact or not. Half the time some drawn terms lie
+    up to three degrees past the truncation degree (dropped, so rhs is
+    inexact); otherwise all lie within it."""
+    arity = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 8))
+    o = draw(st.sampled_from([1, 2, 3, None]))
+    u = arity - 1
+    # a term x^a u^b with b >= 1 adds a term of order |a| + b - 1 to d(rhs)/du
+    pool = [k for k in mi.iter_up_to(arity, d + 3)
+            if sum(k) and (k[u] == 0 or o is not None and sum(k) > o)]
+    keys = draw(st.lists(st.sampled_from(pool), max_size=7, unique=True)) if pool else []
+    if o is not None:
+        keys.append(draw(st.sampled_from([k for k in pool if k[u] and sum(k) == o + 1])))
+    if draw(st.booleans()):
+        keys = [k for k in keys if sum(k) <= d]
+    return Series(arity, d, {k: draw(COEFFS) for k in keys}, draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(implicit_rhs())
+def test_graded_solve_implicit_matches_the_full_degree_picard_loop(rhs):
+    """Composing only through the degree each step certifies gives the terms,
+    denominator, truncation degree and `exact` flag of the loop that composes
+    at full degree from the start; and an exact answer is a polynomial fixed
+    point: rhs(x, u) equals u as polynomials, exactly."""
+    got, want = solve_implicit(rhs), ref_solve_implicit(rhs)
+    assert (got._num, got._den, got.degree, got.exact) == (
+        want._num, want._den, want.degree, want.exact)
+    assert_canonical(got)
+    if got.exact:
+        m = rhs.arity - 1
+        top = max(rhs.degree, rhs.poly_degree * max(got.poly_degree, 1))
+        ids = [Series.variable(i, m, top) for i in range(m)]
+        image = compose(rhs.lift(top), ids + [got.lift(top)])
+        assert image == got.lift(top) and image.exact
