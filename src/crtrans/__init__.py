@@ -98,7 +98,7 @@ _EXPORTS = {
         "suite_finite_type",
         "suite_infinite_type",
     ),
-    "grammar": ("GRAMMAR_TEXT", "InputDocument", "parse", "render"),
+    "grammar": ("GRAMMAR_TEXT", "InputDocument", "parse"),
     "multiindex": (),
     "record": (),
 }

@@ -36,76 +36,47 @@ __all__ = ["main", "run", "SCHEMA"]
 # ---------------- realizing declarations ----------------
 
 
-def _realize_surface(
-    ref: grammar.Ref,
-    env: Dict[str, grammar.Declaration],
-    degree: int,
-    conv: hypersurface.Convention,
-) -> Tuple[str, hypersurface.NormalHypersurface]:
+def _resolve(ref: grammar.Ref, env: Dict[str, grammar.Decl]) -> Tuple[str, object]:
+    """The report name of a reference and its value: an expression or a CtorRef."""
     if isinstance(ref, grammar.NameRef):
-        decl = env[ref.name]
-        if isinstance(decl, grammar.SeriesDecl):
-            return ref.name, _surface_from_q_expr(decl.expr, degree, conv)
-        assert isinstance(decl, grammar.SurfaceDecl)
-        return ref.name, _surface_from_ctor(decl.kind, decl.args, degree, conv)
-    return grammar._render_ref(ref), _surface_from_ctor(ref.kind, ref.args, degree, conv)
+        return ref.name, env[ref.name].value
+    return grammar._render_ref(ref), ref
 
 
-def _surface_from_q_expr(
-    expr, degree: int, conv: hypersurface.Convention
-) -> hypersurface.NormalHypersurface:
-    n = grammar.block_size([expr])
-    layout, arity = grammar.q_layout(n)
-    q = grammar.evaluate(expr, layout, arity, degree)
-    return hypersurface.NormalHypersurface(n, q, conv)
-
-
-def _surface_from_ctor(
-    kind: str, args, degree: int, conv: hypersurface.Convention
-) -> hypersurface.NormalHypersurface:
+def _surface(value, degree: int, conv: str) -> hypersurface.NormalHypersurface:
+    """The hypersurface a value names; a bare expression means hypersurface(expr).
+    Its expressions are evaluated before `hypersurface` and `models` load, so
+    the series kernel compiles first: without a bytecode cache that compile
+    is the process's memory peak, and it peaks higher with those two alive."""
+    if not isinstance(value, grammar.CtorRef):
+        value = grammar.CtorRef("hypersurface", (value,))
+    kind, args = value.kind, value.args
+    if kind in grammar._CTOR_CONTEXTS:
+        n, args = grammar.realize(grammar._CTOR_CONTEXTS[kind], args, degree)
+    conv = hypersurface.Convention(conv)
     if kind == "hypersurface":
-        return _surface_from_q_expr(args[0], degree, conv)
+        return hypersurface.NormalHypersurface(n, args[0], conv)
     if kind == "graph":
-        n = grammar.block_size([args[0]])
-        layout, arity = grammar.graph_layout(n)
-        phi = grammar.evaluate(args[0], layout, arity, degree)
-        return hypersurface.from_graph(phi, conv)
-    if kind == "heisenberg":
-        return models.heisenberg(args[0], degree, conv)
-    if kind == "blowup":
-        return models.blowup_hypersurface(args[0], args[1], degree, conv)
-    if kind == "exp_model":
-        return models.exp_model(args[0], degree, conv)
+        return hypersurface.from_graph(args[0], conv)
     if kind == "m_psi":
-        n = grammar.block_size(list(args))
-        layout, arity = grammar.psi_layout(n)
-        psi = tuple(grammar.evaluate(a, layout, arity, degree) for a in args)
-        return models.m_psi(psi, degree, conv)
-    raise CrtransError(f"unknown hypersurface constructor {kind}")
+        return models.m_psi(args, degree, conv)
+    make = {"heisenberg": models.heisenberg, "blowup": models.blowup_hypersurface,
+            "exp_model": models.exp_model}[kind]
+    return make(*args, degree, conv)
 
 
-def _realize_map(
-    ref: grammar.Ref, env: Dict[str, grammar.Declaration], degree: int
-) -> Tuple[str, crmap.CRMap]:
-    if isinstance(ref, grammar.NameRef):
-        decl = env[ref.name]
-        assert isinstance(decl, grammar.MapDecl)
-        name, comps, normal = ref.name, decl.components, decl.normal
-    else:
-        comps, normal = ref.args
-        name = grammar._render_ref(ref)
-    n = grammar.block_size(list(comps) + [normal])
-    layout, arity = grammar.map_layout(n)
-    f = tuple(grammar.evaluate(c, layout, arity, degree) for c in comps)
-    g = grammar.evaluate(normal, layout, arity, degree)
-    return name, crmap.CRMap(f, g)
+def _map(value: grammar.CtorRef, degree: int) -> crmap.CRMap:
+    comps, normal = value.args
+    _, (*f, g) = grammar.realize("map", (*comps, normal), degree)
+    return crmap.CRMap(tuple(f), g)
 
 
 # ---------------- task runners ----------------
 
 
 def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: str) -> dict:
-    name, m = _realize_surface(task.target, env, degree, hypersurface.Convention(conv))
+    name, value = _resolve(task.target, env)
+    m = _surface(value, degree, conv)
     cls = m.classification
     result = {
         "task": "classify",
@@ -123,11 +94,11 @@ def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: str) -> di
 
 
 def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: str) -> dict:
-    conv = hypersurface.Convention(conv)
-    hname, h = _realize_map(task.map, env, degree)
-    sname, src = _realize_surface(task.source, env, degree, conv)
-    tname, tgt = _realize_surface(task.target, env, degree, conv)
-    a = crmap.InstanceAnalysis(h, src, tgt)
+    hname, h = _resolve(task.map, env)
+    sname, src = _resolve(task.source, env)
+    tname, tgt = _resolve(task.target, env)
+    a = crmap.InstanceAnalysis(
+        _map(h, degree), _surface(src, degree, conv), _surface(tgt, degree, conv))
     equidim = a.equidimensional.is_true
     # fields are decided in this order, so a failing document reports its first error
     return {
@@ -150,12 +121,8 @@ def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: str) -> di
 
 def _run_prolong(task: grammar.ProlongTask, env, degree: int, *_) -> dict:
     """The convention does not enter a prolongation."""
-    a_decl = env[task.a]
-    exprs = [a_decl.expr] + [env[c].expr for c in task.components]
-    n = grammar.block_size(exprs)
-    layout, arity = grammar.pair_layout(n)
-    a = grammar.evaluate(a_decl.expr, layout, arity, degree)
-    comps = tuple(grammar.evaluate(env[c].expr, layout, arity, degree) for c in task.components)
+    names = (task.a, *task.components)
+    n, (a, *comps) = grammar.realize("pair", [env[name].value for name in names], degree)
     if len(task.alpha) != n:
         raise CrtransError(
             f"jet index {task.alpha} has length {len(task.alpha)}, but the data uses {n} z variables"
@@ -326,6 +293,12 @@ def _sha256_hex(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
+def _envelope(command: str, degree: int, conv: str, seed: int) -> dict:
+    """The keys every report starts with."""
+    return {"schema": SCHEMA, "version": __version__, "command": command, "degree": degree,
+            "convention": conv, "seed": seed}
+
+
 def _document_command(command: str, opts: dict, kind, runner) -> int:
     try:
         text = _read_document(opts["document"])
@@ -353,7 +326,7 @@ def _document_command(command: str, opts: dict, kind, runner) -> int:
         tasks = [
             grammar.ClassifyTask(grammar.NameRef(d.name))
             for d in doc.declarations
-            if isinstance(d, grammar.SurfaceDecl)
+            if isinstance(d.value, grammar.CtorRef) and d.value.kind != "map"
         ]
     if not tasks:
         errors.append({"task": None, "error": "document contains no task for this command"})
@@ -363,13 +336,8 @@ def _document_command(command: str, opts: dict, kind, runner) -> int:
         except CrtransError as exc:
             errors.append({"task": grammar._render_task(task), "error": str(exc)})
     report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
+        **_envelope(command, degree, conv, opts["seed"]),
         "input_digest": _sha256_hex(text.encode("utf-8")),
-        "degree": degree,
-        "convention": conv,
-        "seed": opts["seed"],
         "results": results,
         "errors": errors,
     }
@@ -531,15 +499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CrtransError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "schema": SCHEMA,
-        "version": __version__,
-        "command": command,
-        "degree": degree,
-        "convention": conv.value,
-        "seed": opts["seed"],
-        **body,
-    }
+    report = {**_envelope(command, degree, conv.value, opts["seed"]), **body}
     return _emit(report, opts["json"], [summary], 1 if body.get("falsified") else 0)
 
 

@@ -2,13 +2,14 @@
 
 A document is a sequence of statements separated by newlines or semicolons:
 declarations bind names to series expressions, hypersurfaces, or maps, and
-tasks name the work to run. ``parse`` turns text into an ``InputDocument``
-and ``render`` prints the canonical form; parse(render(doc)) == doc.
+tasks name the work to run. ``parse`` turns text into an ``InputDocument``,
+and ``realize`` evaluates expressions in one of the coordinate contexts of
+``_CONTEXTS``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import scalar, series  # the lazy modules: only `evaluate` loads the series kernel
 from .errors import GrammarError, StructureError
@@ -23,28 +24,17 @@ __all__ = [
     "BinOp",
     "Pow",
     "Exp",
-    "SeriesDecl",
-    "SurfaceDecl",
-    "MapDecl",
+    "Decl",
     "NameRef",
     "CtorRef",
     "ClassifyTask",
     "CheckMapTask",
     "ProlongTask",
-    "VerifyTask",
-    "ExamplesTask",
     "InputDocument",
     "parse",
-    "render",
     "render_expr",
-    "free_variables",
-    "block_size",
     "evaluate",
-    "q_layout",
-    "graph_layout",
-    "map_layout",
-    "psi_layout",
-    "pair_layout",
+    "realize",
 ]
 
 GRAMMAR_TEXT = """\
@@ -67,8 +57,6 @@ rhs         := expr
 task        := "classify" ref
              | "checkmap" ref ":" ref "->" ref
              | "prolong" NAME { "," NAME } "at" "(" INT { "," INT } ")"
-             | "verify" [ "finite_type" | "infinite_type" | "easystuff" ]
-             | "examples"
 ref         := NAME | constructor                   constructors as in rhs
 
 expr        := term { ("+" | "-") term }
@@ -80,7 +68,10 @@ atom        := INT | "i" | NAME | "exp" "(" expr ")" | "(" expr ")"
 Coordinates: z, z1, z2, ... and chi, chi1, ... (z and chi mean z1 and chi1),
 tau in defining functions, s in graph functions, w in map components.
 Rational coefficients are written p/q. "#" starts a comment to end of line.
+Parentheses, exp(...) and unary minus nest at most 100 deep.
 """
+
+_MAX_NESTING = 100
 
 _KEYWORDS = {
     "map",
@@ -102,9 +93,10 @@ _KEYWORDS = {
     "convention",
 }
 
-_SUITES = ("finite_type", "infinite_type", "easystuff")
-
 _CTOR_KEYWORDS = ("hypersurface", "graph", "heisenberg", "blowup", "exp_model", "m_psi", "map")
+
+# the context in which a constructor's expressions are parsed and realized
+_CTOR_CONTEXTS = {"hypersurface": "q", "graph": "graph", "m_psi": "psi", "map": "map"}
 
 
 # ---------------- expression AST ----------------
@@ -147,33 +139,18 @@ ExprNode = Union[Num, Imag, Var, Neg, BinOp, Pow, Exp]
 # ---------------- declarations, references, tasks ----------------
 
 
-class SeriesDecl(Record):
-    name: str
-    expr: ExprNode
-
-
-class SurfaceDecl(Record):
-    name: str
-    kind: str  # hypersurface | graph | heisenberg | blowup | exp_model | m_psi
-    args: Tuple
-
-
-class MapDecl(Record):
-    name: str
-    components: Tuple[ExprNode, ...]
-    normal: ExprNode
-
-
-Declaration = Union[SeriesDecl, SurfaceDecl, MapDecl]
-
-
 class NameRef(Record):
     name: str
 
 
 class CtorRef(Record):
-    kind: str
+    kind: str  # a constructor keyword; a map's args are (components, normal)
     args: Tuple
+
+
+class Decl(Record):
+    name: str
+    value: Union[ExprNode, CtorRef]
 
 
 Ref = Union[NameRef, CtorRef]
@@ -195,19 +172,11 @@ class ProlongTask(Record):
     alpha: Tuple[int, ...]
 
 
-class VerifyTask(Record):
-    suite: Optional[str] = None
-
-
-class ExamplesTask(Record):
-    pass
-
-
-Task = Union[ClassifyTask, CheckMapTask, ProlongTask, VerifyTask, ExamplesTask]
+Task = Union[ClassifyTask, CheckMapTask, ProlongTask]
 
 
 class InputDocument(Record):
-    declarations: Tuple[Declaration, ...]
+    declarations: Tuple[Decl, ...]
     tasks: Tuple[Task, ...]
     degree: Optional[int] = None
     convention: Optional[str] = None  # "2i" or "i"
@@ -297,12 +266,15 @@ def _coordinate_index(name: str) -> Optional[Tuple[str, int]]:
     return None
 
 
-_POLICIES: Dict[str, Set[str]] = {
-    "q": {"z", "chi", "tau"},
-    "graph": {"z", "chi", "s"},
-    "map": {"z", "w"},
-    "psi": {"z"},
-    "any": {"z", "chi", "tau", "s", "w"},
+# context -> its coordinate blocks in layout order; z and chi take n slots each,
+# the others one. "any" serves only to parse a bare expression.
+_CONTEXTS: Dict[str, Tuple[str, ...]] = {
+    "q": ("z", "chi", "tau"),  # defining functions
+    "graph": ("z", "chi", "s"),
+    "map": ("z", "w"),
+    "psi": ("z",),
+    "pair": ("z", "chi"),  # prolongation data
+    "any": ("z", "chi", "tau", "s", "w"),
 }
 
 
@@ -313,6 +285,7 @@ class _Parser:
     def __init__(self, tokens: List[_Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # parentheses, exp( and unary minuses open at the current token
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -356,54 +329,67 @@ class _Parser:
 
     # -------- expressions --------
 
-    def parse_expr(self, policy: str) -> ExprNode:
-        node = self.parse_term(policy)
+    def nest(self, tok: _Token) -> None:
+        """Open one level at `tok`: the parser and the walkers of its trees
+        recurse once per level, so the bound keeps them off the stack limit."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise self.fail(f"expression nested deeper than {_MAX_NESTING} levels", tok)
+
+    def parse_expr(self, context: str) -> ExprNode:
+        node = self.parse_term(context)
         while self.peek().kind == "SYM" and self.peek().text in ("+", "-"):
             op = self.next().text
-            node = BinOp(op, node, self.parse_term(policy))
+            node = BinOp(op, node, self.parse_term(context))
         return node
 
-    def parse_term(self, policy: str) -> ExprNode:
-        node = self.parse_unary(policy)
+    def parse_term(self, context: str) -> ExprNode:
+        node = self.parse_unary(context)
         while self.peek().kind == "SYM" and self.peek().text in ("*", "/"):
             op = self.next().text
-            node = BinOp(op, node, self.parse_unary(policy))
+            node = BinOp(op, node, self.parse_unary(context))
         return node
 
-    def parse_unary(self, policy: str) -> ExprNode:
+    def parse_unary(self, context: str) -> ExprNode:
         if self.at_sym("-"):
-            self.next()
-            return Neg(self.parse_unary(policy))
-        return self.parse_power(policy)
+            self.nest(self.next())
+            node = Neg(self.parse_unary(context))
+            self.depth -= 1
+            return node
+        return self.parse_power(context)
 
-    def parse_power(self, policy: str) -> ExprNode:
-        base = self.parse_atom(policy)
+    def parse_power(self, context: str) -> ExprNode:
+        base = self.parse_atom(context)
         if self.at_sym("^"):
             self.next()
             return Pow(base, self.expect_int())
         return base
 
-    def parse_atom(self, policy: str) -> ExprNode:
+    def parse_atom(self, context: str) -> ExprNode:
         tok = self.next()
         if tok.kind == "INT":
             return Num(int(tok.text))
         if tok.kind == "SYM" and tok.text == "(":
-            inner = self.parse_expr(policy)
+            self.nest(tok)
+            inner = self.parse_expr(context)
             self.expect_sym(")")
+            self.depth -= 1
             return inner
         if tok.kind == "NAME":
             if tok.text == "i":
                 return Imag()
             if tok.text == "exp":
+                self.nest(tok)
                 self.expect_sym("(")
-                inner = self.parse_expr(policy)
+                inner = Exp(self.parse_expr(context))
                 self.expect_sym(")")
-                return Exp(inner)
+                self.depth -= 1
+                return inner
             coord = _coordinate_index(tok.text)
             if coord is None:
                 raise self.fail(f"undeclared name {tok.text!r}", tok)
             block, sub = coord
-            if block not in _POLICIES[policy]:
+            if block not in _CONTEXTS[context]:
                 raise self.fail(f"variable {tok.text!r} is not allowed here", tok)
             if block in ("z", "chi"):
                 return Var(f"{block}{sub}")
@@ -414,6 +400,7 @@ class _Parser:
 
     def parse_ctor(self, kind_tok: _Token) -> CtorRef:
         kind = kind_tok.text
+        context = _CTOR_CONTEXTS.get(kind)
         self.expect_sym("(")
         if kind in ("heisenberg", "exp_model"):
             args: Tuple = (self.expect_int(),)
@@ -422,27 +409,25 @@ class _Parser:
             self.expect_sym(",")
             args = (b, self.expect_int())
         elif kind in ("hypersurface", "graph"):
-            args = (self.parse_expr("q" if kind == "hypersurface" else "graph"),)
+            args = (self.parse_expr(context),)
         elif kind == "m_psi":
-            comps = [self.parse_expr("psi")]
+            comps = [self.parse_expr(context)]
             while self.at_sym(","):
                 self.next()
-                comps.append(self.parse_expr("psi"))
+                comps.append(self.parse_expr(context))
             args = tuple(comps)
         elif kind == "map":
             self.expect_name("F")
             self.expect_sym("=")
-            comps = [self.parse_expr("map")]
+            comps = [self.parse_expr(context)]
             while self.at_sym(","):
                 self.next()
                 if self.peek().kind == "NAME" and self.peek().text == "G":
                     break
-                comps.append(self.parse_expr("map"))
+                comps.append(self.parse_expr(context))
             self.expect_name("G")
             self.expect_sym("=")
-            normal = self.parse_expr("map")
-            self.expect_sym(")")
-            return CtorRef("map", (tuple(comps), normal))
+            args = (tuple(comps), self.parse_expr(context))
         else:
             raise self.fail(f"unknown constructor {kind!r}", kind_tok)
         self.expect_sym(")")
@@ -456,7 +441,7 @@ class _Parser:
             raise self.fail(f"{tok.text!r} is a reserved word", tok)
         return NameRef(tok.text), tok
 
-    def parse_declaration(self, name_tok: _Token) -> Declaration:
+    def parse_declaration(self, name_tok: _Token) -> Decl:
         name = name_tok.text
         if name in _KEYWORDS or _coordinate_index(name) is not None:
             raise self.fail(f"{name!r} is a reserved word", name_tok)
@@ -464,20 +449,17 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NAME" and tok.text in _CTOR_KEYWORDS:
             self.next()
-            ctor = self.parse_ctor(tok)
-            if ctor.kind == "map":
-                return MapDecl(name, ctor.args[0], ctor.args[1])
-            return SurfaceDecl(name, ctor.kind, ctor.args)
-        return SeriesDecl(name, self.parse_expr("any"))
+            return Decl(name, self.parse_ctor(tok))
+        return Decl(name, self.parse_expr("any"))
 
     # -------- statements --------
 
     def parse_document(self) -> InputDocument:
-        decls: List[Declaration] = []
+        decls: List[Decl] = []
         tasks: List[Task] = []
         degree: Optional[int] = None
         convention: Optional[str] = None
-        names: Dict[str, Declaration] = {}
+        names: Dict[str, Decl] = {}
         refs_to_check: List[Tuple[Ref, _Token, str]] = []
 
         self.skip_separators()
@@ -532,18 +514,8 @@ class _Parser:
                     alpha.append(self.expect_int())
                 self.expect_sym(")")
                 tasks.append(ProlongTask(atok.text, tuple(comps), tuple(alpha)))
-            elif word == "verify":
-                nxt = self.peek()
-                suite: Optional[str] = None
-                if nxt.kind == "NAME":
-                    if nxt.text not in _SUITES:
-                        raise self.fail(
-                            f"unknown suite {nxt.text!r}; one of {', '.join(_SUITES)}", nxt
-                        )
-                    suite = self.next().text
-                tasks.append(VerifyTask(suite))
-            elif word == "examples":
-                tasks.append(ExamplesTask())
+            elif word in ("verify", "examples"):
+                raise self.fail(f"{word!r} is a command, not a statement: run crtrans {word}", tok)
             else:
                 decl = self.parse_declaration(tok)
                 if decl.name in names:
@@ -557,20 +529,18 @@ class _Parser:
 
         for ref, rtok, role in refs_to_check:
             if isinstance(ref, CtorRef):
-                if role == "map" and ref.kind != "map":
-                    raise self.fail(f"{ref.kind}(...) is not a map", rtok)
-                if role == "surface" and ref.kind == "map":
-                    raise self.fail("map(...) is not a hypersurface", rtok)
-                continue
-            decl = names.get(ref.name)
-            if decl is None:
+                label, value = f"{ref.kind}(...)", ref
+            elif ref.name in names:
+                label, value = repr(ref.name), names[ref.name].value
+            else:
                 raise self.fail(f"undeclared name {ref.name!r}", rtok)
-            if role == "map" and not isinstance(decl, MapDecl):
-                raise self.fail(f"{ref.name!r} is not a map", rtok)
-            if role == "surface" and isinstance(decl, MapDecl):
-                raise self.fail(f"{ref.name!r} is not a hypersurface", rtok)
-            if role == "series" and not isinstance(decl, SeriesDecl):
-                raise self.fail(f"{ref.name!r} is not a series declaration", rtok)
+            kind = value.kind if isinstance(value, CtorRef) else None
+            if role == "map" and kind != "map":
+                raise self.fail(f"{label} is not a map", rtok)
+            if role == "surface" and kind == "map":
+                raise self.fail(f"{label} is not a hypersurface", rtok)
+            if role == "series" and kind is not None:
+                raise self.fail(f"{label} is not a series declaration", rtok)
         return InputDocument(tuple(decls), tuple(tasks), degree, convention)
 
 
@@ -579,7 +549,7 @@ def parse(text: str) -> InputDocument:
     return _Parser(_tokenize(text)).parse_document()
 
 
-# ---------------- canonical rendering ----------------
+# ---------------- rendering for reports ----------------
 
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
 _NEG_PREC = 25
@@ -597,37 +567,52 @@ def _prec(node: ExprNode) -> int:
     return _ATOM_PREC
 
 
+def _spine(node: ExprNode) -> Tuple[ExprNode, List[BinOp]]:
+    """The leftmost operand of a chain of binary operators, and the chain from
+    the innermost operator out. The parser builds `a + b + ...` left-deep, so
+    the walkers below loop along the chain and recurse only into its right
+    operands, whose depth the nesting bound limits."""
+    chain: List[BinOp] = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
+    chain.reverse()
+    return node, chain
+
+
 def render_expr(node: ExprNode) -> str:
+    node, chain = _spine(node)
     if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Imag):
-        return "i"
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Exp):
-        return f"exp({render_expr(node.arg)})"
-    if isinstance(node, Neg):
+        text = str(node.value)
+    elif isinstance(node, Imag):
+        text = "i"
+    elif isinstance(node, Var):
+        text = node.name
+    elif isinstance(node, Exp):
+        text = f"exp({render_expr(node.arg)})"
+    elif isinstance(node, Neg):
         inner = render_expr(node.arg)
-        if _prec(node.arg) < _NEG_PREC:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Pow):
+        text = f"-({inner})" if _prec(node.arg) < _NEG_PREC else f"-{inner}"
+    elif isinstance(node, Pow):
         base = render_expr(node.base)
         if _prec(node.base) < _ATOM_PREC:
             base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, BinOp):
-        mine = _PREC[node.op]
-        left = render_expr(node.left)
-        if _prec(node.left) < mine:
-            left = f"({left})"
-        right = render_expr(node.right)
-        if _prec(node.right) <= mine:
+        text = f"{base}^{node.exponent}"
+    else:
+        raise StructureError(f"cannot render {node!r}")
+    # a parenthesised left operand is everything rendered so far
+    parts, opened, prec = [text], 0, _prec(node)
+    for link in chain:
+        mine = _PREC[link.op]
+        if prec < mine:
+            opened += 1
+            parts.append(")")
+        right = render_expr(link.right)
+        if _prec(link.right) <= mine:
             right = f"({right})"
-        if node.op in ("+", "-"):
-            return f"{left} {node.op} {right}"
-        return f"{left}{node.op}{right}"
-    raise StructureError(f"cannot render {node!r}")
+        parts.append(f" {link.op} {right}" if link.op in ("+", "-") else f"{link.op}{right}")
+        prec = mine
+    return "(" * opened + "".join(parts)
 
 
 def _render_ref(ref: Ref) -> str:
@@ -644,14 +629,6 @@ def _render_ref(ref: Ref) -> str:
     return f"{ref.kind}(" + ", ".join(str(a) for a in ref.args) + ")"
 
 
-def _render_decl(decl: Declaration) -> str:
-    if isinstance(decl, SeriesDecl):
-        return f"{decl.name} = {render_expr(decl.expr)}"
-    if isinstance(decl, MapDecl):
-        return f"{decl.name} = " + _render_ref(CtorRef("map", (decl.components, decl.normal)))
-    return f"{decl.name} = " + _render_ref(CtorRef(decl.kind, decl.args))
-
-
 def _render_task(task: Task) -> str:
     if isinstance(task, ClassifyTask):
         return f"classify {_render_ref(task.target)}"
@@ -660,118 +637,76 @@ def _render_task(task: Task) -> str:
             f"checkmap {_render_ref(task.map)} : "
             f"{_render_ref(task.source)} -> {_render_ref(task.target)}"
         )
-    if isinstance(task, ProlongTask):
-        comps = ", ".join(task.components)
-        alpha = ", ".join(str(a) for a in task.alpha)
-        return f"prolong {task.a}, {comps} at ({alpha})"
-    if isinstance(task, VerifyTask):
-        return "verify" if task.suite is None else f"verify {task.suite}"
-    return "examples"
-
-
-def render(doc: InputDocument) -> str:
-    """Canonical text for a document; parse(render(doc)) == doc."""
-    lines: List[str] = []
-    if doc.degree is not None:
-        lines.append(f"degree {doc.degree}")
-    if doc.convention is not None:
-        lines.append(f"convention {doc.convention}")
-    lines.extend(_render_decl(d) for d in doc.declarations)
-    lines.extend(_render_task(t) for t in doc.tasks)
-    return "\n".join(lines) + "\n"
+    comps = ", ".join(task.components)
+    alpha = ", ".join(str(a) for a in task.alpha)
+    return f"prolong {task.a}, {comps} at ({alpha})"
 
 
 # ---------------- evaluation ----------------
 
 
-def free_variables(node: ExprNode) -> Set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return free_variables(node.arg)
-    if isinstance(node, Exp):
-        return free_variables(node.arg)
-    if isinstance(node, Pow):
-        return free_variables(node.base)
-    if isinstance(node, BinOp):
-        return free_variables(node.left) | free_variables(node.right)
-    return set()
-
-
-def block_size(nodes: Sequence[ExprNode]) -> int:
-    """Number n of z (and chi) variables an expression family spans; at least 1."""
+def realize(
+    context: str, exprs: Sequence[ExprNode], degree: int
+) -> Tuple[int, Tuple[series.Series, ...]]:
+    """Evaluate an expression family over the layout of `context`: (n, the
+    series), where n, at least 1, is the number of z (and chi) variables the
+    family spans."""
     n = 1
-    for node in nodes:
-        for name in free_variables(node):
-            coord = _coordinate_index(name)
-            if coord and coord[0] in ("z", "chi"):
-                n = max(n, coord[1])
-    return n
-
-
-def q_layout(n: int) -> Tuple[Dict[str, int], int]:
-    layout = {f"z{j + 1}": j for j in range(n)}
-    layout.update({f"chi{j + 1}": n + j for j in range(n)})
-    layout["tau"] = 2 * n
-    return layout, 2 * n + 1
-
-
-def graph_layout(n: int) -> Tuple[Dict[str, int], int]:
-    layout, arity = q_layout(n)
-    del layout["tau"]
-    layout["s"] = 2 * n
-    return layout, arity
-
-
-def map_layout(n: int) -> Tuple[Dict[str, int], int]:
-    layout = {f"z{j + 1}": j for j in range(n)}
-    layout["w"] = n
-    return layout, n + 1
-
-
-def psi_layout(n: int) -> Tuple[Dict[str, int], int]:
-    return {f"z{j + 1}": j for j in range(n)}, n
-
-
-def pair_layout(n: int) -> Tuple[Dict[str, int], int]:
-    layout, _ = q_layout(n)
-    del layout["tau"]
-    return layout, 2 * n
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinOp):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Neg, Exp)):
+            stack.append(node.arg)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif isinstance(node, Var):
+            block, sub = _coordinate_index(node.name)
+            if block in ("z", "chi"):
+                n = max(n, sub)
+    names: List[str] = []
+    for block in _CONTEXTS[context]:
+        names += [f"{block}{j + 1}" for j in range(n)] if block in ("z", "chi") else [block]
+    layout = {name: slot for slot, name in enumerate(names)}
+    return n, tuple(evaluate(e, layout, len(names), degree) for e in exprs)
 
 
 def evaluate(node: ExprNode, layout: Dict[str, int], arity: int, degree: int) -> series.Series:
     """Evaluate an expression to a truncated series over the given layout."""
     Series = series.Series
+    node, chain = _spine(node)
     if isinstance(node, (Num, Imag)):
         if degree < 0:  # refused as `Series` refuses it, since the trusted constructor does not
             raise StructureError("arity and truncation degree must be non-negative")
         # key 0 is the constant term, and a Gaussian integer over 1 is in lowest terms
         num = {0: (0, 1)} if isinstance(node, Imag) else {0: (node.value, 0)} if node.value else {}
-        return Series._make(arity, degree, num, 1, True)
-    if isinstance(node, Var):
+        value = Series._make(arity, degree, num, 1, True)
+    elif isinstance(node, Var):
         idx = layout.get(node.name)
         if idx is None:
             raise StructureError(f"variable {node.name} is not available in this context")
-        return Series.variable(idx, arity, degree)
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, layout, arity, degree)
-    if isinstance(node, Exp):
-        return series.exp_series(evaluate(node.arg, layout, arity, degree))
-    if isinstance(node, Pow):
-        return evaluate(node.base, layout, arity, degree) ** node.exponent
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, layout, arity, degree)
-        right = evaluate(node.right, layout, arity, degree)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if right.poly_degree > 0:
+        value = Series.variable(idx, arity, degree)
+    elif isinstance(node, Neg):
+        value = -evaluate(node.arg, layout, arity, degree)
+    elif isinstance(node, Exp):
+        value = series.exp_series(evaluate(node.arg, layout, arity, degree))
+    elif isinstance(node, Pow):
+        value = evaluate(node.base, layout, arity, degree) ** node.exponent
+    else:
+        raise StructureError(f"cannot evaluate {node!r}")
+    for link in chain:
+        right = evaluate(link.right, layout, arity, degree)
+        if link.op == "+":
+            value = value + right
+        elif link.op == "-":
+            value = value - right
+        elif link.op == "*":
+            value = value * right
+        elif right.poly_degree > 0:
             raise StructureError("can only divide by a nonzero constant")
-        c = right.constant_term
-        if not c:
+        elif not right.constant_term:
             raise StructureError("division by zero")
-        return left.scale(scalar.qr(1) / c)
-    raise StructureError(f"cannot evaluate {node!r}")
+        else:
+            value = value.scale(scalar.qr(1) / right.constant_term)
+    return value

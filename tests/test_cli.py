@@ -433,3 +433,67 @@ def test_crlf_document_digests_are_those_of_a_text_read(capsys, monkeypatch, tmp
     code, rep, _ = run_json(capsys, ["classify", "-"])
     assert code == 0
     assert rep["input_digest"] == hashlib.sha256(data).hexdigest()
+
+
+BIG_SUM = " + ".join(["1/5000*z*chi"] * 5000)
+VERDICTS = ("classification", "validate", "class_c", "holomorphically_nondegenerate")
+
+
+@pytest.mark.parametrize("doc", [f"M = graph({BIG_SUM})\nclassify M\n", f"classify graph({BIG_SUM})\n"],
+                         ids=["declared", "inline"])
+def test_a_5000_term_graph_classifies_as_its_sum(capsys, monkeypatch, doc):
+    code, rep, _ = run_json(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, rep["errors"]) == (0, [])
+    _, want, _ = run_json(capsys, ["classify"], stdin="classify graph(z*chi)\n",
+                          monkeypatch=monkeypatch)
+    (got,), (expected,) = rep["results"], want["results"]
+    assert {k: got[k] for k in VERDICTS} == {k: expected[k] for k in VERDICTS}
+
+
+def test_a_3000_deep_document_is_one_error_line(capsys, monkeypatch):
+    doc = "M = graph(" + "(" * 3000 + "z*chi" + ")" * 3000 + ")\nclassify M\n"
+    code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "error: expression nested deeper than 100 levels (line 1, column 111)\n"
+
+
+@pytest.mark.parametrize("word", ["verify", "examples"])
+def test_a_registry_statement_in_a_document_is_one_error_line(capsys, monkeypatch, word):
+    doc = f"M = heisenberg(1)\n{word}\n"
+    code, out, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == f"error: '{word}' is a command, not a statement: run crtrans {word} (line 2, column 1)\n"
+
+
+# constructor -> (the value declared as M, the same value inline)
+FORMS = {
+    "hypersurface": ("hypersurface(tau + 2*i*z*chi)", "hypersurface(tau + 2*i*z*chi)"),
+    "bare expression": ("tau + 2*i*z*chi - z^2*chi^2", "hypersurface(tau + 2*i*z*chi - z^2*chi^2)"),
+    "graph": ("graph(z*chi + z^2*chi^2*s)", "graph(z*chi + z^2*chi^2*s)"),
+    "heisenberg": ("heisenberg(2)", "heisenberg(2)"),
+    "blowup": ("blowup(2, 3)", "blowup(2, 3)"),
+    "exp_model": ("exp_model(2)", "exp_model(2)"),
+    "m_psi": ("m_psi(z1, z1*z2)", "m_psi(z1, z1*z2)"),
+}
+
+
+@pytest.mark.parametrize("declared, inline", list(FORMS.values()), ids=list(FORMS))
+def test_a_declared_surface_is_its_inline_form(capsys, monkeypatch, declared, inline):
+    results = []
+    for doc in (f"M = {declared}\nclassify M\n", f"classify {inline}\n"):
+        code, rep, _ = run_json(capsys, ["classify", "--degree", "8"], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, rep["errors"]) == (0, [])
+        (result,) = rep["results"]
+        results.append({k: v for k, v in result.items() if k != "name"})
+    assert results[0] == results[1]
+
+
+def test_a_declared_map_is_its_inline_form(capsys, monkeypatch):
+    results = []
+    for doc in ("H = map(F = z*w, G = w)\ncheckmap H : blowup(4, 4) -> blowup(3, 4)\n",
+                "checkmap map(F = z*w, G = w) : blowup(4, 4) -> blowup(3, 4)\n"):
+        code, rep, _ = run_json(capsys, ["check-map"], stdin=doc, monkeypatch=monkeypatch)
+        assert (code, rep["errors"]) == (0, [])
+        (result,) = rep["results"]
+        results.append({k: v for k, v in result.items() if k != "map"})
+    assert results[0] == results[1]

@@ -2,32 +2,24 @@ import pytest
 
 from crtrans.errors import GrammarError, StructureError
 from crtrans.grammar import (
+    GRAMMAR_TEXT,
     BinOp,
     CheckMapTask,
     ClassifyTask,
     CtorRef,
-    ExamplesTask,
+    Decl,
     Exp,
     Imag,
     InputDocument,
-    MapDecl,
-    NameRef,
     Neg,
     Num,
     Pow,
     ProlongTask,
-    SeriesDecl,
-    SurfaceDecl,
     Var,
-    VerifyTask,
-    block_size,
-    evaluate,
-    free_variables,
-    map_layout,
+    _render_ref,
+    _render_task,
     parse,
-    pair_layout,
-    q_layout,
-    render,
+    realize,
     render_expr,
 )
 from crtrans.scalar import qr
@@ -36,12 +28,26 @@ from crtrans.series import Series
 
 def expr_of(text):
     doc = parse(f"tmp = {text}")
-    return doc.declarations[0].expr
+    return doc.declarations[0].value
 
 
-def eval_q(text, n=1, degree=8):
-    layout, arity = q_layout(n)
-    return evaluate(expr_of(text), layout, arity, degree)
+def eval_q(text, degree=8):
+    _, (q,) = realize("q", [expr_of(text)], degree)
+    return q
+
+
+def render(doc: InputDocument) -> str:
+    """Canonical text of a document, the parser's oracle: parse(render(doc)) == doc."""
+    lines = []
+    if doc.degree is not None:
+        lines.append(f"degree {doc.degree}")
+    if doc.convention is not None:
+        lines.append(f"convention {doc.convention}")
+    for d in doc.declarations:
+        value = _render_ref(d.value) if isinstance(d.value, CtorRef) else render_expr(d.value)
+        lines.append(f"{d.name} = {value}")
+    lines.extend(_render_task(t) for t in doc.tasks)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------- tokenizing and expression structure ----------------
@@ -50,7 +56,7 @@ def eval_q(text, n=1, degree=8):
 def test_heisenberg_defining_function_parses():
     doc = parse("Q = tau + 2*i*z*chi")
     (decl,) = doc.declarations
-    assert isinstance(decl, SeriesDecl) and decl.name == "Q"
+    assert decl == Decl("Q", expr_of("tau + 2*i*z*chi"))
     q = eval_q("tau + 2*i*z*chi")
     assert dict(q.terms) == {(0, 0, 1): qr(1), (1, 1, 0): qr(0, 2)}
     assert q.exact
@@ -115,15 +121,14 @@ def test_error_positions():
 def test_map_declaration_matches_blowup_components():
     doc = parse("H = map(F = z*w, G = w)")
     (decl,) = doc.declarations
-    assert isinstance(decl, MapDecl)
-    assert decl.components == (BinOp("*", Var("z1"), Var("w")),)
-    assert decl.normal == Var("w")
+    assert decl == Decl("H", CtorRef("map", ((BinOp("*", Var("z1"), Var("w")),), Var("w"))))
 
 
 def test_map_declaration_with_two_components():
     doc = parse("H = map(F = z1, z1*z2, G = w)")
     (decl,) = doc.declarations
-    assert len(decl.components) == 2
+    components, _ = decl.value.args
+    assert len(components) == 2
 
 
 def test_surface_declaration_kinds():
@@ -131,7 +136,7 @@ def test_surface_declaration_kinds():
         "A = heisenberg(2)\nB = blowup(2, 3)\nC = exp_model(4)\n"
         "D = m_psi(z1, z1*z2)\nE = hypersurface(tau + z*chi)\nF0 = graph(z*chi + s)"
     )
-    kinds = [d.kind for d in doc.declarations]
+    kinds = [d.value.kind for d in doc.declarations]
     assert kinds == ["heisenberg", "blowup", "exp_model", "m_psi", "hypersurface", "graph"]
 
 
@@ -181,19 +186,11 @@ def test_full_document_shape():
         "T = map(F = z, G = w^2)\nM2 = exp_model(2)\nM1 = exp_model(1)\n"
         "A = z2*chi1 + z1^2\nb = z1^2*z2\n"
         "checkmap T : M2 -> M1\nclassify M2\nprolong A, b at (2, 1)\n"
-        "verify infinite_type\nexamples"
     )
     assert doc.degree == 12
     assert doc.convention == "i"
-    assert [type(t) for t in doc.tasks] == [
-        CheckMapTask,
-        ClassifyTask,
-        ProlongTask,
-        VerifyTask,
-        ExamplesTask,
-    ]
+    assert [type(t) for t in doc.tasks] == [CheckMapTask, ClassifyTask, ProlongTask]
     assert doc.tasks[2] == ProlongTask("A", ("b",), (2, 1))
-    assert doc.tasks[3].suite == "infinite_type"
 
 
 def test_inline_constructor_references():
@@ -209,11 +206,16 @@ def test_convention_directive_forms():
         parse("convention 3i")
 
 
-def test_verify_suite_names_checked():
-    assert parse("verify").tasks[0] == VerifyTask(None)
-    with pytest.raises(GrammarError) as err:
-        parse("verify smoke")
-    assert "unknown suite" in err.value.message
+@pytest.mark.parametrize("word", ["verify", "examples"])
+def test_registry_commands_are_not_statements(word):
+    """`verify` and `examples` run the built-in registry and read no document:
+    as a statement each is refused at its word, with the command to run."""
+    for text in (word, f"M = heisenberg(1)\n{word} finite_type", f"{word} = heisenberg(1)"):
+        with pytest.raises(GrammarError) as err:
+            parse(text)
+        assert f"run crtrans {word}" in err.value.message
+        assert (err.value.line, err.value.column) == (text.count("\n") + 1, 1)
+    assert f'"{word}"' not in GRAMMAR_TEXT
 
 
 # ---------------- canonical rendering ----------------
@@ -244,7 +246,6 @@ def test_parse_render_identity():
         "checkmap T : M2 -> exp_model(1)\n"
         "classify E\n"
         "prolong A, b at (2, 1)\n"
-        "verify easystuff\nexamples"
     )
     doc = parse(text)
     out = render(doc)
@@ -261,20 +262,19 @@ def test_render_is_stable_on_its_own_output():
 
 
 def test_evaluate_layout_mismatch_is_an_error():
-    layout, arity = map_layout(1)
     with pytest.raises(StructureError):
-        evaluate(expr_of("tau"), layout, arity, 6)
+        realize("map", [expr_of("tau")], 6)
 
 
 
 @pytest.mark.parametrize("node, value", [(Num(0), 0), (Num(7), 7), (Imag(), qr(0, 1))])
 def test_constants_evaluate_to_the_canonical_constant_series(node, value):
-    layout, arity = q_layout(1)
-    got, want = evaluate(node, layout, arity, 6), Series.polynomial(arity, 6, {(0, 0, 0): value})
+    _, (got,) = realize("q", [node], 6)
+    want = Series.polynomial(3, 6, {(0, 0, 0): value})
     assert (got._num, got._den, got.degree, got.exact) == (
         want._num, want._den, want.degree, want.exact)
     with pytest.raises(StructureError, match="non-negative"):
-        evaluate(node, layout, arity, -1)
+        realize("q", [node], -1)
 
 def test_division_by_series_rejected():
     with pytest.raises(StructureError):
@@ -293,12 +293,57 @@ def test_huge_powers_truncate_quickly():
     assert t.coefficient((2, 0, 0)) == qr(comb(64, 2))
 
 
-def test_block_size_and_free_variables():
-    e = expr_of("z3*chi1 + tau")
-    assert free_variables(e) == {"z3", "chi1", "tau"}
-    assert block_size([e]) == 3
-    layout, arity = pair_layout(2)
-    assert arity == 4 and layout == {"z1": 0, "z2": 1, "chi1": 2, "chi2": 3}
+def test_realize_spans_the_whole_family():
+    n, (q,) = realize("q", [expr_of("z3*chi1 + tau")], 4)
+    assert (n, q.arity) == (3, 7)
+    n, (a, b) = realize("pair", [expr_of("z1"), expr_of("chi2")], 4)
+    assert (n, a, b) == (2, Series.variable(0, 4, 4), Series.variable(3, 4, 4))
+    n, (psi,) = realize("psi", [Num(2)], 4)
+    assert (n, psi.arity) == (1, 1)
+
+
+# context -> its coordinates in layout order, for n = 2
+LAYOUTS = {
+    "q": ("z1", "z2", "chi1", "chi2", "tau"),
+    "graph": ("z1", "z2", "chi1", "chi2", "s"),
+    "map": ("z1", "z2", "w"),
+    "psi": ("z1", "z2"),
+    "pair": ("z1", "z2", "chi1", "chi2"),
+}
+
+
+@pytest.mark.parametrize("context", sorted(LAYOUTS))
+def test_realize_lays_out_each_context(context):
+    names = LAYOUTS[context]
+    n, got = realize(context, [Var(name) for name in names], 3)
+    assert n == 2
+    assert got == tuple(Series.variable(slot, len(names), 3) for slot in range(len(names)))
+
+
+# ---------------- long and deep expressions ----------------
+
+
+def test_a_long_sum_is_walked_without_recursion():
+    """The parser builds a sum left-deep; rendering and evaluating it loop along
+    the chain, so its length is not bounded by the interpreter's stack."""
+    terms = ["1/5000*z*chi"] * 4999 + ["(z + chi)*tau"]
+    e = expr_of(" + ".join(terms))
+    assert render_expr(e) == " + ".join(["1/5000*z1*chi1"] * 4999 + ["(z1 + chi1)*tau"])
+    assert eval_q(" - ".join(["z"] * 3001)) == eval_q("-2999*z")
+    assert realize("q", [e], 4) == realize("q", [expr_of("4999/5000*z*chi + (z + chi)*tau")], 4)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-(", ")"), ("exp(", ") - 1"), ("-", "")])
+def test_nesting_is_bounded(opening, closing):
+    """100 levels parse; the 101st level is refused at its token, as is a far deeper one."""
+    levels = 100 if opening != "-(" else 50  # "-(" opens two levels
+    parse(f"q = {opening * levels}z{closing * levels}")
+    for depth in (levels + 1, 30 * levels):
+        with pytest.raises(GrammarError) as err:
+            parse(f"q = {opening * depth}z{closing * depth}")
+        assert err.value.message == "expression nested deeper than 100 levels"
+        assert err.value.column == 5 + len(opening) * levels
+    assert "nest at most 100 deep" in GRAMMAR_TEXT
 
 
 def test_imag_unit_squares_to_minus_one():

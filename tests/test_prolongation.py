@@ -274,8 +274,7 @@ def test_solve_makes_few_products(monkeypatch):
     where cross-multiplied fractions made 82."""
     doc = grammar.parse(f"degree 9\n{PROLONG_DATA[0]}prolong A, b1 at (2, 2)\n")
     env = {d.name: d for d in doc.declarations}
-    layout, arity = grammar.pair_layout(2)
-    a, b = (grammar.evaluate(env[name].expr, layout, arity, 9) for name in ("A", "b1"))
+    _, (a, b) = grammar.realize("pair", [env[name].value for name in ("A", "b1")], 9)
     inst = expand_instance(a, 2, [b], 4 + mi.degree(minimal_ordered_nonzero(a, 2)))
     calls = []
     general = series._product
@@ -399,10 +398,8 @@ def solve_document(text, degree):
     doc = grammar.parse(f"degree {degree}\n{text}")
     env = {d.name: d for d in doc.declarations}
     task = doc.tasks[0]
-    n = len(task.alpha)
-    layout, arity = grammar.pair_layout(n)
-    a, *b = (grammar.evaluate(env[name].expr, layout, arity, degree)
-             for name in (task.a, *task.components))
+    n, (a, *b) = grammar.realize("pair", [env[name].value for name in (task.a, *task.components)],
+                                 degree)
     order = mi.degree(task.alpha) + mi.degree(minimal_ordered_nonzero(a, n))
     return _run_prolong(task, env, degree), prolongation_solve(expand_instance(a, n, b, order), task.alpha)
 
