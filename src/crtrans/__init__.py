@@ -13,16 +13,15 @@ import sys
 __version__ = "0.1.0"  # the version in pyproject.toml
 
 # every library submodule, with the public names it gives the package; the
-# entry points `cli` and `__main__` load when imported, as `python -m` needs
+# entry points `cli` and `__main__` load when imported, as `python -m` needs,
+# and `record` imports its private helper `_nested` on first use
 _EXPORTS = {
     "scalar": ("GaussianRational",),
     "series": ("Series", "compose", "exp_series"),
     "fracseries": ("FracSeries",),
+    "rank": ("GenericRank", "SeriesMatrix", "generic_rank"),
     "linalg": (
-        "GenericRank",
-        "SeriesMatrix",
         "determinant",
-        "generic_rank",
         "rank_at_point",
         "scalar_determinant",
         "solve_triangular",

@@ -282,14 +282,15 @@ def _summarize(results: List[dict]) -> List[str]:
 def _sha256_hex(data: bytes) -> str:
     """SHA-256 from the interpreter's builtin module, so that no command loads
     OpenSSL: `hashlib` imports it for every algorithm. `hashlib` serves only
-    an interpreter built without the builtin one; the digest is the same."""
+    an interpreter built without the builtin one; the digest is the same. The
+    version picks the module, so no import fails after a `sys.path` search."""
     try:
-        from _sha2 import sha256  # Python 3.12+
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
     except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10-3.11
-        except ImportError:
-            from hashlib import sha256
+        from hashlib import sha256
     return sha256(data).hexdigest()
 
 

@@ -19,8 +19,9 @@ from .hypersurface import (
     is_class_cm,
     is_holomorphically_nondegenerate,
 )
-from .linalg import determinant, generic_rank, scalar_determinant
+from .linalg import determinant, scalar_determinant
 from .multiindex import grlex_key, unit
+from .rank import generic_rank
 from .record import Record
 from .scalar import ZERO
 from .series import Series, compose

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Tuple
 
 from . import multiindex as mi
 from .errors import ArityMismatch, ConstructionError, StructureError
-from .linalg import RankState, generic_rank
+from .rank import RankState, generic_rank
 from .record import Record
 from .scalar import GaussianRational
 from .series import Series, compose, identity_components, solve_implicit

@@ -94,17 +94,25 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
+    # Nested records are walked without recursion (see `_nested`). No command
+    # compares, hashes or prints a record, so no command compiles the walks.
+
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        from ._nested import equal
+
+        return equal(self, other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        from ._nested import hash_of
+
+        return hash_of(self)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({body})"
+        from ._nested import repr_of
+
+        return repr_of(self)
 
     def to_json(self) -> Dict[str, Any]:
         return {name: jsonable(getattr(self, name)) for name in self._fields}

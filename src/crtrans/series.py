@@ -604,56 +604,6 @@ class Series:
         return text
 
 
-def evaluate_row(
-    row: Sequence[Series], point: Sequence[ScalarLike]
-) -> Tuple[List[Tuple[int, int]], int]:
-    """Values of a row of series at one exact point, over one denominator.
-
-    Returns (nums, den) in lowest terms with row[j](point) == (re + im*i) / den
-    for nums[j] == (re, im). Computed on the integer form, with one power
-    table per coordinate for the whole row. Write coordinate i as g_i / d_i
-    with g_i a Gaussian integer, and let E_i be the highest power of variable
-    i among the row's stored terms. Every term of entry j then lies over the
-    one denominator den_j * prod d_i^E_i, with g_i^e * d_i^(E_i - e) in place
-    of the e-th power of the coordinate, and the row is brought to the lcm of
-    the den_j.
-    """
-    for s in row:
-        if len(point) != s.arity:
-            raise ArityMismatch("evaluation point has wrong length")
-    n = len(point)
-    keys = [_index(k, n) for s in row for k in s._num]
-    top = [max(col) for col in zip(*keys)] if keys else [0] * n
-    scale = 1
-    powers = []  # powers[i][e] = g_i^e * d_i^(E_i - e) as (re, im)
-    for p, t in zip(point, top):
-        gr, gi, d = _split(GaussianRational.coerce(p))
-        g = [(1, 0)]
-        for _ in range(t):
-            a, b = g[-1]
-            g.append((a * gr - b * gi, a * gi + b * gr))
-        powers.append([(a * d ** (t - e), b * d ** (t - e)) for e, (a, b) in enumerate(g)])
-        scale *= d ** t
-    common = math.lcm(*(s._den for s in row))
-    nums = []
-    for s in row:
-        total_re = total_im = 0
-        for k, (re, im) in s._num.items():
-            for i, e in enumerate(_index(k, n)):
-                a, b = powers[i][e]
-                re, im = re * a - im * b, re * b + im * a
-            total_re += re
-            total_im += im
-        m = common // s._den
-        nums.append((total_re * m, total_im * m))
-    den = common * scale
-    g = math.gcd(den, *(x for pair in nums for x in pair))
-    if g > 1:
-        nums = [(re // g, im // g) for re, im in nums]
-        den //= g
-    return nums, den
-
-
 def identity_components(arity: int, degree: int) -> Tuple[Series, ...]:
     return tuple(Series.variable(i, arity, degree) for i in range(arity))
 

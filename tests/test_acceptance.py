@@ -32,7 +32,6 @@ from crtrans.hypersurface import (
     is_holomorphically_nondegenerate,
     validate,
 )
-from crtrans.linalg import generic_rank
 from crtrans.models import (
     blowup_hypersurface,
     blowup_map,
@@ -50,6 +49,7 @@ from crtrans.prolongation import (
     minimal_ordered_nonzero,
     prolongation_solve,
 )
+from crtrans.rank import generic_rank
 from crtrans.scalar import GaussianRational
 from crtrans.series import Series
 from crtrans.verify import build_registry, run_all, suite_finite_type

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from crtrans import grammar, hypersurface, linalg
+from crtrans import grammar, hypersurface, rank
 from crtrans.cli import _run_classify
 from crtrans.hypersurface import Convention
 from crtrans.verify import run_all
@@ -122,7 +122,7 @@ def test_run_all_types_each_surface_once(classify_type_calls):
 
 
 def test_rank_scans_skip_exact_zero_rows_and_columns(monkeypatch):
-    original = linalg._det
+    original = rank._det
     minors = []
 
     def recording(entries):
@@ -145,7 +145,7 @@ def test_rank_family_expands_each_minor_once(monkeypatch):
     # each family keeps one RankState over k = 0..7; from scratch at every k
     # this classify makes 144 minor expansions of 23 distinct minors
     minors = []
-    det = linalg._det
+    det = rank._det
 
     def recording_det(entries):
         minors.append(entries)  # keeps the entries alive, so ids stay unique

@@ -9,15 +9,13 @@ import pytest
 from crtrans.errors import NotSolvableAtTruncation, StructureError
 from crtrans.fracseries import FracSeries
 from crtrans.linalg import (
-    RankState,
-    SeriesMatrix,
     determinant,
-    generic_rank,
     rank_at_point,
     scalar_determinant,
     solve_triangular,
     span_membership,
 )
+from crtrans.rank import RankState, SeriesMatrix, generic_rank
 from crtrans.scalar import qr
 from crtrans.series import Series
 
@@ -76,7 +74,7 @@ def test_determinant_exact_lifting():
     det = determinant([[z, w], [w, z]])
     assert det.degree == 1 and det.is_zero and not det.exact
 
-    from crtrans.linalg import _det
+    from crtrans.rank import _det
 
     raw = _det([[z, w], [w, z]])
     assert raw.degree == 2 and raw.exact
@@ -87,7 +85,7 @@ def test_determinant_exact_lifting():
 def test_exact_lifts_run_past_the_input_degree():
     # a minor and a fraction product of exact degree-200 data are lifted to
     # degree 400, above the degree of every input
-    from crtrans.linalg import _det
+    from crtrans.rank import _det
 
     x = Series.polynomial(2, 200, {(200, 0): 1, (0, 1): 1})
     y = Series.polynomial(2, 200, {(0, 200): 1})

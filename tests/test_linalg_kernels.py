@@ -28,21 +28,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from crtrans import hypersurface, linalg  # noqa: E402
+from crtrans import hypersurface, rank  # noqa: E402
 from crtrans import multiindex as mi  # noqa: E402
 from crtrans.hypersurface import Convention  # noqa: E402
 from crtrans.linalg import (  # noqa: E402
-    RankState,
-    SeriesMatrix,
     _bareiss,
-    _det,
     _gaussian_integer_rows,
-    _scan_minors,
-    generic_rank,
+    evaluate_row,
     scalar_determinant,
 )
+from crtrans.rank import RankState, SeriesMatrix, _det, _scan_minors, generic_rank  # noqa: E402
 from crtrans.scalar import ZERO, GaussianRational, qr  # noqa: E402
-from crtrans.series import Series, evaluate_row  # noqa: E402
+from crtrans.series import Series  # noqa: E402
 from crtrans.verdict import certified_true, unknown  # noqa: E402
 
 from test_classify import DEGENERATE, classify  # noqa: E402
@@ -150,7 +147,7 @@ def ref_scan_minors(mat, size):
 
 
 def ref_rank_at_point(m, point):
-    mat = linalg._as_matrix(m)
+    mat = rank._as_matrix(m)
     return ref_scalar_rank([[ref_evaluate(e, point) for e in row] for row in mat.rows])
 
 
@@ -334,7 +331,7 @@ def test_generic_rank_matches_reference_scan(mat):
         assert _scan_minors(RankState().extend(mat), size) == ref_scan_minors(mat, size)
     got = generic_rank(mat).to_json()
     # generic_rank hands its RankState to the scan; the reference reads its matrix
-    with mock.patch.object(linalg, "_scan_minors",
+    with mock.patch.object(rank, "_scan_minors",
                            lambda state, size: ref_scan_minors(state.mat, size)):
         want = generic_rank(mat).to_json()
     assert got == want
@@ -383,7 +380,7 @@ def test_incremental_rank_matches_from_scratch_on_a_degenerate_family(monkeypatc
     calls = []
 
     def recording(rows, state=None):
-        g = linalg.generic_rank(rows, state=state)
+        g = rank.generic_rank(rows, state=state)
         calls.append((list(rows), g.to_json()))
         return g
 

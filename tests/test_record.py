@@ -1,7 +1,8 @@
 """Record against a frozen dataclass twin: construction, normalisation,
 immutability, equality and hashing by class, repr, identity equality, and
-cached properties. Then the report form, `to_json`, and the keys of the
-records whose JSON is report schema."""
+cached properties, also on nested records and on a record nested thousands
+deep, which must not recurse. Then the report form, `to_json`, and the keys
+of the records whose JSON is report schema."""
 
 import dataclasses
 import enum
@@ -12,7 +13,7 @@ from typing import Tuple
 import pytest
 
 from crtrans.crmap import TransversalOrder
-from crtrans.grammar import Exp, Imag, InputDocument, Neg, Num
+from crtrans.grammar import Exp, Imag, InputDocument, Neg, Num, parse
 from crtrans.hypersurface import TypeClassification, TypeKind
 from crtrans.record import Record
 from crtrans.scalar import qr
@@ -137,6 +138,44 @@ def test_repr_matches_the_dataclass():
     assert repr(Chain([Point(1)], "h")) == "Chain(items=(Point(x=1, y=0, label='p'),), head='h')"
     assert repr(Neg(Num(3))) == "Neg(arg=Num(value=3))"
     assert repr(Imag()) == "Imag()"
+
+
+def test_nested_records_compare_hash_and_print_like_the_dataclass():
+    shared = Point(5)
+    rec = Chain((Point(1), (Point(2, 3), shared), ()), Chain([shared, shared]))
+    twin = ChainTwin((PointTwin(1), (PointTwin(2, 3), PointTwin(5)), ()),
+                     ChainTwin([PointTwin(5), PointTwin(5)]))
+    assert repr(rec) == repr(twin)
+    assert hash(rec) == hash(twin)
+    assert rec == Chain((Point(1), (Point(2, 3), Point(5)), ()), Chain([Point(5), Point(5)]))
+    assert rec != Chain((Point(1), (Point(2, 3), Point(5))), Chain([Point(5), Point(5)]))
+    assert rec != Chain((Point(1), (Point(2, 3), Point(5)), ()), Chain([Point(5), Point(6)]))
+    assert rec != Chain((Point(1), [Point(2, 3), Point(5)], ()), Chain([Point(5), Point(5)]))
+
+
+# a 5000-term sum parses into an expression tree 5000 records deep
+LONG_SUM = " + ".join(f"{k}*z*chi" for k in range(1, 5001))
+
+
+def long_document(extra: str = "") -> InputDocument:
+    return parse(f"M = graph({LONG_SUM}{extra})\nclassify M\n")
+
+
+def test_deeply_nested_records_compare_without_recursion():
+    assert long_document() == long_document()
+    assert long_document() != long_document(" + z*chi")
+
+
+def test_deeply_nested_records_hash_without_recursion():
+    assert hash(long_document()) == hash(long_document())
+
+
+def test_deeply_nested_records_print_without_recursion():
+    text = repr(long_document())
+    assert text.startswith("InputDocument(declarations=(Decl(name='M', value=CtorRef(kind='graph'")
+    assert text.count("BinOp(op='+'") == 4999
+    assert text.endswith("tasks=(ClassifyTask(target=NameRef(name='M')),), degree=None, "
+                         "convention=None)")
 
 
 def test_eq_false_gives_identity_equality():

@@ -21,11 +21,11 @@ from crtrans.errors import (
     StructureError,
     TruncationMismatch,
 )
+from crtrans.linalg import evaluate_row
 from crtrans.scalar import GaussianRational, I, qr
 from crtrans.series import (
     Series,
     compose,
-    evaluate_row,
     exp_series,
     identity_components,
     invert_unit,

@@ -6,6 +6,8 @@ runs. The per-subcommand checks run in fresh processes: in this one, other
 tests have loaded every module already.
 """
 
+import builtins
+import hashlib
 import importlib.util
 import json
 import os
@@ -17,7 +19,9 @@ from pathlib import Path
 import pytest
 
 import crtrans
-from crtrans.cli import main
+from crtrans.cli import _sha256_hex, main
+
+from test_classify import DEGENERATE
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -64,8 +68,11 @@ print(json.dumps({"code": code, "loaded": loaded, "openssl": "_hashlib" in sys.m
 
 PARSE = {"cli", "errors", "grammar", "record"}
 BASE = PARSE | {"multiindex", "scalar", "series"}
-RANK = {"hypersurface", "linalg", "verdict"}
-REGISTRY = (BASE - {"grammar"}) | RANK | {"crmap", "models", "verify"}
+# classify certifies every rank by the minor scan of `rank`; the maps also
+# take scalar and series determinants from `linalg`
+RANK = {"hypersurface", "rank", "verdict"}
+MAPS = RANK | {"crmap", "linalg", "models"}
+REGISTRY = (BASE - {"grammar"}) | MAPS | {"verify"}
 
 # row id -> (argv, document, loaded modules, exit code); a document that fails
 # to parse never reaches the evaluator, the one user of the series kernel
@@ -79,11 +86,14 @@ SUBCOMMANDS = {
     ),
     "classify": (["classify", "--degree", "6"], "M = graph(z*chi + z^2*chi^2*s)\nclassify M\n",
                  BASE | RANK, 0),
+    # every rank scan of this document runs to its cap, and none loads linalg
+    "classify a degenerate graph": (["classify", "--degree", "8"],
+                                    f"M = graph({DEGENERATE})\nclassify M\n", BASE | RANK, 0),
     "classify with a syntax error": (["classify"], "M = = graph(z*chi)\nclassify M\n", PARSE, 1),
     "check-map": (
         ["check-map"],
         "H = map(F = z*w, G = w)\nM = blowup(4,4)\nN = blowup(3,4)\ncheckmap H : M -> N\n",
-        BASE | RANK | {"crmap", "models"},
+        BASE | MAPS,
         0,
     ),
     "verify": (["verify", "--suite", "easystuff", "--degree", "8"], None, REGISTRY, 0),
@@ -107,6 +117,23 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
     assert run["parsing"] == []
 
 
+def test_input_digest_imports_only_the_builtin_sha256_of_this_version(monkeypatch):
+    # trying the other version's module first costs a failed `sys.path` search per document
+    failed = []
+    real_import = builtins.__import__
+
+    def recording(name, *args, **kwargs):
+        try:
+            return real_import(name, *args, **kwargs)
+        except ImportError:
+            failed.append(name)
+            raise
+
+    monkeypatch.setattr(builtins, "__import__", recording)
+    assert _sha256_hex(b"M = graph(z*chi)\n") == hashlib.sha256(b"M = graph(z*chi)\n").hexdigest()
+    assert failed == []
+
+
 def _tracer_tables():
     spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
@@ -127,15 +154,30 @@ def test_every_module_the_tracer_wraps_is_registered_by_the_cli_import():
     assert set(wrapped) <= registered
 
 
-def test_tracer_installs_over_lazy_modules(tmp_path):
+def traced_calls(tmp_path, argv, document) -> dict:
+    """Calls per metric name of one run of `document` under perfbench's tracer."""
     doc = tmp_path / "doc.txt"
-    doc.write_text("A = z2*chi1 + z1^2\nb = z1^2*z2\nprolong A, b at (2, 1)\n", encoding="utf-8")
+    doc.write_text(document, encoding="utf-8")
     out = tmp_path / "trace.json"
-    subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(out), "t", "prolong",
+    subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(out), "t", *argv,
                     str(doc)], env=child_env(), capture_output=True, check=True)
     stats = json.loads(out.read_text(encoding="utf-8"))["stats"]
-    assert stats["prolongation.solve"][0] == 1
-    assert stats["series.mul"][0] > 0
+    return {name: calls for name, (calls, *_) in stats.items()}
+
+
+def test_tracer_installs_over_lazy_modules(tmp_path):
+    calls = traced_calls(tmp_path, *SUBCOMMANDS["prolong"][:2])
+    assert calls["prolongation.solve"] == 1
+    assert calls["series.mul"] > 0
+    # the tracer wraps the rank functions through `linalg`, which takes them
+    # from `rank`: a classify and a check-map must still reach the wrappers
+    calls = traced_calls(tmp_path, *SUBCOMMANDS["classify a degenerate graph"][:2])
+    assert calls["linalg.generic_rank"] > 0
+    assert calls["linalg.det"] > 0
+    calls = traced_calls(tmp_path, *SUBCOMMANDS["check-map"][:2])
+    assert calls["linalg.generic_rank"] > 0
+    assert calls["linalg.det"] > 0
+    assert calls["linalg.determinant"] > 0
 
 
 def test_package_names_are_the_objects_of_their_modules():
