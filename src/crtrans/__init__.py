@@ -97,7 +97,8 @@ _EXPORTS = {
         "suite_finite_type",
         "suite_infinite_type",
     ),
-    "grammar": ("GRAMMAR_TEXT", "InputDocument", "parse"),
+    "grammar": ("InputDocument", "parse"),
+    "grammar_text": ("GRAMMAR_TEXT",),
     "multiindex": (),
     "record": (),
 }

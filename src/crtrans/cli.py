@@ -18,14 +18,14 @@ and of the `crtrans` script, ends the process with it.
 from __future__ import annotations
 
 import atexit
-import json
 import os
 import sys
 from math import factorial
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 # modules, not names: a module loads when a command first reads from it
-from . import __version__, crmap, fracseries, grammar, hypersurface, models, prolongation, verify
+from . import (__version__, crmap, fracseries, grammar, grammar_text, hypersurface, models,
+               prolongation, verify)
 from .errors import CrtransError, GrammarError
 
 SCHEMA = "crtrans-report/1"
@@ -160,47 +160,6 @@ def _run_prolong(task: grammar.ProlongTask, env, degree: int, *_) -> dict:
     }
 
 
-def _run_verify(suite: Optional[str], degree: int, conv: hypersurface.Convention) -> dict:
-    if suite is None:
-        return verify.run_all(degree=degree, convention=conv)
-    maps, easy = verify.build_registry(degree, conv)
-    rows = {
-        "finite_type": lambda: verify.suite_finite_type(maps),
-        "infinite_type": lambda: verify.suite_infinite_type(maps),
-        "easystuff": lambda: verify.suite_easystuff(easy),
-    }[suite]()
-    return verify.suite_report({suite: rows})
-
-
-_FAMILIES = [
-    {"name": "heisenberg(n)", "kind": "finite type quadric", "m": None},
-    {"name": "m_psi(psi_1, ..., psi_d)", "kind": "sum of squares over a holomorphic map", "m": None},
-    {"name": "blowup(b, c)", "kind": "infinite type blowup model, needs 2b > c", "m": "2b - c + 1"},
-    {"name": "exp_model(k)", "kind": "1-infinite exponential model", "m": 1},
-]
-
-
-def _run_examples(degree: int, conv: hypersurface.Convention) -> dict:
-    maps, easy = verify.build_registry(degree, conv)
-    instances = []
-    for inst in maps:
-        instances.append(
-            {
-                "id": inst.id,
-                "realm": inst.realm,
-                "sends_into": crmap.sends_into(inst.h, inst.source, inst.target).to_json(),
-                "note": inst.note or None,
-            }
-        )
-    return {
-        "families": _FAMILIES,
-        "map_instances": instances,
-        "intertwined_instances": [
-            {"id": e.id, "note": e.note or None} for e in easy
-        ],
-    }
-
-
 # ---------------- orchestration ----------------
 
 
@@ -221,25 +180,93 @@ def _read_document(path: Optional[str]) -> str:
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _emit(report: dict, json_path: Optional[str], summary: List[str], code: int) -> int:
-    """Write the report, then the summary; return `code`, or 2 with one error
-    line and no summary when the report cannot be written."""
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+def _report_text(report: dict) -> str:
+    """`json.dumps(report, sort_keys=True, indent=2)`, byte for byte, for what a
+    report holds: dicts with str keys, lists, tuples, str, int, bool and None.
+    Anything else, a float or a non-str key included, raises TypeError.
+
+    Strings are quoted by the function json itself uses. The `json` package
+    is not imported: its import costs about as much as writing a report, and
+    with `indent` its encoder runs in pure Python at about half this writer's
+    speed. The recursion stays inside this call, so a tracer sees one call
+    per report.
+    """
     try:
-        if json_path:
-            with open(json_path, "w", encoding="utf-8") as fh:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter built without json's accelerator
+        from json.encoder import py_encode_basestring_ascii as quote
+    parts: List[str] = []
+    put = parts.append
+
+    def write(value, indent: str) -> None:
+        # the order of json's own type checks; `indent` starts with the newline
+        if isinstance(value, str):
+            put(quote(value))
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = indent + "  "
+            lead = "[" + inner
+            for item in value:
+                put(lead)
+                lead = "," + inner
+                write(item, inner)
+            put(indent + "]")
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = indent + "  "
+            lead = "{" + inner
+            for key in sorted(value):  # a key that is not a str fails here or in `quote`
+                put(lead + quote(key) + ": ")
+                lead = "," + inner
+                write(value[key], inner)
+            put(indent + "}")
+        else:
+            raise TypeError(f"a report holds no {type(value).__name__}")
+
+    write(report, "\n")
+    return "".join(parts)
+
+
+def _write(text: str, path: Optional[str], what: str) -> bool:
+    """Write `text` to `path`, or to stdout when `path` is None. False, after
+    one `error:` line naming `what`, when it cannot be written."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:  # the process started with stdout closed
+            raise OSError("stdout is closed")
         else:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not json_path:
+        if not path and sys.stdout is not None:
             # what stdout still buffers would fail again at exit (see the
             # note on SIGPIPE in the `signal` documentation)
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        print(f"error: cannot write the {what}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit(report: dict, json_path: Optional[str], summary: List[str], code: int) -> int:
+    """Write the report, then the summary; return `code`, or 2 with one error
+    line and no summary when the report cannot be written."""
+    if not _write(_report_text(report) + "\n", json_path, "report"):
         return 2
     for line in summary:
         print(line, file=sys.stderr)
@@ -395,8 +422,7 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _help() -> NoReturn:
-    sys.stdout.write(_HELP)
-    raise SystemExit(0)
+    raise SystemExit(0 if _write(_HELP, None, "help") else 2)
 
 
 def _is_flag(arg: str, flags) -> bool:
@@ -467,8 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command, opts = _parse_command_line(sys.argv[1:] if argv is None else argv)
 
     if command == "print-grammar":
-        sys.stdout.write(grammar.GRAMMAR_TEXT)
-        return 0
+        return 0 if _write(grammar_text.GRAMMAR_TEXT, None, "grammar") else 2
 
     if command not in ("verify", "examples"):
         # built only here: reading a task class loads the grammar, which
@@ -484,7 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     conv = hypersurface.Convention(opts["complexify"] or "2i")
     try:
         if command == "verify":
-            body = _run_verify(opts["suite"], degree, conv)
+            body = verify.verify_report(opts["suite"], degree, conv)
             counts = body["counts"]
             summary = (
                 f"verify: {counts['confirmed']} confirmed, "
@@ -492,7 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{counts['falsified']} falsified"
             )
         else:
-            body = _run_examples(degree, conv)
+            body = verify.examples_report(degree, conv)
             summary = (
                 f"examples: {len(body['families'])} families, "
                 f"{len(body['map_instances'])} map instances"
@@ -524,8 +549,9 @@ def _interpreter_needed() -> bool:
 
 def _flushed() -> bool:
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with it closed
+                stream.flush()
     except (OSError, ValueError):
         return False
     return True

@@ -16,7 +16,6 @@ from .errors import GrammarError, StructureError
 from .record import Record
 
 __all__ = [
-    "GRAMMAR_TEXT",
     "Num",
     "Imag",
     "Var",
@@ -36,40 +35,6 @@ __all__ = [
     "evaluate",
     "realize",
 ]
-
-GRAMMAR_TEXT = """\
-document    := { statement (";" | NEWLINE) }
-statement   := directive | declaration | task
-
-directive   := "degree" INT
-             | "convention" ("2i" | "i")
-
-declaration := NAME "=" rhs
-rhs         := expr
-             | "hypersurface" "(" expr ")"          defining function Q(z, chi, tau)
-             | "graph" "(" expr ")"                 graph function phi(z, chi, s)
-             | "heisenberg" "(" INT ")"
-             | "blowup" "(" INT "," INT ")"
-             | "exp_model" "(" INT ")"
-             | "m_psi" "(" expr { "," expr } ")"    components in z variables
-             | "map" "(" "F" "=" expr { "," expr } "," "G" "=" expr ")"
-
-task        := "classify" ref
-             | "checkmap" ref ":" ref "->" ref
-             | "prolong" NAME { "," NAME } "at" "(" INT { "," INT } ")"
-ref         := NAME | constructor                   constructors as in rhs
-
-expr        := term { ("+" | "-") term }
-term        := unary { ("*" | "/") unary }          "/" needs a constant divisor
-unary       := "-" unary | power
-power       := atom [ "^" INT ]
-atom        := INT | "i" | NAME | "exp" "(" expr ")" | "(" expr ")"
-
-Coordinates: z, z1, z2, ... and chi, chi1, ... (z and chi mean z1 and chi1),
-tau in defining functions, s in graph functions, w in map components.
-Rational coefficients are written p/q. "#" starts a comment to end of line.
-Parentheses, exp(...) and unary minus nest at most 100 deep.
-"""
 
 _MAX_NESTING = 100
 

@@ -55,10 +55,6 @@ class TypeClassification(Record):
     degree_used: int
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind is TypeKind.FINITE
-
-    @property
     def is_infinite(self) -> bool:
         return self.kind is TypeKind.INFINITE
 

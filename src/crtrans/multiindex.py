@@ -63,9 +63,3 @@ def iter_degree(arity: int, total: int) -> Iterator[MultiIndex]:
             prev = b
         idx.append(total + arity - 2 - prev)
         yield tuple(idx)
-
-
-def iter_up_to(arity: int, max_total: int) -> Iterator[MultiIndex]:
-    """All multi-indices with degree at most max_total, graded lex order."""
-    for d in range(max_total + 1):
-        yield from sorted(iter_degree(arity, d))

@@ -4,7 +4,8 @@ Each suite row pairs one statement id with one registry instance. Hypotheses
 are certified first; only when every hypothesis is certified true does the
 conclusion verdict decide between confirmed and falsified. A falsified row
 carries the offending coefficient and is treated as a build-breaking event by
-the command line front end.
+the command line front end. `verify_report` and `examples_report` build the
+bodies of the `verify` and `examples` reports.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .crmap import CRMap, InstanceAnalysis, identity_map
+from .crmap import CRMap, InstanceAnalysis, identity_map, sends_into
 from .hypersurface import Convention, NormalHypersurface, TypeKind, _gradient_family_rank
 from .linalg import scalar_determinant
 from .models import (
@@ -43,6 +44,9 @@ __all__ = [
     "suite_easystuff",
     "suite_report",
     "run_all",
+    "verify_report",
+    "FAMILIES",
+    "examples_report",
 ]
 
 
@@ -486,3 +490,46 @@ def run_all(degree: int = 10, convention: Convention = Convention.TWO_I) -> dict
     notes = {inst.id: inst.note for inst in maps if inst.note}
     notes.update({inst.id: inst.note for inst in easy if inst.note})
     return {**suite_report(suites), "instance_notes": notes}
+
+
+def verify_report(suite: Optional[str], degree: int, convention: Convention) -> dict:
+    """The body of a `verify` report: every suite, or the one named."""
+    if suite is None:
+        return run_all(degree, convention)
+    maps, easy = build_registry(degree, convention)
+    rows = {
+        "finite_type": lambda: suite_finite_type(maps),
+        "infinite_type": lambda: suite_infinite_type(maps),
+        "easystuff": lambda: suite_easystuff(easy),
+    }[suite]()
+    return suite_report({suite: rows})
+
+
+FAMILIES = [
+    {"name": "heisenberg(n)", "kind": "finite type quadric", "m": None},
+    {"name": "m_psi(psi_1, ..., psi_d)", "kind": "sum of squares over a holomorphic map", "m": None},
+    {"name": "blowup(b, c)", "kind": "infinite type blowup model, needs 2b > c", "m": "2b - c + 1"},
+    {"name": "exp_model(k)", "kind": "1-infinite exponential model", "m": 1},
+]
+
+
+def examples_report(degree: int, convention: Convention) -> dict:
+    """The body of an `examples` report: the model families and the registry's instances."""
+    maps, easy = build_registry(degree, convention)
+    instances = []
+    for inst in maps:
+        instances.append(
+            {
+                "id": inst.id,
+                "realm": inst.realm,
+                "sends_into": sends_into(inst.h, inst.source, inst.target).to_json(),
+                "note": inst.note or None,
+            }
+        )
+    return {
+        "families": FAMILIES,
+        "map_instances": instances,
+        "intertwined_instances": [
+            {"id": e.id, "note": e.note or None} for e in easy
+        ],
+    }

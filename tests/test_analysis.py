@@ -16,9 +16,9 @@ import sys
 import pytest
 
 from crtrans import crmap, grammar
-from crtrans.cli import _run_checkmap, _run_verify, main
+from crtrans.cli import _run_checkmap, main
 from crtrans.hypersurface import Convention
-from crtrans.verify import build_registry, run_all
+from crtrans.verify import build_registry, run_all, verify_report
 
 
 def digest(body) -> str:
@@ -66,7 +66,7 @@ def test_run_all_report_is_byte_stable(conv):
 
 @pytest.mark.parametrize("suite", sorted(SINGLE_SUITE))
 def test_single_suite_report_is_byte_stable(suite):
-    body = _run_verify(suite, 10, Convention.TWO_I)
+    body = verify_report(suite, 10, Convention.TWO_I)
     assert "instance_notes" not in body
     assert digest(body) == SINGLE_SUITE[suite]
 

@@ -12,11 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from crtrans import multiindex as mi, series
+from crtrans import series
 from crtrans.errors import CrtransError, DivisionUncertifiable
 from crtrans.fracseries import FracSeries, _plus, _series_eq
 from crtrans.scalar import qr
 from crtrans.series import Series, invert_unit
+
+from test_multiindex import iter_up_to
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -211,7 +213,7 @@ if given is not None:
         """Numerators: exact or inexact zeros and polynomials. Denominators:
         the exact one, exact polynomials and truncated series."""
         def poly(degree, exact, min_size):
-            indices = st.sampled_from(list(mi.iter_up_to(arity, degree)))
+            indices = st.sampled_from(list(iter_up_to(arity, degree)))
             terms = draw(st.dictionaries(indices, COEFFS.filter(bool), min_size=min_size, max_size=4))
             return Series(arity, degree, terms, exact)
 

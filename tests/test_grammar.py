@@ -1,8 +1,8 @@
 import pytest
 
+from crtrans import GRAMMAR_TEXT
 from crtrans.errors import GrammarError, StructureError
 from crtrans.grammar import (
-    GRAMMAR_TEXT,
     BinOp,
     CheckMapTask,
     ClassifyTask,

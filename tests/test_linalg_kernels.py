@@ -29,7 +29,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from crtrans import hypersurface, rank  # noqa: E402
-from crtrans import multiindex as mi  # noqa: E402
 from crtrans.hypersurface import Convention  # noqa: E402
 from crtrans.linalg import (  # noqa: E402
     _bareiss,
@@ -43,6 +42,7 @@ from crtrans.series import Series  # noqa: E402
 from crtrans.verdict import certified_true, unknown  # noqa: E402
 
 from test_classify import DEGENERATE, classify  # noqa: E402
+from test_multiindex import iter_up_to  # noqa: E402
 
 
 def scalar_rank(rows):
@@ -221,7 +221,7 @@ def scalar_matrix(draw, square=False):
 
 @st.composite
 def series(draw, arity, degree, exact=None):
-    indices = list(mi.iter_up_to(arity, degree))
+    indices = list(iter_up_to(arity, degree))
     keys = draw(st.lists(st.sampled_from(indices), max_size=5, unique=True))
     flag = draw(st.booleans()) if exact is None else exact
     return Series(arity, degree, {k: draw(gaussian()) for k in keys}, exact=flag)

@@ -121,10 +121,10 @@ def test_cprofile_still_prints_its_stats():
     assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
 
 
-def assert_one_error_line(returncode: int, stderr: bytes, reason: str) -> None:
+def assert_one_error_line(returncode: int, stderr: bytes, reason: str, what: str = "report") -> None:
     assert returncode == 2
     err = stderr.decode()
-    assert err.startswith("error: cannot write the report: ") and reason in err
+    assert err.startswith(f"error: cannot write the {what}: ") and reason in err
     assert err.count("\n") == 1  # no traceback, no "Exception ignored" line
 
 
@@ -140,6 +140,34 @@ def test_full_device_on_stdout_exits_two():
         proc = subprocess.run([sys.executable, "-m", "crtrans", "verify", "--suite", "easystuff"],
                               stdout=full, stderr=subprocess.PIPE, env=child_env(), timeout=120)
     assert_one_error_line(proc.returncode, proc.stderr, "No space left on device")
+
+
+# the texts besides the report, each written through the report's guarded path
+TEXTS = {"print-grammar": "grammar", "--help": "help"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", sorted(TEXTS))
+def test_full_device_on_stdout_exits_two_for_each_text(command):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "crtrans", command],
+                              stdout=full, stderr=subprocess.PIPE, env=child_env(), timeout=120)
+    assert_one_error_line(proc.returncode, proc.stderr, "No space left on device", TEXTS[command])
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
+@pytest.mark.parametrize(
+    "argv, what",
+    [(["classify", "-"], "report"), (["verify", "--suite", "easystuff"], "report"),
+     *(([command], what) for command, what in sorted(TEXTS.items()))],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_a_process_started_with_stdout_closed_exits_two(argv, what):
+    # `>&-` starts the interpreter without file descriptor 1, so sys.stdout is None
+    proc = subprocess.run(["/bin/sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "crtrans", *argv],
+                          input=VALID_DOC.encode(), stderr=subprocess.PIPE, env=child_env(),
+                          timeout=120)
+    assert_one_error_line(proc.returncode, proc.stderr, "stdout is closed", what)
 
 
 def test_stdout_closed_before_the_report_exits_two():

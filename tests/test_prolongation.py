@@ -39,6 +39,8 @@ from crtrans.prolongation import (
 from crtrans.scalar import qr
 from crtrans.series import Series
 
+from test_multiindex import iter_up_to
+
 try:
     from hypothesis import example, given, settings, strategies as st
 except ImportError:  # the property test below needs the `test` extra
@@ -457,7 +459,7 @@ if given is not None:
     @st.composite
     def chi_series(draw, p, degree, exact=None):
         """An exact or truncated series in p variables, zero half the time."""
-        monomials = list(mi.iter_up_to(p, 3))
+        monomials = list(iter_up_to(p, 3))
         terms = draw(st.just({}) | st.dictionaries(st.sampled_from(monomials), COEFFS.filter(bool),
                                                    min_size=1, max_size=4))
         return Series(p, degree, terms, draw(st.booleans()) if exact is None else exact)
@@ -476,10 +478,10 @@ if given is not None:
         n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
         degree = draw(st.integers(3, 7))
         free = draw(st.booleans())
-        zs = sorted((z for z in mi.iter_up_to(n, 2)), key=mi.grlex_key)
+        zs = sorted((z for z in iter_up_to(n, 2)), key=mi.grlex_key)
         pivot = zs[0] if free else draw(st.sampled_from(zs[:-1]))
         unit = draw(st.booleans())
-        chis = list(mi.iter_up_to(p, 2))[0 if unit else 1:]
+        chis = list(iter_up_to(p, 2))[0 if unit else 1:]
         p_terms = draw(st.dictionaries(st.sampled_from(chis), COEFFS.filter(bool),
                                        min_size=1, max_size=3))
         if unit:
@@ -487,18 +489,18 @@ if given is not None:
         terms = {pivot + c: v for c, v in p_terms.items()}
         above = [z for z in zs if mi.grlex_key(z) > mi.grlex_key(pivot)]
         for _ in range(draw(st.integers(0, 5))):
-            z, c = draw(st.sampled_from(above)), draw(st.sampled_from(list(mi.iter_up_to(p, 2))))
+            z, c = draw(st.sampled_from(above)), draw(st.sampled_from(list(iter_up_to(p, 2))))
             terms[z + c] = draw(COEFFS.filter(bool))
         a = Series(n + p, degree, {e: v for e, v in terms.items() if sum(e) <= degree},
                    draw(st.booleans()))
         width = draw(st.integers(1, 2))
         top = min(3 if n == 1 else 2, degree - mi.degree(pivot))
-        alpha = draw(st.sampled_from([g for g in mi.iter_up_to(n, top)]))
+        alpha = draw(st.sampled_from([g for g in iter_up_to(n, top)]))
         max_order = mi.degree(alpha) + mi.degree(pivot)
         if free:
             jets = {beta: tuple(draw(chi_series(p, draw(st.integers(0, degree))))
                                 for _ in range(width))
-                    for beta in mi.iter_up_to(n, max_order)}
+                    for beta in iter_up_to(n, max_order)}
         else:
             b = [draw(chi_series(n + p, degree)) for _ in range(width)]
             jets = forward_expand(a, n, b, max_order)
@@ -602,25 +604,25 @@ if given is not None:
         n, p = draw(st.integers(1, 2)), draw(st.integers(1, 2))
         degree = draw(st.integers(3, 6))
         top = degree + draw(st.integers(1, 4))
-        pivot = draw(st.sampled_from(list(mi.iter_up_to(n, 1))))
+        pivot = draw(st.sampled_from(list(iter_up_to(n, 1))))
         unit = draw(st.booleans())
-        low = list(mi.iter_up_to(p, 2))[0 if unit else 1:]
+        low = list(iter_up_to(p, 2))[0 if unit else 1:]
         p_terms = draw(st.dictionaries(st.sampled_from(low), COEFFS.filter(bool), min_size=1, max_size=2))
         if unit:
             p_terms[(0,) * p] = draw(COEFFS.filter(bool))
-        p_terms.update(draw(st.dictionaries(st.sampled_from(list(mi.iter_up_to(p, top - sum(pivot)))),
+        p_terms.update(draw(st.dictionaries(st.sampled_from(list(iter_up_to(p, top - sum(pivot)))),
                                             COEFFS.filter(bool), max_size=2)))
         terms = {pivot + c: v for c, v in p_terms.items() if unit or any(c)}
-        above = [z for z in mi.iter_up_to(n, 2) if mi.grlex_key(z) > mi.grlex_key(pivot)]
+        above = [z for z in iter_up_to(n, 2) if mi.grlex_key(z) > mi.grlex_key(pivot)]
         for _ in range(draw(st.integers(0, 4))):
             z = draw(st.sampled_from(above))
-            terms[z + draw(st.sampled_from(list(mi.iter_up_to(p, top - sum(z)))))] = draw(COEFFS.filter(bool))
-        monomials = list(mi.iter_up_to(n + p, top))
+            terms[z + draw(st.sampled_from(list(iter_up_to(p, top - sum(z)))))] = draw(COEFFS.filter(bool))
+        monomials = list(iter_up_to(n + p, top))
         b = [Series(n + p, top, draw(st.dictionaries(st.sampled_from(monomials), COEFFS.filter(bool),
                                                      max_size=5)), draw(st.booleans()))
              for _ in range(draw(st.integers(1, 2)))]
         a = Series(n + p, top, terms, draw(st.booleans()))
-        alpha = draw(st.sampled_from(list(mi.iter_up_to(n, min(3 if n == 1 else 2, degree - sum(pivot))))))
+        alpha = draw(st.sampled_from(list(iter_up_to(n, min(3 if n == 1 else 2, degree - sum(pivot))))))
         return a, b, n, alpha, degree
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)

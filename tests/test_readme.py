@@ -91,7 +91,7 @@ def test_readme_input_language_block(command, tmp_path):
 
 
 def test_readme_block_names_only_grammar_constructors():
-    from crtrans.grammar import GRAMMAR_TEXT
+    from crtrans import GRAMMAR_TEXT
 
     (listed,) = re.findall(r"# or: (.*)", input_language_block())
     for name in re.findall(r"(\w+)\(", listed):

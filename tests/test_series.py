@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from crtrans import multiindex as mi
 from crtrans import series as series_module
 from crtrans.errors import (
     ArityMismatch,
@@ -32,10 +31,12 @@ from crtrans.series import (
     solve_implicit,
 )
 
+from test_multiindex import iter_up_to
+
 
 def rand_poly(rng, arity, degree, density=0.4, complex_coeffs=True):
     terms = {}
-    for alpha in mi.iter_up_to(arity, degree):
+    for alpha in iter_up_to(arity, degree):
         if rng.random() < density:
             re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             im = Fraction(rng.randint(-2, 2)) if complex_coeffs else 0

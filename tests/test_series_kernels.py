@@ -28,6 +28,8 @@ from crtrans.errors import CrtransError  # noqa: E402
 from crtrans.scalar import ONE, ZERO, GaussianRational, qr  # noqa: E402
 from crtrans.series import Series, compose, exp_series, solve_implicit  # noqa: E402
 
+from test_multiindex import iter_up_to  # noqa: E402
+
 
 class Ref:
     """A series as a dict of GaussianRational terms, with the schoolbook kernels below."""
@@ -185,7 +187,7 @@ COEFFS = st.builds(
 @st.composite
 def raw_series(draw, arity, degree, pointed=False):
     """Constructor arguments; some terms lie one degree past the truncation."""
-    indices = list(mi.iter_up_to(arity, degree + 1))[1 if pointed else 0 :]
+    indices = list(iter_up_to(arity, degree + 1))[1 if pointed else 0 :]
     keys = draw(st.lists(st.sampled_from(indices), max_size=8, unique=True))
     return arity, degree, {k: draw(COEFFS) for k in keys}, draw(st.booleans())
 
@@ -224,7 +226,7 @@ def one_term(draw, arity):
     idx = (0,) * arity
     if kind == "monomial" and degree:
         top = list(mi.iter_degree(arity, degree))
-        idx = draw(st.sampled_from(top) | st.sampled_from(list(mi.iter_up_to(arity, degree))[1:]))
+        idx = draw(st.sampled_from(top) | st.sampled_from(list(iter_up_to(arity, degree))[1:]))
     c = ONE if kind == "one" else draw(COEFFS.filter(bool))
     return arity, degree, {idx: c}, draw(st.booleans())
 
@@ -307,7 +309,7 @@ def test_compose_matches_the_sum_of_component_power_products(data):
     arity = data.draw(st.integers(1, 4))
     inner = data.draw(st.integers(1, 3))
     degree = data.draw(st.integers(0, 8))
-    indices = list(mi.iter_up_to(arity, degree + 1))
+    indices = list(iter_up_to(arity, degree + 1))
     keys = data.draw(st.lists(st.sampled_from(indices), max_size=16, unique=True))
     f = Series(arity, degree, {k: data.draw(COEFFS) for k in keys}, data.draw(st.booleans()))
     others = data.draw(st.permutations(range(arity)))[: data.draw(st.integers(1, min(3, arity)))]
@@ -430,7 +432,7 @@ def test_coefficient_blocks_match_reference(data):
     blocks = a.coefficient_blocks(vs)
     nonzero = {tuple(k[i] for i in vs) for k in A.terms}
     assert set(blocks) == nonzero
-    for alpha in sorted(nonzero) + list(mi.iter_up_to(len(vs), a.degree)):
+    for alpha in sorted(nonzero) + list(iter_up_to(len(vs), a.degree)):
         got, want = blocks[alpha], ref_coefficient_series(A, vs, alpha)
         assert (got.arity, got.degree, got.exact) == (want.arity, want.degree, want.exact)
         assert dict(got.terms) == want.terms
@@ -442,7 +444,7 @@ def test_coefficient_blocks_match_reference(data):
 def exact_pointed(draw, arity, degree, without=()):
     """An exact pointed series of truncation degree `degree` >= 1, with no term
     at the indices `without`."""
-    indices = [k for k in list(mi.iter_up_to(arity, degree))[1:] if k not in without]
+    indices = [k for k in list(iter_up_to(arity, degree))[1:] if k not in without]
     keys = draw(st.lists(st.sampled_from(indices), max_size=6, unique=True))
     return Series(arity, degree, {k: draw(COEFFS) for k in keys}, True)
 
@@ -492,7 +494,7 @@ def implicit_rhs(draw):
     o = draw(st.sampled_from([1, 2, 3, None]))
     u = arity - 1
     # a term x^a u^b with b >= 1 adds a term of order |a| + b - 1 to d(rhs)/du
-    pool = [k for k in mi.iter_up_to(arity, d + 3)
+    pool = [k for k in iter_up_to(arity, d + 3)
             if sum(k) and (k[u] == 0 or o is not None and sum(k) > o)]
     keys = draw(st.lists(st.sampled_from(pool), max_size=7, unique=True)) if pool else []
     if o is not None:

@@ -53,20 +53,28 @@ def test_cli_import_adds_no_dataclasses_inspect_or_metadata():
 
 # Runs the CLI, then reports which crtrans modules it loaded. A lazy module is
 # registered in sys.modules with a subclass of ModuleType until its first
-# attribute read; `type` does not read one.
+# attribute read; `type` does not read one. Whether the run loaded `json` is
+# read before this script imports it.
 RUN_AND_LIST = """\
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 from crtrans.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # -h and usage errors
+        code = exc.code
 loaded = sorted(n.split(".", 1)[1] for n, m in sys.modules.items()
                 if n.startswith("crtrans.") and type(m) is types.ModuleType)
 parsing = [n for n in ("argparse", "gettext", "locale") if n in sys.modules]
+uses_json = "json" in sys.modules
+import json
 print(json.dumps({"code": code, "loaded": loaded, "openssl": "_hashlib" in sys.modules,
-                  "parsing": parsing}))
+                  "parsing": parsing, "json": uses_json}))
 """
 
-PARSE = {"cli", "errors", "grammar", "record"}
+# print-grammar, -h and usage errors load neither the parser nor its records
+FRONT = {"cli", "errors"}
+PARSE = FRONT | {"grammar", "record"}
 BASE = PARSE | {"multiindex", "scalar", "series"}
 # classify certifies every rank by the minor scan of `rank`; the maps also
 # take scalar and series determinants from `linalg`
@@ -77,7 +85,9 @@ REGISTRY = (BASE - {"grammar"}) | MAPS | {"verify"}
 # row id -> (argv, document, loaded modules, exit code); a document that fails
 # to parse never reaches the evaluator, the one user of the series kernel
 SUBCOMMANDS = {
-    "print-grammar": (["print-grammar"], None, PARSE, 0),
+    "print-grammar": (["print-grammar"], None, FRONT | {"grammar_text"}, 0),
+    "--help": (["--help"], None, FRONT, 0),
+    "usage error": (["classify", "--degree", "x"], None, FRONT, 2),
     "prolong": (
         ["prolong"],
         "A = z2*chi1 + z1^2\nb = z1^2*z2\nprolong A, b at (2, 1)\n",
@@ -115,6 +125,8 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
     assert run["openssl"] is False
     # the command line is parsed without argparse, which loads gettext and locale
     assert run["parsing"] == []
+    # the report is written without the json package
+    assert run["json"] is False
 
 
 def test_input_digest_imports_only_the_builtin_sha256_of_this_version(monkeypatch):
