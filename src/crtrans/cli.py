@@ -239,6 +239,19 @@ def _report_text(report: dict) -> str:
     return "".join(parts)
 
 
+def _say(line: str) -> None:
+    """Write one diagnostic line to stderr. A process started with stderr
+    closed has `sys.stderr` None, where `print` would write to stdout after the
+    report; the line is dropped then, and when stderr cannot be written, so
+    stdout carries only the report and the exit code stays `main`'s."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(line + "\n")
+    except (OSError, ValueError):
+        pass
+
+
 def _write(text: str, path: Optional[str], what: str) -> bool:
     """Write `text` to `path`, or to stdout when `path` is None. False, after
     one `error:` line naming `what`, when it cannot be written."""
@@ -258,7 +271,7 @@ def _write(text: str, path: Optional[str], what: str) -> bool:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"error: cannot write the {what}: {exc}", file=sys.stderr)
+        _say(f"error: cannot write the {what}: {exc}")
         return False
     return True
 
@@ -269,7 +282,7 @@ def _emit(report: dict, json_path: Optional[str], summary: List[str], code: int)
     if not _write(_report_text(report) + "\n", json_path, "report"):
         return 2
     for line in summary:
-        print(line, file=sys.stderr)
+        _say(line)
     return code
 
 
@@ -331,17 +344,16 @@ def _document_command(command: str, opts: dict, kind, runner) -> int:
     try:
         text = _read_document(opts["document"])
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
     except UnicodeDecodeError as exc:
         source = "stdin" if opts["document"] in (None, "-") else opts["document"]
-        print(f"error: {source} is not UTF-8: {exc.reason} at byte offset {exc.start}",
-              file=sys.stderr)
+        _say(f"error: {source} is not UTF-8: {exc.reason} at byte offset {exc.start}")
         return 2
     try:
         doc = grammar.parse(text)
     except GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 1
     degree = opts["degree"] if opts["degree"] is not None else (doc.degree or 10)
     conv = opts["complexify"] or doc.convention or "2i"  # a Convention's value
@@ -417,7 +429,7 @@ after '--' every argument is a document.
 
 
 def _usage_error(message: str) -> NoReturn:
-    print(f"error: {message}", file=sys.stderr)
+    _say(f"error: {message}")
     raise SystemExit(2)
 
 
@@ -523,7 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{len(body['map_instances'])} map instances"
             )
     except CrtransError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
     report = {**_envelope(command, degree, conv.value, opts["seed"]), **body}
     return _emit(report, opts["json"], [summary], 1 if body.get("falsified") else 0)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
 from . import multiindex as mi
@@ -172,7 +171,7 @@ def from_graph(
     wide = 2 * n + 2
     tau_var = Series.variable(2 * n, wide, d)
     u_var = Series.variable(2 * n + 1, wide, d)
-    s_expr = (tau_var + u_var) * Fraction(1, 2)
+    s_expr = (tau_var + u_var) / 2
     comps = [Series.variable(i, wide, d) for i in range(2 * n)] + [s_expr]
     rhs = tau_var + compose(phi, comps).scale(convention.factor)
     q = solve_implicit(rhs)
@@ -194,7 +193,7 @@ def to_graph(m: NormalHypersurface) -> Series:
     wide = 2 * n + 2
     s_var = Series.variable(2 * n, wide, d)
     r_wide = r.embed(wide, list(range(2 * n)) + [2 * n + 1])
-    t = solve_implicit(s_var - r_wide * Fraction(1, 2))
+    t = solve_implicit(s_var - r_wide / 2)
 
     ids = identity_components(q.arity, d)
     q_on_graph = compose(q, list(ids[: 2 * n]) + [t])

@@ -9,7 +9,6 @@ the same instances many times.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple
 
@@ -20,7 +19,7 @@ from .hypersurface import (
     NormalHypersurface,
     from_graph,
 )
-from .scalar import GaussianRational
+from .scalar import GaussianRational, RationalLike
 from .series import Series, compose, exp_series, solve_implicit
 
 
@@ -56,12 +55,14 @@ def heisenberg(
 
 @lru_cache(maxsize=None)
 def scaled_heisenberg(
-    factor: Fraction,
+    factor: RationalLike,
     n: int = 1,
     degree: int = 10,
     convention: Convention = Convention.TWO_I,
 ) -> NormalHypersurface:
     """Im w = factor * |z|^2 for a positive rational factor."""
+    from fractions import Fraction  # no command builds this model
+
     factor = Fraction(factor)
     if factor <= 0:
         raise StructureError("the scaling factor must be a positive rational")
@@ -109,7 +110,7 @@ def exp_model(
     if k < 1:
         raise StructureError("k must be a positive integer")
     _check_degree(degree, 3, "the exponential model")
-    zchi = Series.polynomial(3, degree, {(1, 1, 0): GaussianRational(0, Fraction(1, k))})
+    zchi = Series.polynomial(3, degree, {(1, 1, 0): GaussianRational(0, 1) / k})
     q = exp_series(zchi) * Series.variable(2, 3, degree)
     m = NormalHypersurface(1, q, convention)
     cls = m.classification
@@ -196,11 +197,11 @@ def theta_profile(b: int, c: int, degree: int = 10) -> Series:
         raise StructureError("need 2b > c for an infinite type blowup model")
     terms = {}
     for k in range(b + 1):
-        terms[(1, 2 * k * (d - 1), 2 * k)] = Fraction(math.comb(b, k))
+        terms[(1, 2 * k * (d - 1), 2 * k)] = math.comb(b, k)
     for k in range(1, (c - 1) // 2 + 1):
         sign = -1 if k % 2 == 0 else 1
-        terms[(0, 2 * k * (d - 1), 2 * k + 1)] = Fraction(
-            sign * math.comb(c, 2 * k + 1), c
+        terms[(0, 2 * k * (d - 1), 2 * k + 1)] = (
+            GaussianRational(sign * math.comb(c, 2 * k + 1)) / c
         )
     rhs = Series(3, degree, terms)  # high powers may fall past the degree
     theta = solve_implicit(rhs)

@@ -51,7 +51,6 @@ still pass.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from . import multiindex as mi
@@ -188,8 +187,8 @@ def prolongation_solve(
                     f"jet data for beta = {beta} is required but was not supplied"
                 )
             used_orders.append(mi.degree(beta))
-            inv = Fraction(1, mi.factorial(beta))
-            targets[beta] = tuple(s.scale(inv) if inv != 1 else s for s in instance.jets[beta])
+            fact = mi.factorial(beta)
+            targets[beta] = tuple(s / fact if fact != 1 else s for s in instance.jets[beta])
         return targets[beta]
 
     blocks = [(delta, block) for delta, block in a_blocks.items() if not block.is_zero]

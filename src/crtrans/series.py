@@ -17,8 +17,10 @@ of a product term is the sum of the keys: a kept product has degree at most
 the truncation degree, so no field carries. A truncation degree above
 MAX_DEGREE does not fit and raises StructureError. Exponent tuples are built
 only at the boundary: `terms` is a read-only `idx -> GaussianRational` view,
-and GaussianRational stays the type every public query returns. Series
-objects are immutable by convention.
+and GaussianRational stays the type every public query returns. A scalar
+holds one coefficient's (re, im, den) in lowest terms, so `_split` reads its
+parts and `_scalar` reduces a coefficient by one gcd. Series objects are
+immutable by convention.
 
 The `exact` flag records when the stored terms are known to be the whole
 series (a polynomial). It is metadata, not part of equality; consumers use it
@@ -33,7 +35,6 @@ import math
 import struct
 from bisect import bisect_left
 from collections.abc import Mapping
-from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     TruncationMismatch,
 )
 from .multiindex import MultiIndex, degree as idx_degree, unit
-from .scalar import ONE, ZERO, GaussianRational, ScalarLike
+from .scalar import ONE, ZERO, GaussianRational, ScalarLike, _parts, _reduced as _scalar
 
 Order = Union[int, float]  # math.inf marks "no visible nonzero term"
 INFINITE_ORDER: float = math.inf
@@ -56,7 +57,6 @@ Groups = Dict[Tuple[int, ...], NumMap]  # exponents in the non-shift components 
 _W = 16  # bits per key field, an unsigned short, so keys convert through struct
 _MASK = (1 << _W) - 1
 MAX_DEGREE = _MASK  # largest truncation degree whose keys fit
-_SCALARS = (int, Fraction, GaussianRational)  # what `Series` arithmetic takes as a constant
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,13 +86,7 @@ def _check_degree(degree: int) -> None:
 
 def _split(c: GaussianRational) -> Tuple[int, int, int]:
     """(re, im, den) in lowest terms with c == (re + im*i) / den."""
-    rd, idn = c.re.denominator, c.im.denominator
-    den = rd * idn // math.gcd(rd, idn)
-    return c.re.numerator * (den // rd), c.im.numerator * (den // idn), den
-
-
-def _scalar(re: int, im: int, den: int) -> GaussianRational:
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return c._re, c._im, c._den
 
 
 def _lowest(num: NumMap, den: int) -> Tuple[NumMap, int]:
@@ -375,7 +369,7 @@ class Series:
 
     def _add_signed(self, other: Union["Series", ScalarLike], sign: int) -> "Series":
         if not isinstance(other, Series):
-            if not isinstance(other, _SCALARS):
+            if _parts(other) is None:  # not a scalar constant
                 return NotImplemented
             other = Series.constant(other, self.arity, self.degree)
         self._check_arity(other)
@@ -423,7 +417,7 @@ class Series:
         and the constant 1 returns the other factor, truncated to that degree.
         """
         if not isinstance(other, Series):
-            if not isinstance(other, _SCALARS):
+            if _parts(other) is None:  # not a scalar constant
                 return NotImplemented
             return self.scale(other)
         self._check_arity(other)
@@ -809,7 +803,7 @@ def exp_series(f: Series) -> Series:
         if p.is_zero:
             break
         fact *= j
-        acc = acc + p.scale(Fraction(1, fact))
+        acc = acc + Series._reduced(p.arity, p.degree, p._num, p._den * fact, p.exact)  # p / j!
     if not f.is_zero:
         acc = acc._with_exact(False)
     return acc

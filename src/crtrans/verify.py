@@ -11,7 +11,6 @@ bodies of the `verify` and `examples` reports.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .crmap import CRMap, InstanceAnalysis, identity_map, sends_into
@@ -259,7 +258,7 @@ def build_registry(
         ),
         MapInstance(
             "rotation_self_map_exp_1",
-            _scaling(qr(Fraction(3, 5), Fraction(4, 5)), qr(2), degree),
+            _scaling(qr(3, 4) / 5, qr(2), degree),
             e1,
             e1,
             "infinite",
@@ -280,7 +279,7 @@ def build_registry(
         MapInstance("blowup_window_31_to_21", blowup_map(1, 1, degree), m31, m21, "infinite"),
         MapInstance(
             "scaling_self_map_blowup_21",
-            _scaling(qr(Fraction(1, 4), Fraction(1, 4)), qr(2), degree),
+            _scaling(qr(1, 1) / 4, qr(2), degree),
             m21,
             m21,
             "infinite",
@@ -311,7 +310,7 @@ def build_registry(
             "pairing_rescaled",
             pair1,
             (Series.polynomial(1, degree, {(1,): 2}),),
-            qr(Fraction(1, 4)),
+            qr(1) / 4,
             1,
         ),
         IntertwinedInstance("exponential_negated", expo, neg1, qr(1), 1),

@@ -177,3 +177,28 @@ def test_stdout_closed_before_the_report_exits_two():
         err = child.stderr.read()
         returncode = child.wait(timeout=120)
     assert_one_error_line(returncode, err, "Broken pipe")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor before exec")
+@pytest.mark.parametrize(
+    "argv, stdin, expected",
+    [
+        (["classify", "--degree", "6"], VALID_DOC, 0),
+        (["verify", "--suite", "easystuff"], "", 0),
+        (["classify"], TASK_ERROR_DOC, 1),
+        (["classify"], "M = = graph(z*chi)\nclassify M\n", 1),
+        (["bogus"], "", 2),
+    ],
+    ids=["classify", "verify", "task error", "syntax error", "usage error"],
+)
+def test_a_process_started_with_stderr_closed_writes_only_the_report(
+        capsys, monkeypatch, argv, stdin, expected):
+    # without file descriptor 2 the interpreter starts with sys.stderr None, where
+    # `print(..., file=sys.stderr)` would write to stdout
+    code, out, _ = in_process(capsys, monkeypatch, argv, stdin)
+    proc = subprocess.run([sys.executable, "-m", "crtrans", *argv], input=stdin.encode(),
+                          stdout=subprocess.PIPE, env=child_env(), timeout=120,
+                          preexec_fn=lambda: os.close(2))
+    assert code == expected
+    assert proc.returncode == expected
+    assert proc.stdout == out.encode("utf-8")

@@ -86,3 +86,15 @@ def test_foreign_operand_still_raises_type_error():
         with pytest.raises(TypeError):
             op()
     assert 2 - qr(1) == 1 and 1 / qr(2) == Fraction(1, 2)
+
+
+def test_integer_form_in_lowest_terms_with_parts_printed_reduced():
+    a = qr(Fraction(1, 4), Fraction(1, 2))
+    assert (a._re, a._im, a._den) == (1, 2, 4)
+    assert (a.re, a.im) == (Fraction(1, 4), Fraction(1, 2))
+    assert str(a) == "1/4+1/2i"
+    assert repr(a) == "GaussianRational(Fraction(1, 4), Fraction(1, 2))"
+    b = qr(Fraction(1, 6), Fraction(1, 3)) * 3
+    assert (b._re, b._im, b._den) == (1, 2, 2)
+    assert str(b) == "1/2+i"
+    assert hash(qr(Fraction(1, 2))) == hash(Fraction(1, 2))

@@ -54,7 +54,8 @@ def test_cli_import_adds_no_dataclasses_inspect_or_metadata():
 # Runs the CLI, then reports which crtrans modules it loaded. A lazy module is
 # registered in sys.modules with a subclass of ModuleType until its first
 # attribute read; `type` does not read one. Whether the run loaded `json` is
-# read before this script imports it.
+# read before this script imports it. `fractions` also loads `decimal` and
+# `numbers`; no command needs any of them.
 RUN_AND_LIST = """\
 import contextlib, io, sys, types
 from crtrans.cli import main
@@ -66,10 +67,11 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 loaded = sorted(n.split(".", 1)[1] for n, m in sys.modules.items()
                 if n.startswith("crtrans.") and type(m) is types.ModuleType)
 parsing = [n for n in ("argparse", "gettext", "locale") if n in sys.modules]
+numeric = [n for n in ("fractions", "decimal", "numbers") if n in sys.modules]
 uses_json = "json" in sys.modules
 import json
 print(json.dumps({"code": code, "loaded": loaded, "openssl": "_hashlib" in sys.modules,
-                  "parsing": parsing, "json": uses_json}))
+                  "parsing": parsing, "json": uses_json, "numeric": numeric}))
 """
 
 # print-grammar, -h and usage errors load neither the parser nor its records
@@ -127,6 +129,8 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
     assert run["parsing"] == []
     # the report is written without the json package
     assert run["json"] is False
+    # scalars are (re, im, den) ints, so nothing loads fractions
+    assert run["numeric"] == []
 
 
 def test_input_digest_imports_only_the_builtin_sha256_of_this_version(monkeypatch):
@@ -221,6 +225,14 @@ def test_package_dir_star_import_and_unknown_names():
 
 def test_no_source_file_uses_dataclass():
     users = [p.name for p in sorted(SRC.rglob("*.py")) if "@dataclass" in p.read_text()]
+    assert users == []
+
+
+def test_no_source_file_imports_fractions_at_module_level():
+    # an indented import, inside a function no command calls, is allowed
+    users = [p.name for p in sorted(SRC.rglob("*.py"))
+             for line in p.read_text().splitlines()
+             if line.startswith(("from fractions ", "import fractions"))]
     assert users == []
 
 
