@@ -1,9 +1,12 @@
 """Equality, hashing and repr of nested records, without recursion.
 
 `Record.__eq__`, `__hash__` and `__repr__` give what a frozen dataclass
-gives, but walk nested records and tuples with an explicit stack, so that a
-record nested thousands deep (the expression tree of a 5000-term sum) needs
-no recursion. Other values go to their own `==`, `hash` and `repr`.
+gives, but walk nested records and tuples with an explicit stack. A sum is
+one flat `Chain`, however long, but the deepest expression the parser
+accepts, 100 parenthesised levels of `(z*chi + z*chi*X^2)`, nests some 300
+records deep, and a record compared or printed by plain recursion spends
+several interpreter levels on each: `==` and `repr` then exceed the default
+recursion limit. Other values go to their own `==`, `hash` and `repr`.
 `record` imports this module on the first such call: no command compares,
 hashes or prints a record, so no command process compiles it.
 """

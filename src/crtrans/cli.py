@@ -51,8 +51,9 @@ def _surface(value, degree: int, conv: str) -> hypersurface.NormalHypersurface:
     if not isinstance(value, grammar.CtorRef):
         value = grammar.CtorRef("hypersurface", (value,))
     kind, args = value.kind, value.args
-    if kind in grammar._CTOR_CONTEXTS:
-        n, args = grammar.realize(grammar._CTOR_CONTEXTS[kind], args, degree)
+    context = grammar._CTORS[kind][0]
+    if context is not None:
+        n, args = grammar.realize(context, args, degree)
     conv = hypersurface.Convention(conv)
     if kind == "hypersurface":
         return hypersurface.NormalHypersurface(n, args[0], conv)

@@ -20,12 +20,13 @@ from .hypersurface import (
     is_holomorphically_nondegenerate,
 )
 from .linalg import determinant, scalar_determinant
-from .multiindex import grlex_key, unit
+from .multiindex import unit
 from .rank import generic_rank
 from .record import Record
 from .scalar import ZERO
 from .series import Series, compose
-from .verdict import Verdict, certified_false, certified_true, unknown, vanishes
+from .verdict import (Verdict, certified_false, certified_true, coefficient_witness, lowest_power,
+                      unknown, vanishes)
 
 
 class CRMap(Record):
@@ -147,10 +148,7 @@ def jacobian(h: CRMap) -> Series:
 def is_jacobian_nonzero(h: CRMap) -> Verdict:
     det = jacobian(h)
     if not det.is_zero:
-        lead = det.leading_index()
-        return certified_true(
-            {"index": list(lead), "value": str(det.coefficient(lead))}, det.degree
-        )
+        return certified_true(coefficient_witness(det), det.degree)
     if det.exact:
         return certified_false({"note": "Jacobian vanishes identically"}, det.degree)
     return unknown({"note": "Jacobian vanishes up to truncation"}, det.degree)
@@ -178,18 +176,13 @@ def transversal_order(h: CRMap) -> TransversalOrder:
             g.degree,
             g.exact,
         )
-    k = min(key[h.w_index] for key in g.terms)
+    k, witness = lowest_power(g, h.w_index, g.terms)
     if k == 0:
         raise StructureError(
             "normal component has a monomial with no w factor; "
             "the map cannot send a normal-form source into a normal-form target"
         )
-    lead = min(
-        (key for key in g.terms if key[h.w_index] == k), key=grlex_key
-    )
-    return TransversalOrder(
-        k, {"index": list(lead), "value": str(g.terms[lead])}, g.degree, g.exact
-    )
+    return TransversalOrder(k, witness, g.degree, g.exact)
 
 
 # ---------------- identities against hypersurfaces ----------------
@@ -316,14 +309,8 @@ class InstanceAnalysis(Record, eq=False):
         c0 = coeff.constant_term
         tail = coeff - Series.constant(c0, coeff.arity, coeff.degree)
         if not tail.is_zero:
-            lead = tail.leading_index()
             return certified_false(
-                {
-                    "note": "w^k coefficient depends on z",
-                    "order": k,
-                    "index": list(lead),
-                    "value": str(tail.coefficient(lead)),
-                },
+                coefficient_witness(tail, note="w^k coefficient depends on z", order=k),
                 coeff.degree,
             )
         if not c0:
@@ -399,9 +386,5 @@ class InstanceAnalysis(Record, eq=False):
             return certified_true(
                 {"m": mm, "unit_scale": str(gw0 ** (mm - 1))}, diff.degree
             )
-        lead = diff.leading_index()
-        return certified_false(
-            {"m": mm, "index": list(lead), "value": str(diff.coefficient(lead))},
-            diff.degree,
-        )
+        return certified_false(coefficient_witness(diff, m=mm), diff.degree)
 

@@ -145,13 +145,7 @@ class FracSeries:
         return FracSeries(-self.num, self.den, self.cert)
 
     def _coerce_other(self, other) -> "FracSeries":
-        if isinstance(other, FracSeries):
-            return other
-        if isinstance(other, Series):
-            return FracSeries.from_series(other)
-        return FracSeries.from_series(
-            Series.constant(GaussianRational.coerce(other), self.arity, self.num.degree)
-        )
+        return FracSeries.coerce(other, self.arity, self.num.degree)
 
     def __add__(self, other) -> "FracSeries":
         o = self._coerce_other(other)

@@ -4,7 +4,10 @@ A document is a sequence of statements separated by newlines or semicolons:
 declarations bind names to series expressions, hypersurfaces, or maps, and
 tasks name the work to run. ``parse`` turns text into an ``InputDocument``,
 and ``realize`` evaluates expressions in one of the coordinate contexts of
-``_CONTEXTS``.
+``_CONTEXTS``. A run of operators at one precedence level, as in
+``a + b - c``, is one ``Chain`` node applied left to right, so a long sum is
+a flat tuple of operands rather than a deep tree. ``_CTORS`` is the one
+table of the constructors and their arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ __all__ = [
     "Imag",
     "Var",
     "Neg",
-    "BinOp",
+    "Chain",
     "Pow",
     "Exp",
     "Decl",
@@ -38,14 +41,21 @@ __all__ = [
 
 _MAX_NESTING = 100
 
+# constructor -> (the context its expressions are parsed and realized in, or
+# None for integer arguments; its number of arguments, or None for one or
+# more). A map's arguments are "F = " components and "G = " a normal one.
+_CTORS: Dict[str, Tuple[Optional[str], Optional[int]]] = {
+    "hypersurface": ("q", 1),
+    "graph": ("graph", 1),
+    "heisenberg": (None, 1),
+    "blowup": (None, 2),
+    "exp_model": (None, 1),
+    "m_psi": ("psi", None),
+    "map": ("map", None),
+}
+
 _KEYWORDS = {
-    "map",
-    "hypersurface",
-    "graph",
-    "heisenberg",
-    "blowup",
-    "exp_model",
-    "m_psi",
+    *_CTORS,
     "exp",
     "i",
     "classify",
@@ -57,11 +67,6 @@ _KEYWORDS = {
     "degree",
     "convention",
 }
-
-_CTOR_KEYWORDS = ("hypersurface", "graph", "heisenberg", "blowup", "exp_model", "m_psi", "map")
-
-# the context in which a constructor's expressions are parsed and realized
-_CTOR_CONTEXTS = {"hypersurface": "q", "graph": "graph", "m_psi": "psi", "map": "map"}
 
 
 # ---------------- expression AST ----------------
@@ -83,10 +88,12 @@ class Neg(Record):
     arg: "ExprNode"
 
 
-class BinOp(Record):
-    op: str  # one of + - * /
-    left: "ExprNode"
-    right: "ExprNode"
+class Chain(Record):
+    """`first op x op y ...`, applied left to right; the ops are all + and -,
+    or all * and /."""
+
+    first: "ExprNode"
+    rest: Tuple[Tuple[str, "ExprNode"], ...]  # (op, operand) pairs, at least one
 
 
 class Pow(Record):
@@ -98,7 +105,7 @@ class Exp(Record):
     arg: "ExprNode"
 
 
-ExprNode = Union[Num, Imag, Var, Neg, BinOp, Pow, Exp]
+ExprNode = Union[Num, Imag, Var, Neg, Chain, Pow, Exp]
 
 
 # ---------------- declarations, references, tasks ----------------
@@ -302,18 +309,22 @@ class _Parser:
             raise self.fail(f"expression nested deeper than {_MAX_NESTING} levels", tok)
 
     def parse_expr(self, context: str) -> ExprNode:
-        node = self.parse_term(context)
-        while self.peek().kind == "SYM" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            node = BinOp(op, node, self.parse_term(context))
-        return node
+        return self.parse_chain(context, ("+", "-"), self.parse_term)
 
     def parse_term(self, context: str) -> ExprNode:
-        node = self.parse_unary(context)
-        while self.peek().kind == "SYM" and self.peek().text in ("*", "/"):
-            op = self.next().text
-            node = BinOp(op, node, self.parse_unary(context))
-        return node
+        return self.parse_chain(context, ("*", "/"), self.parse_unary)
+
+    def parse_chain(self, context: str, ops: Tuple[str, str], operand) -> ExprNode:
+        first = operand(context)
+        rest = []
+        while self.peek().kind == "SYM" and self.peek().text in ops:
+            rest.append((self.next().text, operand(context)))
+        if not rest:
+            return first
+        if isinstance(first, Chain) and first.rest[0][0] in ops:
+            # `(a + b) + c` is `a + b + c`, as the operators apply left to right
+            return Chain(first.first, first.rest + tuple(rest))
+        return Chain(first, tuple(rest))
 
     def parse_unary(self, context: str) -> ExprNode:
         if self.at_sym("-"):
@@ -365,23 +376,9 @@ class _Parser:
 
     def parse_ctor(self, kind_tok: _Token) -> CtorRef:
         kind = kind_tok.text
-        context = _CTOR_CONTEXTS.get(kind)
+        context, count = _CTORS[kind]
         self.expect_sym("(")
-        if kind in ("heisenberg", "exp_model"):
-            args: Tuple = (self.expect_int(),)
-        elif kind == "blowup":
-            b = self.expect_int()
-            self.expect_sym(",")
-            args = (b, self.expect_int())
-        elif kind in ("hypersurface", "graph"):
-            args = (self.parse_expr(context),)
-        elif kind == "m_psi":
-            comps = [self.parse_expr(context)]
-            while self.at_sym(","):
-                self.next()
-                comps.append(self.parse_expr(context))
-            args = tuple(comps)
-        elif kind == "map":
+        if kind == "map":
             self.expect_name("F")
             self.expect_sym("=")
             comps = [self.parse_expr(context)]
@@ -392,15 +389,21 @@ class _Parser:
                 comps.append(self.parse_expr(context))
             self.expect_name("G")
             self.expect_sym("=")
-            args = (tuple(comps), self.parse_expr(context))
+            args: Tuple = (tuple(comps), self.parse_expr(context))
         else:
-            raise self.fail(f"unknown constructor {kind!r}", kind_tok)
+            item = self.expect_int if context is None else lambda: self.parse_expr(context)
+            items = [item()]
+            # a fixed count requires its commas; one or more takes them as they come
+            while len(items) < count if count else self.at_sym(","):
+                self.expect_sym(",")
+                items.append(item())
+            args = tuple(items)
         self.expect_sym(")")
         return CtorRef(kind, args)
 
     def parse_ref(self) -> Tuple[Ref, _Token]:
         tok = self.expect_name()
-        if tok.text in _CTOR_KEYWORDS:
+        if tok.text in _CTORS:
             return self.parse_ctor(tok), tok
         if tok.text in _KEYWORDS:
             raise self.fail(f"{tok.text!r} is a reserved word", tok)
@@ -412,7 +415,7 @@ class _Parser:
             raise self.fail(f"{name!r} is a reserved word", name_tok)
         self.expect_sym("=")
         tok = self.peek()
-        if tok.kind == "NAME" and tok.text in _CTOR_KEYWORDS:
+        if tok.kind == "NAME" and tok.text in _CTORS:
             self.next()
             return Decl(name, self.parse_ctor(tok))
         return Decl(name, self.parse_expr("any"))
@@ -523,8 +526,8 @@ _ATOM_PREC = 100
 
 
 def _prec(node: ExprNode) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
+    if isinstance(node, Chain):
+        return _PREC[node.rest[0][0]]
     if isinstance(node, Neg):
         return _NEG_PREC
     if isinstance(node, Pow):
@@ -532,52 +535,34 @@ def _prec(node: ExprNode) -> int:
     return _ATOM_PREC
 
 
-def _spine(node: ExprNode) -> Tuple[ExprNode, List[BinOp]]:
-    """The leftmost operand of a chain of binary operators, and the chain from
-    the innermost operator out. The parser builds `a + b + ...` left-deep, so
-    the walkers below loop along the chain and recurse only into its right
-    operands, whose depth the nesting bound limits."""
-    chain: List[BinOp] = []
-    while isinstance(node, BinOp):
-        chain.append(node)
-        node = node.left
-    chain.reverse()
-    return node, chain
+def _render_at(node: ExprNode, floor: int) -> str:
+    """`node` rendered, in parentheses when it binds looser than `floor`."""
+    text = render_expr(node)
+    return f"({text})" if _prec(node) < floor else text
 
 
 def render_expr(node: ExprNode) -> str:
-    node, chain = _spine(node)
     if isinstance(node, Num):
-        text = str(node.value)
-    elif isinstance(node, Imag):
-        text = "i"
-    elif isinstance(node, Var):
-        text = node.name
-    elif isinstance(node, Exp):
-        text = f"exp({render_expr(node.arg)})"
-    elif isinstance(node, Neg):
-        inner = render_expr(node.arg)
-        text = f"-({inner})" if _prec(node.arg) < _NEG_PREC else f"-{inner}"
-    elif isinstance(node, Pow):
-        base = render_expr(node.base)
-        if _prec(node.base) < _ATOM_PREC:
-            base = f"({base})"
-        text = f"{base}^{node.exponent}"
-    else:
-        raise StructureError(f"cannot render {node!r}")
-    # a parenthesised left operand is everything rendered so far
-    parts, opened, prec = [text], 0, _prec(node)
-    for link in chain:
-        mine = _PREC[link.op]
-        if prec < mine:
-            opened += 1
-            parts.append(")")
-        right = render_expr(link.right)
-        if _prec(link.right) <= mine:
-            right = f"({right})"
-        parts.append(f" {link.op} {right}" if link.op in ("+", "-") else f"{link.op}{right}")
-        prec = mine
-    return "(" * opened + "".join(parts)
+        return str(node.value)
+    if isinstance(node, Imag):
+        return "i"
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Exp):
+        return f"exp({render_expr(node.arg)})"
+    if isinstance(node, Neg):
+        return "-" + _render_at(node.arg, _NEG_PREC)
+    if isinstance(node, Pow):
+        return f"{_render_at(node.base, _ATOM_PREC)}^{node.exponent}"
+    if isinstance(node, Chain):
+        # a right operand at the chain's own level needs parentheses, a left one does not
+        mine = _prec(node)
+        parts = [_render_at(node.first, mine)]
+        for op, operand in node.rest:
+            right = _render_at(operand, mine + 1)
+            parts.append(f" {op} {right}" if op in ("+", "-") else f"{op}{right}")
+        return "".join(parts)
+    raise StructureError(f"cannot render {node!r}")
 
 
 def _render_ref(ref: Ref) -> str:
@@ -587,11 +572,8 @@ def _render_ref(ref: Ref) -> str:
         comps, normal = ref.args
         inner = ", ".join(render_expr(c) for c in comps)
         return f"map(F = {inner}, G = {render_expr(normal)})"
-    if ref.kind in ("hypersurface", "graph"):
-        return f"{ref.kind}({render_expr(ref.args[0])})"
-    if ref.kind == "m_psi":
-        return "m_psi(" + ", ".join(render_expr(c) for c in ref.args) + ")"
-    return f"{ref.kind}(" + ", ".join(str(a) for a in ref.args) + ")"
+    show = str if _CTORS[ref.kind][0] is None else render_expr
+    return f"{ref.kind}(" + ", ".join(show(a) for a in ref.args) + ")"
 
 
 def _render_task(task: Task) -> str:
@@ -620,8 +602,8 @@ def realize(
     stack = list(exprs)
     while stack:
         node = stack.pop()
-        if isinstance(node, BinOp):
-            stack += (node.left, node.right)
+        if isinstance(node, Chain):
+            stack += (node.first, *(operand for _, operand in node.rest))
         elif isinstance(node, (Neg, Exp)):
             stack.append(node.arg)
         elif isinstance(node, Pow):
@@ -640,38 +622,38 @@ def realize(
 def evaluate(node: ExprNode, layout: Dict[str, int], arity: int, degree: int) -> series.Series:
     """Evaluate an expression to a truncated series over the given layout."""
     Series = series.Series
-    node, chain = _spine(node)
+    if isinstance(node, Chain):
+        value = evaluate(node.first, layout, arity, degree)
+        for op, operand in node.rest:
+            right = evaluate(operand, layout, arity, degree)
+            if op == "+":
+                value = value + right
+            elif op == "-":
+                value = value - right
+            elif op == "*":
+                value = value * right
+            elif right.poly_degree > 0:
+                raise StructureError("can only divide by a nonzero constant")
+            elif not right.constant_term:
+                raise StructureError("division by zero")
+            else:
+                value = value.scale(scalar.qr(1) / right.constant_term)
+        return value
     if isinstance(node, (Num, Imag)):
         if degree < 0:  # refused as `Series` refuses it, since the trusted constructor does not
             raise StructureError("arity and truncation degree must be non-negative")
         # key 0 is the constant term, and a Gaussian integer over 1 is in lowest terms
         num = {0: (0, 1)} if isinstance(node, Imag) else {0: (node.value, 0)} if node.value else {}
-        value = Series._make(arity, degree, num, 1, True)
-    elif isinstance(node, Var):
+        return Series._make(arity, degree, num, 1, True)
+    if isinstance(node, Var):
         idx = layout.get(node.name)
         if idx is None:
             raise StructureError(f"variable {node.name} is not available in this context")
-        value = Series.variable(idx, arity, degree)
-    elif isinstance(node, Neg):
-        value = -evaluate(node.arg, layout, arity, degree)
-    elif isinstance(node, Exp):
-        value = series.exp_series(evaluate(node.arg, layout, arity, degree))
-    elif isinstance(node, Pow):
-        value = evaluate(node.base, layout, arity, degree) ** node.exponent
-    else:
-        raise StructureError(f"cannot evaluate {node!r}")
-    for link in chain:
-        right = evaluate(link.right, layout, arity, degree)
-        if link.op == "+":
-            value = value + right
-        elif link.op == "-":
-            value = value - right
-        elif link.op == "*":
-            value = value * right
-        elif right.poly_degree > 0:
-            raise StructureError("can only divide by a nonzero constant")
-        elif not right.constant_term:
-            raise StructureError("division by zero")
-        else:
-            value = value.scale(scalar.qr(1) / right.constant_term)
-    return value
+        return Series.variable(idx, arity, degree)
+    if isinstance(node, Neg):
+        return -evaluate(node.arg, layout, arity, degree)
+    if isinstance(node, Exp):
+        return series.exp_series(evaluate(node.arg, layout, arity, degree))
+    if isinstance(node, Pow):
+        return evaluate(node.base, layout, arity, degree) ** node.exponent
+    raise StructureError(f"cannot evaluate {node!r}")

@@ -23,7 +23,8 @@ from .rank import RankState, generic_rank
 from .record import Record
 from .scalar import GaussianRational
 from .series import Series, compose, identity_components, solve_implicit
-from .verdict import Status, Verdict, certified_false, certified_true, unknown, vanishes
+from .verdict import (Status, Verdict, certified_false, certified_true, coefficient_witness,
+                      lowest_power, unknown, vanishes)
 
 
 class Convention(enum.Enum):
@@ -129,15 +130,7 @@ def validate(m: NormalHypersurface) -> Verdict:
     exact = True
     for name, residual in checks:
         if not residual.is_zero:
-            lead = residual.leading_index()
-            return certified_false(
-                {
-                    "check": name,
-                    "index": list(lead),
-                    "value": str(residual.coefficient(lead)),
-                },
-                d,
-            )
+            return certified_false(coefficient_witness(residual, check=name), d)
         exact = exact and residual.exact
     return certified_true({"checks": [n for n, _ in checks], "exact": exact}, d)
 
@@ -208,13 +201,7 @@ def classify_type(m: NormalHypersurface) -> TypeClassification:
     d = q.degree
     restricted = q.set_zero([m.tau_index])
     if not restricted.is_zero:
-        lead = restricted.leading_index()
-        return TypeClassification(
-            TypeKind.FINITE,
-            None,
-            {"index": list(lead), "value": str(restricted.coefficient(lead))},
-            d,
-        )
+        return TypeClassification(TypeKind.FINITE, None, coefficient_witness(restricted), d)
 
     r = q - Series.variable(m.tau_index, q.arity, d)
     if r.is_zero:
@@ -228,16 +215,8 @@ def classify_type(m: NormalHypersurface) -> TypeClassification:
     tangential = [k for k in r.terms if any(k[i] for i in range(2 * m.n))]
     if not tangential:
         raise StructureError("Q has pure-tau terms beyond tau itself; not a normal form")
-    mm = min(k[m.tau_index] for k in tangential)
-    lead = min(
-        (k for k in tangential if k[m.tau_index] == mm), key=mi.grlex_key
-    )
-    return TypeClassification(
-        TypeKind.INFINITE,
-        mm,
-        {"index": list(lead), "value": str(r.terms[lead])},
-        d,
-    )
+    mm, witness = lowest_power(r, m.tau_index, tangential)
+    return TypeClassification(TypeKind.INFINITE, mm, witness, d)
 
 
 def infinite_unit_part(m: NormalHypersurface) -> Tuple[int, Series]:

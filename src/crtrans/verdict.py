@@ -10,8 +10,9 @@ truncation degree that was actually used.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Mapping, Optional, Tuple
 
+from .multiindex import MultiIndex, grlex_key
 from .record import Record
 
 if TYPE_CHECKING:
@@ -59,5 +60,25 @@ def vanishes(s: "Series", witness: Mapping[str, Any]) -> Verdict:
     certified_false at the graded-lex leading coefficient of s."""
     if s.is_zero:
         return certified_true(witness, s.degree)
-    lead = s.leading_index()
-    return certified_false({"index": list(lead), "value": str(s.coefficient(lead))}, s.degree)
+    return certified_false(coefficient_witness(s), s.degree)
+
+
+def coefficient_witness(
+    s: "Series", idx: Optional[MultiIndex] = None, **context: Any
+) -> Dict[str, Any]:
+    """The entries of `context`, then the index and value of the coefficient
+    of s at idx, by default at its graded-lex leading index."""
+    if idx is None:
+        idx = s.leading_index()
+    return {**context, "index": list(idx), "value": str(s.coefficient(idx))}
+
+
+def lowest_power(
+    s: "Series", var: int, indices: Iterable[MultiIndex]
+) -> Tuple[int, Dict[str, Any]]:
+    """The lowest power of variable `var` among `indices`, nonzero terms of s,
+    and the witness of the graded-lex first of them with that power."""
+    indices = list(indices)
+    k = min(idx[var] for idx in indices)
+    lead = min((idx for idx in indices if idx[var] == k), key=grlex_key)
+    return k, coefficient_witness(s, lead)

@@ -97,8 +97,13 @@ def _negate(v: Verdict) -> Verdict:
     return v
 
 
+def _degree(a: Verdict, b: Verdict) -> Optional[int]:
+    """The lower degree two verdicts used, None when neither records one."""
+    return min((d for d in (a.degree_used, b.degree_used) if d is not None), default=None)
+
+
 def _both(a_name: str, a: Verdict, b_name: str, b: Verdict) -> Verdict:
-    deg = min((d for d in (a.degree_used, b.degree_used) if d is not None), default=None)
+    deg = _degree(a, b)
     if a.is_false:
         return certified_false({"failed": a_name, **(a.witness or {})}, deg)
     if b.is_false:
@@ -109,7 +114,7 @@ def _both(a_name: str, a: Verdict, b_name: str, b: Verdict) -> Verdict:
 
 
 def _either(a_name: str, a: Verdict, b_name: str, b: Verdict) -> Verdict:
-    deg = min((d for d in (a.degree_used, b.degree_used) if d is not None), default=None)
+    deg = _degree(a, b)
     if a.is_true:
         return certified_true({"branch": a_name, **(a.witness or {})}, deg)
     if b.is_true:
@@ -120,7 +125,7 @@ def _either(a_name: str, a: Verdict, b_name: str, b: Verdict) -> Verdict:
 
 
 def _agree(a_name: str, a: Verdict, b_name: str, b: Verdict) -> Verdict:
-    deg = min((d for d in (a.degree_used, b.degree_used) if d is not None), default=None)
+    deg = _degree(a, b)
     if a.is_unknown or b.is_unknown:
         return unknown({a_name: a.status.value, b_name: b.status.value}, deg)
     if a.status is b.status:
@@ -137,27 +142,16 @@ def _row(
     conclusion: Verdict,
 ) -> TheoremSuiteResult:
     failing = [name for name, v in hypotheses.items() if not v.is_true]
+    status, note = SuiteStatus.HYPOTHESIS_NOT_CERTIFIED, None
     if failing:
-        return TheoremSuiteResult(
-            theorem,
-            instance,
-            hypotheses,
-            conclusion,
-            SuiteStatus.HYPOTHESIS_NOT_CERTIFIED,
-            note="uncertified: " + ", ".join(failing),
-        )
-    if conclusion.is_true:
-        return TheoremSuiteResult(theorem, instance, hypotheses, conclusion, SuiteStatus.CONFIRMED)
-    if conclusion.is_false:
-        return TheoremSuiteResult(theorem, instance, hypotheses, conclusion, SuiteStatus.FALSIFIED)
-    return TheoremSuiteResult(
-        theorem,
-        instance,
-        hypotheses,
-        conclusion,
-        SuiteStatus.HYPOTHESIS_NOT_CERTIFIED,
-        note="conclusion unknown at this truncation",
-    )
+        note = "uncertified: " + ", ".join(failing)
+    elif conclusion.is_true:
+        status = SuiteStatus.CONFIRMED
+    elif conclusion.is_false:
+        status = SuiteStatus.FALSIFIED
+    else:
+        note = "conclusion unknown at this truncation"
+    return TheoremSuiteResult(theorem, instance, hypotheses, conclusion, status, note)
 
 
 # ---------------- type hypothesis verdicts ----------------
@@ -480,28 +474,22 @@ def suite_report(suites: Mapping[str, Sequence[TheoremSuiteResult]]) -> dict:
 
 
 def run_all(degree: int = 10, convention: Convention = Convention.TWO_I) -> dict:
-    maps, easy = build_registry(degree, convention)
-    suites = {
-        "finite_type": suite_finite_type(maps),
-        "infinite_type": suite_infinite_type(maps),
-        "easystuff": suite_easystuff(easy),
-    }
-    notes = {inst.id: inst.note for inst in maps if inst.note}
-    notes.update({inst.id: inst.note for inst in easy if inst.note})
-    return {**suite_report(suites), "instance_notes": notes}
+    return verify_report(None, degree, convention)
 
 
 def verify_report(suite: Optional[str], degree: int, convention: Convention) -> dict:
-    """The body of a `verify` report: every suite, or the one named."""
-    if suite is None:
-        return run_all(degree, convention)
+    """The body of a `verify` report: every suite with the registry's
+    instance notes, or the one named."""
     maps, easy = build_registry(degree, convention)
-    rows = {
+    runs = {
         "finite_type": lambda: suite_finite_type(maps),
         "infinite_type": lambda: suite_infinite_type(maps),
         "easystuff": lambda: suite_easystuff(easy),
-    }[suite]()
-    return suite_report({suite: rows})
+    }
+    body = suite_report({name: runs[name]() for name in (runs if suite is None else [suite])})
+    if suite is None:
+        body["instance_notes"] = {inst.id: inst.note for inst in (*maps, *easy) if inst.note}
+    return body
 
 
 FAMILIES = [

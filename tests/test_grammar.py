@@ -1,9 +1,18 @@
+"""The input language: tokens, expression structure, declarations, tasks,
+canonical rendering and evaluation.
+
+`reference_render` keeps an earlier `render_expr`, which walked left-deep
+binary operator trees; a property test holds the renderer of flat operator
+chains to it over a left-deep view of generated expressions. It needs the
+optional `hypothesis` package (the `test` extra) and is left out without it.
+"""
+
 import pytest
 
 from crtrans import GRAMMAR_TEXT
-from crtrans.errors import GrammarError, StructureError
+from crtrans.errors import CrtransError, GrammarError, StructureError
 from crtrans.grammar import (
-    BinOp,
+    Chain,
     CheckMapTask,
     ClassifyTask,
     CtorRef,
@@ -22,8 +31,14 @@ from crtrans.grammar import (
     realize,
     render_expr,
 )
+from crtrans.record import Record
 from crtrans.scalar import qr
 from crtrans.series import Series
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below needs the `test` extra
+    given = None
 
 
 def expr_of(text):
@@ -68,7 +83,7 @@ def test_bare_z_and_chi_mean_the_first_slot():
 
 def test_rational_literal_is_a_division():
     e = expr_of("3/4")
-    assert e == BinOp("/", Num(3), Num(4))
+    assert e == Chain(Num(3), (("/", Num(4)),))
     s = eval_q("3/4 + z")
     assert s.coefficient((0, 0, 0)) == qr(0) + 3 * qr(1) / 4
     assert s.coefficient((1, 0, 0)) == qr(1)
@@ -77,7 +92,7 @@ def test_rational_literal_is_a_division():
 def test_precedence_and_unary_minus():
     # -z^2 is -(z^2); -z*chi is (-z)*chi; both differ from (-z)^2
     assert expr_of("-z^2") == Neg(Pow(Var("z1"), 2))
-    assert expr_of("-z*chi") == BinOp("*", Neg(Var("z1")), Var("chi1"))
+    assert expr_of("-z*chi") == Chain(Neg(Var("z1")), (("*", Var("chi1")),))
     assert expr_of("(-z)^2") == Pow(Neg(Var("z1")), 2)
     assert eval_q("(-z)^2") == eval_q("z^2")
     assert eval_q("-z^2") == -eval_q("z^2")
@@ -85,7 +100,11 @@ def test_precedence_and_unary_minus():
 
 def test_subtraction_groups_left():
     e = expr_of("z - chi - tau")
-    assert e == BinOp("-", BinOp("-", Var("z1"), Var("chi1")), Var("tau"))
+    assert e == Chain(Var("z1"), (("-", Var("chi1")), ("-", Var("tau"))))
+    # operators apply left to right, so parentheses on the left change nothing
+    assert expr_of("(z - chi) - tau") == e
+    assert expr_of("z - (chi - tau)") == Chain(
+        Var("z1"), (("-", Chain(Var("chi1"), (("-", Var("tau")),))),))
 
 
 def test_exp_atom():
@@ -121,7 +140,7 @@ def test_error_positions():
 def test_map_declaration_matches_blowup_components():
     doc = parse("H = map(F = z*w, G = w)")
     (decl,) = doc.declarations
-    assert decl == Decl("H", CtorRef("map", ((BinOp("*", Var("z1"), Var("w")),), Var("w"))))
+    assert decl == Decl("H", CtorRef("map", ((Chain(Var("z1"), (("*", Var("w")),)),), Var("w"))))
 
 
 def test_map_declaration_with_two_components():
@@ -138,6 +157,20 @@ def test_surface_declaration_kinds():
     )
     kinds = [d.value.kind for d in doc.declarations]
     assert kinds == ["heisenberg", "blowup", "exp_model", "m_psi", "hypersurface", "graph"]
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("M = heisenberg(1, 2)", "expected ')', found ','", 17),
+    ("M = blowup(1)", "expected ',', found ')'", 13),
+    ("M = m_psi()", "expected an expression, found ')'", 11),
+    ("M = m_psi(z, )", "expected an expression, found ')'", 14),
+    ("M = graph(z*chi, s)", "expected ')', found ','", 16),
+    ("M = heisenberg(z)", "expected an integer, found 'z'", 16),
+])
+def test_constructor_argument_errors(text, message, column):
+    with pytest.raises(GrammarError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, 1, column)
 
 
 def test_duplicate_names_rejected():
@@ -258,6 +291,118 @@ def test_render_is_stable_on_its_own_output():
     assert parse(render(doc)) == doc
 
 
+class BinOp(Record):
+    """One operator of a left-deep binary tree, as the parser once built them."""
+
+    op: str
+    left: object
+    right: object
+
+
+def left_deep(node):
+    """The tree with each chain `a op b op c` as ((a op b) op c)."""
+    if isinstance(node, Chain):
+        out = left_deep(node.first)
+        for op, operand in node.rest:
+            out = BinOp(op, out, left_deep(operand))
+        return out
+    if isinstance(node, (Neg, Exp)):
+        return type(node)(left_deep(node.arg))
+    if isinstance(node, Pow):
+        return Pow(left_deep(node.base), node.exponent)
+    return node
+
+
+_PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
+
+
+def reference_prec(node) -> int:
+    if isinstance(node, BinOp):
+        return _PREC[node.op]
+    return {Neg: 25, Pow: 30}.get(type(node), 100)
+
+
+def reference_render(node) -> str:
+    """`render_expr` over left-deep binary trees, as it was before chains."""
+    chain = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
+    chain.reverse()
+    if isinstance(node, Num):
+        text = str(node.value)
+    elif isinstance(node, Imag):
+        text = "i"
+    elif isinstance(node, Var):
+        text = node.name
+    elif isinstance(node, Exp):
+        text = f"exp({reference_render(node.arg)})"
+    elif isinstance(node, Neg):
+        inner = reference_render(node.arg)
+        text = f"-({inner})" if reference_prec(node.arg) < 25 else f"-{inner}"
+    else:
+        base = reference_render(node.base)
+        if reference_prec(node.base) < 100:
+            base = f"({base})"
+        text = f"{base}^{node.exponent}"
+    # a parenthesised left operand is everything rendered so far
+    parts, opened, prec = [text], 0, reference_prec(node)
+    for link in chain:
+        mine = _PREC[link.op]
+        if prec < mine:
+            opened += 1
+            parts.append(")")
+        right = reference_render(link.right)
+        if reference_prec(link.right) <= mine:
+            right = f"({right})"
+        parts.append(f" {link.op} {right}" if link.op in ("+", "-") else f"{link.op}{right}")
+        prec = mine
+    return "(" * opened + "".join(parts)
+
+
+def outcome(node):
+    """What realizing `node` gives: its series, or the error it raises."""
+    try:
+        return realize("q", [node], 3)
+    except CrtransError as exc:
+        return type(exc), str(exc)
+
+
+if given is not None:
+
+    def join(op, left, right):
+        """`left op right`, built as the parser builds it: a left operand that
+        is a chain at the same level takes the new operand."""
+        if isinstance(left, Chain) and (left.rest[0][0] in "+-") == (op in "+-"):
+            return Chain(left.first, left.rest + ((op, right),))
+        return Chain(left, ((op, right),))
+
+    leaves = st.one_of(
+        st.builds(Num, st.integers(0, 9)),
+        st.just(Imag()),
+        st.sampled_from(["z1", "z2", "chi1", "chi2", "tau"]).map(Var),
+    )
+    expressions = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds(join, st.sampled_from("+-*/"), inner, inner),
+            st.builds(Neg, inner),
+            st.builds(Exp, inner),
+            st.builds(Pow, inner, st.integers(0, 3)),
+        ),
+        max_leaves=12,
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(expressions)
+    def test_render_matches_the_binary_tree_reference(e):
+        text = render_expr(e)
+        assert text == reference_render(left_deep(e))
+        again = expr_of(text)
+        assert again == e
+        assert outcome(again) == outcome(e)
+
+
 # ---------------- evaluation ----------------
 
 
@@ -324,10 +469,11 @@ def test_realize_lays_out_each_context(context):
 
 
 def test_a_long_sum_is_walked_without_recursion():
-    """The parser builds a sum left-deep; rendering and evaluating it loop along
-    the chain, so its length is not bounded by the interpreter's stack."""
+    """A sum is one flat chain, however long: rendering and evaluating it loop
+    over its operands, so its length is not bounded by the interpreter's stack."""
     terms = ["1/5000*z*chi"] * 4999 + ["(z + chi)*tau"]
     e = expr_of(" + ".join(terms))
+    assert len(e.rest) == 4999
     assert render_expr(e) == " + ".join(["1/5000*z1*chi1"] * 4999 + ["(z1 + chi1)*tau"])
     assert eval_q(" - ".join(["z"] * 3001)) == eval_q("-2999*z")
     assert realize("q", [e], 4) == realize("q", [expr_of("4999/5000*z*chi + (z + chi)*tau")], 4)

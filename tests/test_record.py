@@ -1,7 +1,7 @@
 """Record against a frozen dataclass twin: construction, normalisation,
 immutability, equality and hashing by class, repr, identity equality, and
-cached properties, also on nested records and on a record nested thousands
-deep, which must not recurse. Then the report form, `to_json`, and the keys
+cached properties, also on nested records and on the deepest expression tree
+the parser builds, which must not recurse. Then the report form, `to_json`, and the keys
 of the records whose JSON is report schema."""
 
 import dataclasses
@@ -153,27 +153,30 @@ def test_nested_records_compare_hash_and_print_like_the_dataclass():
     assert rec != Chain((Point(1), [Point(2, 3), Point(5)], ()), Chain([Point(5), Point(5)]))
 
 
-# a 5000-term sum parses into an expression tree 5000 records deep
-LONG_SUM = " + ".join(f"{k}*z*chi" for k in range(1, 5001))
-
-
-def long_document(extra: str = "") -> InputDocument:
-    return parse(f"M = graph({LONG_SUM}{extra})\nclassify M\n")
+def deep_document(inner: str = "z*chi") -> InputDocument:
+    """The deepest expression the parser accepts, 100 parenthesised levels of
+    (z*chi + z*chi*X^2), parses into a tree some 300 records deep: deeper than
+    plain recursive ==, hash and repr reach under the default recursion limit."""
+    x = inner
+    for _ in range(100):
+        x = f"(z*chi + z*chi*{x}^2)"
+    return parse(f"M = graph({x})\nclassify M\n")
 
 
 def test_deeply_nested_records_compare_without_recursion():
-    assert long_document() == long_document()
-    assert long_document() != long_document(" + z*chi")
+    assert deep_document() == deep_document()
+    # they differ only at the bottom, so the walk must reach it
+    assert deep_document() != deep_document("2*z*chi")
 
 
 def test_deeply_nested_records_hash_without_recursion():
-    assert hash(long_document()) == hash(long_document())
+    assert hash(deep_document()) == hash(deep_document())
 
 
 def test_deeply_nested_records_print_without_recursion():
-    text = repr(long_document())
+    text = repr(deep_document())
     assert text.startswith("InputDocument(declarations=(Decl(name='M', value=CtorRef(kind='graph'")
-    assert text.count("BinOp(op='+'") == 4999
+    assert text.count("Chain(first=") == 300
     assert text.endswith("tasks=(ClassifyTask(target=NameRef(name='M')),), degree=None, "
                          "convention=None)")
 
