@@ -1,19 +1,22 @@
-"""Equality, hashing and repr of nested records, without recursion.
+"""Equality and repr of nested records, without recursion.
 
-`Record.__eq__`, `__hash__` and `__repr__` give what a frozen dataclass
-gives, but walk nested records and tuples with an explicit stack. A sum is
-one flat `Chain`, however long, but the deepest expression the parser
-accepts, 100 parenthesised levels of `(z*chi + z*chi*X^2)`, nests some 300
-records deep, and a record compared or printed by plain recursion spends
-several interpreter levels on each: `==` and `repr` then exceed the default
-recursion limit. Other values go to their own `==`, `hash` and `repr`.
-`record` imports this module on the first such call: no command compares,
-hashes or prints a record, so no command process compiles it.
+`Record.__eq__` and `__repr__` give what a frozen dataclass gives, but walk
+nested records and tuples with an explicit stack. A sum is one flat `Chain`,
+however long, but the deepest expression the parser accepts, 100
+parenthesised levels of `(z*chi + z*chi*X^2)`, nests some 300 records deep,
+and a record compared or printed by plain recursion spends several
+interpreter levels on each: `==` and `repr` then exceed the default
+recursion limit on Python 3.10 to 3.12. Other values go to their own `==`
+and `repr`. A record hashes as the tuple of its field values, which spends
+about one interpreter level per record and stays under the limit at that
+depth, so hashing needs no walk. `record` imports this module on the first
+comparison or print: no command compares or prints a record, so no command
+process compiles it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any
 
 from .record import Record
 
@@ -26,18 +29,6 @@ def _parts(value: Any, method: Any) -> Any:
     if isinstance(value, Record) and getattr(type(value), method.__name__) is method:
         return value._values()
     return None
-
-
-class _Hashed:
-    """Stands for a value whose hash is known, inside the tuple of its parent."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def __hash__(self) -> int:
-        return self.value
 
 
 class _Text(str):
@@ -61,24 +52,6 @@ def equal(a: Record, b: Record) -> bool:
             return False
         pending.extend(zip(reversed(mine), reversed(theirs)))
     return True
-
-
-def hash_of(record: Record) -> int:
-    """`hash(record)`: the hash of the tuple of its field values."""
-    # post-order: a nested record or tuple is hashed once its parts are, and
-    # stands in its parent's tuple by that hash
-    hashes: Dict[int, _Hashed] = {}
-    pending = [record]
-    while pending:
-        parts = _parts(pending[-1], Record.__hash__)
-        todo = [p for p in parts
-                if id(p) not in hashes and _parts(p, Record.__hash__) is not None]
-        if todo:
-            pending.extend(todo)
-            continue
-        node = pending.pop()
-        hashes[id(node)] = _Hashed(hash(tuple([hashes.get(id(p), p) for p in parts])))
-    return hashes[id(record)].value
 
 
 def repr_of(record: Record) -> str:

@@ -20,12 +20,11 @@ from __future__ import annotations
 import atexit
 import os
 import sys
-from math import factorial
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 # modules, not names: a module loads when a command first reads from it
-from . import (__version__, crmap, fracseries, grammar, grammar_text, hypersurface, models,
-               prolongation, verify)
+from . import (__version__, crmap, grammar, grammar_text, hypersurface, models, prolongation,
+               verify)
 from .errors import CrtransError, GrammarError
 
 SCHEMA = "crtrans-report/1"
@@ -75,26 +74,28 @@ def _map(value: grammar.CtorRef, degree: int) -> crmap.CRMap:
 # ---------------- task runners ----------------
 
 
-def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: str) -> dict:
+def _run_classify(task: grammar.ClassifyTask, env, degree: int, conv: str) -> Tuple[dict, str]:
     name, value = _resolve(task.target, env)
     m = _surface(value, degree, conv)
-    cls = m.classification
+    cls, validity, class_c = m.classification, m.validity, hypersurface.is_class_c(m)
     result = {
         "task": "classify",
         "name": name,
         "n": m.n,
         "classification": cls.to_json(),
-        "validate": m.validity.to_json(),
-        "class_c": hypersurface.is_class_c(m).to_json(),
+        "validate": validity.to_json(),
+        "class_c": class_c.to_json(),
         "holomorphically_nondegenerate": hypersurface.is_holomorphically_nondegenerate(m).to_json(),
         "class_cm": None,
     }
     if cls.kind is hypersurface.TypeKind.INFINITE:
         result["class_cm"] = hypersurface.is_class_cm(m).to_json()
-    return result
+    kind = cls.kind.value if cls.m is None else f"{cls.kind.value}, m = {cls.m}"
+    return result, (f"classify {name}: {kind}; validate {validity.status.value}, "
+                    f"class C {class_c.status.value}")
 
 
-def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: str) -> dict:
+def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: str) -> Tuple[dict, str]:
     hname, h = _resolve(task.map, env)
     sname, src = _resolve(task.source, env)
     tname, tgt = _resolve(task.target, env)
@@ -102,7 +103,7 @@ def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: str) -> di
         _map(h, degree), _surface(src, degree, conv), _surface(tgt, degree, conv))
     equidim = a.equidimensional.is_true
     # fields are decided in this order, so a failing document reports its first error
-    return {
+    result = {
         "task": "check_map",
         "map": hname,
         "source": sname,
@@ -118,9 +119,14 @@ def _run_checkmap(task: grammar.CheckMapTask, env, degree: int, conv: str) -> di
         "automorphism": a.automorphism.to_json() if equidim else None,
         "unit_scale_law": a.unit_scale_law.to_json() if a.self_map.is_true else None,
     }
+    trord = a.transversal_order.value
+    return result, (f"checkmap {hname}: {sname} -> {tname}: "
+                    f"sends_into {a.sends_into.status.value}, "
+                    f"trord {'flat' if trord is None else trord}, "
+                    f"cr_transversal {a.cr_transversal.status.value}")
 
 
-def _run_prolong(task: grammar.ProlongTask, env, degree: int, *_) -> dict:
+def _run_prolong(task: grammar.ProlongTask, env, degree: int, *_) -> Tuple[dict, str]:
     """The convention does not enter a prolongation."""
     names = (task.a, *task.components)
     n, (a, *comps) = grammar.realize("pair", [env[name].value for name in names], degree)
@@ -133,22 +139,9 @@ def _run_prolong(task: grammar.ProlongTask, env, degree: int, *_) -> dict:
     jets = prolongation.forward_expand(a, n, comps, max_order)
     instance = prolongation.ProlongationInstance(a, n, jets)
     solution = prolongation.prolongation_solve(instance, task.alpha)
-
+    matches = prolongation.matches_direct_expansion(solution, comps)
     chi_names = [f"chi{j + 1}" for j in range(n)]
-    z_block = tuple(range(n))
-    scale = 1
-    for e in task.alpha:
-        scale *= factorial(e)
-    # a value certified through no degree would compare equal to anything
-    matches = all(
-        value.cert >= 0
-        and value
-        == fracseries.FracSeries.from_series(
-            comp.coefficient_series(z_block, task.alpha).scale(scale)
-        )
-        for value, comp in zip(solution.values, comps)
-    )
-    return {
+    result = {
         "task": "prolong",
         "a": task.a,
         "components": list(task.components),
@@ -159,6 +152,9 @@ def _run_prolong(task: grammar.ProlongTask, env, degree: int, *_) -> dict:
         "degree_used": solution.degree_used,
         "matches_direct_expansion": matches,
     }
+    return result, (f"prolong {task.a} at {solution.alpha}: pivot {solution.pivot}, "
+                    f"jet order used {solution.max_jet_order_used}, "
+                    f"matches forward data: {matches}")
 
 
 # ---------------- orchestration ----------------
@@ -287,39 +283,6 @@ def _emit(report: dict, json_path: Optional[str], summary: List[str], code: int)
     return code
 
 
-def _verdict_word(v: Optional[dict]) -> str:
-    return "n/a" if v is None else v["status"]
-
-
-def _summarize(results: List[dict]) -> List[str]:
-    lines = []
-    for r in results:
-        if r["task"] == "classify":
-            cls = r["classification"]
-            kind = cls["kind"]
-            if cls["m"] is not None:
-                kind += f", m = {cls['m']}"
-            lines.append(
-                f"classify {r['name']}: {kind}; validate {r['validate']['status']}, "
-                f"class C {r['class_c']['status']}"
-            )
-        elif r["task"] == "check_map":
-            trord = r["transversal_order"]["value"]
-            lines.append(
-                f"checkmap {r['map']}: {r['source']} -> {r['target']}: "
-                f"sends_into {_verdict_word(r['sends_into'])}, "
-                f"trord {'flat' if trord is None else trord}, "
-                f"cr_transversal {_verdict_word(r['cr_transversal'])}"
-            )
-        elif r["task"] == "prolong":
-            lines.append(
-                f"prolong {r['a']} at {tuple(r['alpha'])}: pivot {tuple(r['pivot'])}, "
-                f"jet order used {r['max_jet_order_used']}, "
-                f"matches forward data: {r['matches_direct_expansion']}"
-            )
-    return lines
-
-
 def _sha256_hex(data: bytes) -> str:
     """SHA-256 from the interpreter's builtin module, so that no command loads
     OpenSSL: `hashlib` imports it for every algorithm. `hashlib` serves only
@@ -361,6 +324,7 @@ def _document_command(command: str, opts: dict, kind, runner) -> int:
     env = {d.name: d for d in doc.declarations}
     tasks = [t for t in doc.tasks if isinstance(t, kind)]
     results: List[dict] = []
+    summary: List[str] = []
     errors: List[dict] = []
     if not tasks and kind is grammar.ClassifyTask:
         # default work: classify every declared hypersurface
@@ -373,7 +337,9 @@ def _document_command(command: str, opts: dict, kind, runner) -> int:
         errors.append({"task": None, "error": "document contains no task for this command"})
     for task in tasks:
         try:
-            results.append(runner(task, env, degree, conv))
+            result, line = runner(task, env, degree, conv)
+            results.append(result)
+            summary.append(line)
         except CrtransError as exc:
             errors.append({"task": grammar._render_task(task), "error": str(exc)})
     report = {
@@ -382,7 +348,7 @@ def _document_command(command: str, opts: dict, kind, runner) -> int:
         "results": results,
         "errors": errors,
     }
-    summary = _summarize(results) + [f"error: {e['error']}" for e in errors]
+    summary += [f"error: {e['error']}" for e in errors]
     return _emit(report, opts["json"], summary, 1 if errors else 0)
 
 
@@ -485,6 +451,8 @@ def _parse_command_line(argv: Sequence[str]) -> Tuple[str, dict]:
                     value = int(value)
                 except ValueError:
                     _usage_error(f"{name}: invalid int value {value!r}")
+                if name == "--degree" and value < 1:
+                    _usage_error("--degree must be at least 1")
             elif kind is not str and value not in kind:
                 _usage_error(f"{name}: invalid choice {value!r}; choose from {', '.join(kind)}")
             values[name[2:]] = value

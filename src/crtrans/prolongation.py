@@ -326,3 +326,17 @@ def prolongation_solve(
         max_jet_order_used=max_used,
         degree_used=None if cert == math.inf else cert,
     )
+
+
+def matches_direct_expansion(solution: ProlongationSolution, b: Sequence[Series]) -> bool:
+    """Whether the solved values are the alpha-jets alpha! [z^alpha] b_i read
+    off b itself. A value certified through no degree matches nothing, as it
+    would compare equal to anything."""
+    alpha = solution.alpha
+    z_block = tuple(range(len(alpha)))
+    fact = mi.factorial(alpha)
+    return all(
+        value.cert >= 0
+        and value == FracSeries.from_series(comp.coefficient_series(z_block, alpha).scale(fact))
+        for value, comp in zip(solution.values, b)
+    )

@@ -9,8 +9,8 @@ gives a default as a plain class attribute:
 
 Instances are built positionally or by keyword, run `__post_init__` when the
 class defines one, refuse assignment and deletion, print as
-`Point(x=1, y=0)`, and compare and hash by class and field values, as a
-frozen dataclass does.
+`Point(x=1, y=0)`, compare by class and field values and hash as the tuple
+of their field values, as a frozen dataclass does.
 `class X(Record, eq=False)` keeps identity equality and hashing instead.
 `functools.cached_property` works on records, as it writes the instance
 `__dict__` directly; `__post_init__` normalises a field with
@@ -94,8 +94,9 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
-    # Nested records are walked without recursion (see `_nested`). No command
-    # compares, hashes or prints a record, so no command compiles the walks.
+    # Nested records are compared and printed without recursion (see
+    # `_nested`). No command compares or prints a record, so no command
+    # compiles the walks. The tuple hash needs no walk.
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -105,9 +106,7 @@ class Record:
         return equal(self, other)
 
     def __hash__(self) -> int:
-        from ._nested import hash_of
-
-        return hash_of(self)
+        return hash(self._values())
 
     def __repr__(self) -> str:
         from ._nested import repr_of

@@ -56,7 +56,7 @@ def checkmap(shape, conv: Convention) -> dict:
     hmap, src, tgt = shape
     doc = grammar.parse(f"checkmap {hmap} : {src} -> {tgt}\n")
     env = {d.name: d for d in doc.declarations}
-    return _run_checkmap(doc.tasks[0], env, 12, conv)
+    return _run_checkmap(doc.tasks[0], env, 12, conv)[0]
 
 
 @pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)

@@ -58,7 +58,7 @@ CLASSIFY = {
 def classify(phi: str, degree: int, conv: Convention) -> dict:
     doc = grammar.parse(f"M = graph({phi})\nclassify M\n")
     env = {d.name: d for d in doc.declarations}
-    return _run_classify(doc.tasks[0], env, degree, conv)
+    return _run_classify(doc.tasks[0], env, degree, conv)[0]
 
 
 @pytest.mark.parametrize(

@@ -351,6 +351,19 @@ def test_usage_error_is_one_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["classify", "--degree", "0", "-"], ["verify", "--degree=0"], ["prolong", "--degree", "-1"],
+     ["examples", "--degree=-5"], ["check-map", "--degree", "0", "--degree", "6"]],
+)
+def test_degree_below_one_is_a_usage_error(capsys, argv):
+    """A degree below 1 is refused before any document is read, as a
+    document's `degree 0` is refused by the grammar."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (2, "", "error: --degree must be at least 1\n")
+
+
+@pytest.mark.parametrize(
     "argv", [["-h"], ["--help"], ["classify", "-h"], ["verify", "--degree", "5", "--help"]]
 )
 def test_help_names_every_command_and_flag(capsys, argv):
@@ -361,6 +374,39 @@ def test_help_names_every_command_and_flag(capsys, argv):
     for name in ("classify", "check-map", "prolong", "verify", "examples", "print-grammar",
                  "--degree", "--complexify", "--seed", "--json", "--suite"):
         assert name in out
+
+
+# (command, document, its one stderr summary line)
+SUMMARY_LINES = [
+    ("check-map", "checkmap map(F = z1, G = 0*w) : heisenberg(1) -> heisenberg(1)\n",
+     "checkmap map(F = z1, G = 0*w): heisenberg(1) -> heisenberg(1): sends_into certified_false,"
+     " trord flat, cr_transversal certified_false"),
+    ("check-map", POWER_DOC,
+     "checkmap T2: M2 -> M1: sends_into certified_true, trord 2, cr_transversal certified_false"),
+    ("classify", "E = exp_model(1)\nclassify E\n",
+     "classify E: infinite_type, m = 1; validate certified_true, class C unknown_at_truncation"),
+    ("classify", "M = heisenberg(1)\nclassify M\n",
+     "classify M: finite_type; validate certified_true, class C certified_true"),
+    ("prolong", "A = z2*chi1 + z1^2\nb = z1^2*z2\nprolong A, b at (2, 1)\n",
+     "prolong A at (2, 1): pivot (0, 1), jet order used 4, matches forward data: True"),
+    ("prolong", "degree 4\nA = z1*chi1^3\nb = z1*exp(chi1)\nprolong A, b at (1)\n",
+     "prolong A at (1,): pivot (1,), jet order used 2, matches forward data: False"),
+]
+
+
+@pytest.mark.parametrize("command, doc, line", SUMMARY_LINES,
+                         ids=["flat-map", "power-map", "infinite-type", "finite-type", "exact-quotient",
+                              "no-certified-degree"])
+def test_summary_line(capsys, monkeypatch, command, doc, line):
+    code, _, err = run(capsys, [command], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, err) == (0, line + "\n")
+
+
+def test_result_lines_come_before_error_lines(capsys, monkeypatch):
+    """The first task fails, the second classifies: its line comes first."""
+    doc = "classify heisenberg(0)\nE = exp_model(1)\nclassify E\n"
+    code, _, err = run(capsys, ["classify"], stdin=doc, monkeypatch=monkeypatch)
+    assert (code, err.splitlines()) == (1, [SUMMARY_LINES[2][2], "error: n must be a positive integer"])
 
 
 def test_document_without_matching_tasks_exits_one(capsys, monkeypatch):

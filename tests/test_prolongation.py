@@ -265,7 +265,7 @@ def prolong_report(data, alpha, degree):
     names = ", ".join(line.split(" =")[0] for line in PROLONG_DATA[data].splitlines())
     text = f"degree {degree}\n{PROLONG_DATA[data]}prolong {names} at {alpha}\n"
     doc = grammar.parse(text)
-    body = _run_prolong(doc.tasks[0], {d.name: d for d in doc.declarations}, degree)
+    body = _run_prolong(doc.tasks[0], {d.name: d for d in doc.declarations}, degree)[0]
     return body, hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
 
 
@@ -403,7 +403,7 @@ def solve_document(text, degree):
     n, (a, *b) = grammar.realize("pair", [env[name].value for name in (task.a, *task.components)],
                                  degree)
     order = mi.degree(task.alpha) + mi.degree(minimal_ordered_nonzero(a, n))
-    return _run_prolong(task, env, degree), prolongation_solve(expand_instance(a, n, b, order), task.alpha)
+    return _run_prolong(task, env, degree)[0], prolongation_solve(expand_instance(a, n, b, order), task.alpha)
 
 
 def agreement(v, w):
@@ -418,15 +418,21 @@ def agreement(v, w):
 # (document, degree, the degree its value is certified through): pivots that
 # vanish at chi = 0 under truncated data, where `degree_used` was the smallest
 # numerator degree of the fraction chain and claimed coefficients that the
-# data do not fix: 2 for the first, 1 for the second, whose value was "0"
+# data do not fix: 2 for the first, 1 for the second, whose value was "0".
+# The third has a unit pivot and an exact A; its value is certified through
+# degree 3 only because the solve lifts the exact factors beside the
+# truncated data to the data's degree: products and sums cut at each exact
+# factor's own degree report "0" through degree 0
 MISCERTIFIED = [
     ("A = z1*(chi1^2 + chi1^3)\nb = z1*exp(chi1)\nprolong A, b at (1)\n", 4, 0),
     ("A = z2*(chi1 + chi2) + z1^2\nb = z1^2*z2*exp(chi1) + z2^3*exp(chi2)\n"
      "prolong A, b at (2, 1)\n", 10, 4),
+    ("A = (-3+1*i)*z1 + (-1-3*i)\nb = z1^2*chi1*exp(chi1+chi1)\nprolong A, b at (2)\n", 5, 3),
 ]
 
 
-@pytest.mark.parametrize("text, degree, certified", MISCERTIFIED, ids=["order-2-pivot", "two-chi-pivot"])
+@pytest.mark.parametrize("text, degree, certified", MISCERTIFIED,
+                         ids=["order-2-pivot", "two-chi-pivot", "unit-pivot-exact-a"])
 def test_degree_used_is_the_degree_the_value_is_certified_through(text, degree, certified):
     """The value agrees with the degree-16 solve through `degree_used` and not
     one degree further."""
