@@ -14,14 +14,14 @@ __version__ = "0.1.0"  # the version in pyproject.toml
 
 # every library submodule, with the public names it gives the package; the
 # entry points `cli` and `__main__` load when imported, as `python -m` needs,
-# and `record` imports its private helper `_nested` on first use
+# `document` runs the document commands of `cli`, and `record` imports its
+# private helper `_nested` on first use
 _EXPORTS = {
     "scalar": ("GaussianRational",),
     "series": ("Series", "compose", "exp_series"),
     "fracseries": ("FracSeries",),
-    "rank": ("GenericRank", "SeriesMatrix", "generic_rank"),
+    "rank": ("GenericRank", "SeriesMatrix", "determinant", "generic_rank"),
     "linalg": (
-        "determinant",
         "rank_at_point",
         "scalar_determinant",
         "solve_triangular",
@@ -99,6 +99,7 @@ _EXPORTS = {
     ),
     "grammar": ("InputDocument", "parse"),
     "grammar_text": ("GRAMMAR_TEXT",),
+    "document": (),
     "multiindex": (),
     "record": (),
 }

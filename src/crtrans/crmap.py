@@ -19,9 +19,8 @@ from .hypersurface import (
     is_class_cm,
     is_holomorphically_nondegenerate,
 )
-from .linalg import determinant, scalar_determinant
 from .multiindex import unit
-from .rank import generic_rank
+from .rank import constant_determinant, determinant, generic_rank
 from .record import Record
 from .scalar import ZERO
 from .series import Series, compose
@@ -97,7 +96,7 @@ def is_automorphism(h: CRMap) -> Verdict:
     """Invertibility of the formal map; decided exactly from the linear part."""
     if h.target_n != h.source_n:
         return certified_false({"note": "map is not equidimensional"}, h.degree)
-    det = scalar_determinant(dh0(h))
+    det = constant_determinant(dh0(h))
     if det:
         return certified_true({"determinant": str(det)}, h.degree)
     return certified_false({"determinant": "0"}, h.degree)

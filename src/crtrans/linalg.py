@@ -1,12 +1,17 @@
 """Exact linear algebra over truncated series and their fraction field.
 
-The series determinant `_det` and generic rank are in `rank`, all the linear
-algebra `classify` needs. This module builds on them what `check-map`,
-`verify` and the library use besides.
+Library code: no command loads this module. The series determinants, the
+analyses' scalar determinants and generic rank are in `rank`, all the linear
+algebra `classify`, `check-map`, `verify` and `examples` run. This module
+keeps the rest: the scalar determinant and rank of one Bareiss kernel, rank
+at a point, triangular solves and span membership over the fraction field.
+It gives `determinant`, `_det` and `generic_rank` from `rank` under their
+names.
 
 Scalar rank and scalar determinant share one kernel: fraction-free Bareiss
 elimination (Bareiss, Math. Comp. 22, 1968) over the Gaussian integers,
 applied after each row is scaled by the common denominator of its entries.
+It is the reference the determinant of `rank` is tested against.
 """
 
 from __future__ import annotations
@@ -16,27 +21,14 @@ from typing import List, Sequence, Tuple
 
 from . import fracseries  # the lazy module: only the fraction-field solves load it
 from .errors import ArityMismatch, NotSolvableAtTruncation, StructureError
-from .rank import MatrixLike, SeriesMatrix, _as_matrix, _det, generic_rank
+from .rank import MatrixLike, SeriesMatrix, _as_matrix, generic_rank
+from .rank import _det, determinant  # given under their names; not called here
 from .scalar import ZERO, GaussianRational, ScalarLike
 from .series import Series, _index, _scalar, _split
 from .verdict import Verdict, certified_false, certified_true, unknown
 
 
 # ---------------- determinants ----------------
-
-
-def determinant(m: MatrixLike) -> Series:
-    """Determinant truncated at the minimum degree among the entries."""
-    mat = _as_matrix(m)
-    if mat.nrows != mat.ncols:
-        raise StructureError("determinant of a non-square matrix")
-    if mat.nrows == 0:
-        raise StructureError("determinant of an empty matrix")
-    dmin = min(e.degree for row in mat.rows for e in row)
-    det = _det(mat.rows)
-    if det.degree < dmin:
-        return det.lift(dmin)
-    return det.truncate(dmin)
 
 
 def scalar_determinant(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:

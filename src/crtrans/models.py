@@ -30,11 +30,17 @@ def _check_degree(degree: int, needed: int, what: str) -> None:
 
 # ---------------- quadric and weighted models ----------------
 
+# the largest n of a quadric model: its series have 2n + 1 variables, and an n
+# past an index-sized int cannot even size their exponent tuples
+MAX_N = 1000
+
 
 def _quadric(n: int, degree: int, convention: Convention, coefficient) -> NormalHypersurface:
     """Im w = coefficient * |z|^2 (factor per convention)."""
     if n < 1:
         raise StructureError("n must be a positive integer")
+    if n > MAX_N:
+        raise StructureError(f"n = {n} exceeds the maximum {MAX_N}")
     terms = {}
     for i in range(n):
         idx = [0] * (2 * n + 1)

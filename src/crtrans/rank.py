@@ -28,8 +28,11 @@ Series objects, which `RankState.extend` checks by identity, so a key names
 the same minor at every step, and the scan visits minors in the same order
 and returns the same witness as one from scratch.
 
-This is all that `classify` needs of linear algebra; scalar kernels, point
-rank and the fraction-field solves are in `linalg`.
+This is all the linear algebra any command runs. The analyses take their
+scalar determinants (the differential of a map at 0, the linear part of an
+intertwining map) as the constant term of `_det` over constant series, so one
+determinant serves them all. The Bareiss kernel, rank at a point and the
+fraction-field solves are library code, in `linalg`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import ArityMismatch, StructureError
 from .record import Record
+from .scalar import GaussianRational, ScalarLike
 from .series import Series
 from .verdict import Verdict, certified_true, unknown
 
@@ -130,6 +134,26 @@ def _det(entries: Sequence[Sequence[Series]]) -> Series:
         return acc
 
     return rec(0, (1 << n) - 1)
+
+
+def determinant(m: MatrixLike) -> Series:
+    """Determinant truncated at the minimum degree among the entries."""
+    mat = _as_matrix(m)
+    if mat.nrows != mat.ncols:
+        raise StructureError("determinant of a non-square matrix")
+    if mat.nrows == 0:
+        raise StructureError("determinant of an empty matrix")
+    dmin = min(e.degree for row in mat.rows for e in row)
+    det = _det(mat.rows)
+    if det.degree < dmin:
+        return det.lift(dmin)
+    return det.truncate(dmin)
+
+
+def constant_determinant(rows: Sequence[Sequence[ScalarLike]]) -> GaussianRational:
+    """Exact determinant of a nonempty square scalar matrix: the constant term
+    of `_det` over its entries as constant series."""
+    return _det([[Series.constant(x, 0, 0) for x in row] for row in rows]).constant_term
 
 
 class RankState:

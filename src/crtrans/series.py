@@ -763,10 +763,11 @@ def solve_implicit(rhs: Series) -> Series:
     degree k, rhs(x, u) - rhs(x, u*) is (u - u*) times a series of order at
     least o, so rhs(x, u) agrees with u* through k + o. So from 0, step j
     composes only through p = j*o, for every p below d, with the last iterate
-    re-declared at p. The full-degree loop starts from that iterate, declared
-    exact like a zero start: one composition reaches d and one confirms
-    nu == u and sets `exact`, sound since a confirmed exact u solves
-    u = rhs(x, u) as polynomials. rhs is grouped by its u-exponent once.
+    re-declared at p, and one composition of that iterate through d gives u*
+    through d. That result u is exact when rhs is and rhs(x, u) fits within
+    d (`_fits`): rhs(x, u) then agrees with u* through d + o and has no term
+    beyond d, so it is u itself and u solves u = rhs(x, u) as polynomials.
+    rhs is grouped by its u-exponent once.
     """
     if rhs.arity < 1:
         raise ArityMismatch("rhs needs at least the unknown variable")
@@ -782,13 +783,9 @@ def solve_implicit(rhs: Series) -> Series:
     u = Series.zero(m, d)
     for p in range(o, d, o) if o < d else ():
         u = _horner(groups, [[Series._make(m, p, u._num, u._den, True)]], m, p, rhs._den)
-    u = Series._make(m, d, u._num, u._den, True)
-    for _ in range(d + 2):
-        nu = _horner(groups, [[u]], m, d, rhs._den)._with_exact(exact and _fits(groups, [u], m, d))
-        if nu == u:
-            return nu
-        u = nu
-    raise StructureError("implicit iteration failed to stabilize")  # pragma: no cover
+    u = _horner(groups, [[Series._make(m, d, u._num, u._den, True)]], m, d, rhs._den)
+    # `_fits` reads u as the polynomial it is, not by the flag `_horner` gave it
+    return u._with_exact(exact and _fits(groups, [u._with_exact(True)], m, d))
 
 
 def exp_series(f: Series) -> Series:

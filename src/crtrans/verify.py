@@ -15,7 +15,6 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .crmap import CRMap, InstanceAnalysis, identity_map, sends_into
 from .hypersurface import Convention, NormalHypersurface, TypeKind, _gradient_family_rank
-from .linalg import scalar_determinant
 from .models import (
     blowup_hypersurface,
     blowup_map,
@@ -27,6 +26,7 @@ from .models import (
     remark_instance,
     tk_map,
 )
+from .rank import constant_determinant
 from .record import Record
 from .scalar import GaussianRational, qr
 from .series import Series, compose, exp_series
@@ -433,7 +433,7 @@ def suite_easystuff(instances: Sequence[IntertwinedInstance]) -> List[TheoremSui
             [c.coefficient(tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
             for c in inst.b
         ]
-        det = scalar_determinant(db0)
+        det = constant_determinant(db0)
         conclusion = (
             certified_true({"det": str(det)}, inst.a.degree)
             if det != GaussianRational(0)

@@ -16,7 +16,8 @@ import sys
 import pytest
 
 from crtrans import crmap, grammar
-from crtrans.cli import _run_checkmap, main
+from crtrans.cli import main
+from crtrans.document import _run_checkmap
 from crtrans.hypersurface import Convention
 from crtrans.verify import build_registry, run_all, verify_report
 

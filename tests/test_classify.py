@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from crtrans import grammar, hypersurface, rank
-from crtrans.cli import _run_classify
+from crtrans.document import _run_classify
 from crtrans.hypersurface import Convention
 from crtrans.verify import run_all
 

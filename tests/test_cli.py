@@ -6,6 +6,7 @@ import pytest
 
 from crtrans import verify
 from crtrans.cli import SCHEMA, main
+from crtrans.models import MAX_N
 from crtrans.verdict import certified_false
 
 from test_classify import DEGENERATE, DENSE
@@ -238,6 +239,9 @@ def test_task_level_error_is_embedded(capsys, monkeypatch):
     "ctor, message",
     [
         ("heisenberg(0)", "n must be a positive integer"),
+        # past MAX_N, up to an n that cannot size the model's exponent tuples
+        (f"heisenberg({10**20})", f"n = {10**20} exceeds the maximum {MAX_N}"),
+        (f"heisenberg({MAX_N + 1})", f"n = {MAX_N + 1} exceeds the maximum {MAX_N}"),
         ("exp_model(0)", "k must be a positive integer"),
         ("blowup(0, 0)", "b and c must be positive integers"),
     ],

@@ -8,11 +8,12 @@ row and column, and the generic rank whose scan started at
 the largest rank found at seeded random sample points. Derandomized property
 tests check the Bareiss kernel, the integer `evaluate`, the scan that skips
 exact-zero rows and columns and the scan up from size 1 against them, and
-against sympy over Q(i) when it is installed. They also check that a generic
-rank kept up to date while rows are appended (one `RankState` for the whole
-family) equals the rank computed from scratch on every prefix, and how the
-rank behaves when exact rows are lifted to a higher truncation degree or
-rows are truncated to a lower one.
+against sympy over Q(i) when it is installed; and `_det` over constant
+series, the analyses' scalar determinant, against the Bareiss one. They also
+check that a generic rank kept up to date while rows are appended (one
+`RankState` for the whole family) equals the rank computed from scratch on
+every prefix, and how the rank behaves when exact rows are lifted to a higher
+truncation degree or rows are truncated to a lower one.
 Needs the optional `hypothesis` package (the `test` extra); the module is
 skipped without it.
 """
@@ -204,9 +205,9 @@ ENTRIES = st.one_of(st.just(ZERO), gaussian())
 
 
 @st.composite
-def scalar_matrix(draw, square=False):
+def scalar_matrix(draw, square=False, sizes=st.integers(0, 4)):
     """Rows of Gaussian rationals, with dependent rows drawn often."""
-    nr = draw(st.integers(0, 4))
+    nr = draw(sizes)
     nc = nr if square else draw(st.integers(0, 4))
     rows = []
     for _ in range(nr):
@@ -300,6 +301,22 @@ def test_det_matches_the_laplace_expansion(data):
 def test_rank_and_determinant_match_reference(rows, square):
     assert scalar_rank(rows) == ref_scalar_rank(rows)
     assert scalar_determinant(square) == ref_scalar_determinant(square)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scalar_matrix(square=True, sizes=st.integers(1, 5)), st.booleans(),
+       st.integers(0, 2), st.integers(0, 3))
+def test_det_over_constant_series_is_the_bareiss_determinant(rows, zero, arity, degree):
+    """The analyses' scalar determinant, the constant term of `_det` over
+    constant series, is the Bareiss `scalar_determinant`, on zero and singular
+    matrices too; over constant series of any arity and truncation degree
+    `_det` is that exact constant."""
+    if zero:
+        rows = [[ZERO] * len(rows) for _ in rows]
+    want = scalar_determinant(rows)
+    assert rank.constant_determinant(rows) == want
+    det = _det([[Series.constant(x, arity, degree) for x in row] for row in rows])
+    assert det.exact and det.terms == ({(0,) * arity: want} if want else {})
 
 
 def _sympy_matrix(sp, rows):

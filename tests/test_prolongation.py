@@ -19,7 +19,7 @@ from itertools import product
 import pytest
 
 from crtrans import grammar, multiindex as mi, series
-from crtrans.cli import _run_prolong
+from crtrans.document import _run_prolong
 from crtrans.errors import (
     CrtransError,
     DivisionUncertifiable,
@@ -212,7 +212,7 @@ PROLONG_DATA = [
     " + (-3+1*i)*z1^2*chi2\n",
 ]
 
-# (data, alpha, degree) -> SHA-256 of the cli._run_prolong body, recorded
+# (data, alpha, degree) -> SHA-256 of the document._run_prolong body, recorded
 # before Series keys were packed into ints (the exp data) and before one-term
 # factors left the general product (the polynomial data). The five polynomial
 # pins of data 2-4 were re-recorded when `degree_used` became the certified
@@ -261,7 +261,7 @@ def test_deep_prolong_report_is_byte_stable(case):
 
 
 def prolong_report(data, alpha, degree):
-    """The cli._run_prolong body for PROLONG_DATA[data] and its SHA-256."""
+    """The document._run_prolong body for PROLONG_DATA[data] and its SHA-256."""
     names = ", ".join(line.split(" =")[0] for line in PROLONG_DATA[data].splitlines())
     text = f"degree {degree}\n{PROLONG_DATA[data]}prolong {names} at {alpha}\n"
     doc = grammar.parse(text)
@@ -395,7 +395,7 @@ def test_zero_value_over_a_power_of_a_polynomial_pivot():
 
 
 def solve_document(text, degree):
-    """The cli._run_prolong body of a one-task prolong document at `degree`,
+    """The document._run_prolong body of a one-task prolong document at `degree`,
     and the solution behind it."""
     doc = grammar.parse(f"degree {degree}\n{text}")
     env = {d.name: d for d in doc.declarations}

@@ -414,6 +414,16 @@ def test_solve_implicit_two_parameters():
     assert u.coefficient((2, 3)) == 1  # y (xy)^2 contribution
 
 
+def test_solve_implicit_flags_a_polynomial_fixed_point_exact():
+    # u = x + u^2 - x^2 is solved by u = x exactly; the solve composes rhs with
+    # its last iterate once at full degree, and that image, flagged inexact by
+    # the composition, is tested as the polynomial it is
+    terms = {(1, 0): 1, (0, 2): 1, (2, 0): -1}
+    u = solve_implicit(Series.polynomial(2, 6, terms))
+    assert u.terms == {(1,): 1} and u.exact
+    assert not solve_implicit(Series(2, 6, terms, exact=False)).exact
+
+
 def test_solve_implicit_preconditions():
     with pytest.raises(NormalizationRequired):
         solve_implicit(Series.polynomial(2, 4, {(0, 0): 1}))

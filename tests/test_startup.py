@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import crtrans
-from crtrans.cli import _sha256_hex, main
+from crtrans.cli import main
+from crtrans.document import _sha256_hex
 
 from test_classify import DEGENERATE
 
@@ -76,13 +77,15 @@ print(json.dumps({"code": code, "loaded": loaded, "openssl": "_hashlib" in sys.m
 
 # print-grammar, -h and usage errors load neither the parser nor its records
 FRONT = {"cli", "errors"}
-PARSE = FRONT | {"grammar", "record"}
+# the document commands read, parse and run their document in `document`
+PARSE = FRONT | {"document", "grammar", "record"}
 BASE = PARSE | {"multiindex", "scalar", "series"}
-# classify certifies every rank by the minor scan of `rank`; the maps also
-# take scalar and series determinants from `linalg`
+# every rank and determinant a command takes is `rank`'s, the scalar ones of
+# the map analyses and easystuff included, so no command loads `linalg`
 RANK = {"hypersurface", "rank", "verdict"}
-MAPS = RANK | {"crmap", "linalg", "models"}
-REGISTRY = (BASE - {"grammar"}) | MAPS | {"verify"}
+MAPS = RANK | {"crmap", "models"}
+REGISTRY = (BASE - {"document", "grammar"}) | MAPS | {"verify"}
+DOCUMENT_COMMANDS = ("classify", "check-map", "prolong")
 
 # row id -> (argv, document, loaded modules, exit code); a document that fails
 # to parse never reaches the evaluator, the one user of the series kernel
@@ -98,7 +101,7 @@ SUBCOMMANDS = {
     ),
     "classify": (["classify", "--degree", "6"], "M = graph(z*chi + z^2*chi^2*s)\nclassify M\n",
                  BASE | RANK, 0),
-    # every rank scan of this document runs to its cap, and none loads linalg
+    # every rank scan of this document runs to its cap
     "classify a degenerate graph": (["classify", "--degree", "8"],
                                     f"M = graph({DEGENERATE})\nclassify M\n", BASE | RANK, 0),
     "classify with a syntax error": (["classify"], "M = = graph(z*chi)\nclassify M\n", PARSE, 1),
@@ -108,7 +111,8 @@ SUBCOMMANDS = {
         BASE | MAPS,
         0,
     ),
-    "verify": (["verify", "--suite", "easystuff", "--degree", "8"], None, REGISTRY, 0),
+    "verify": (["verify"], None, REGISTRY, 0),
+    "verify easystuff": (["verify", "--suite", "easystuff", "--degree", "8"], None, REGISTRY, 0),
     "examples": (["examples", "--degree", "8"], None, REGISTRY, 0),
 }
 
@@ -123,6 +127,11 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
     run = json.loads(fresh(RUN_AND_LIST, *argv))
     assert run["code"] == code
     assert set(run["loaded"]) == expected
+    # the scalar determinants of check-map, verify and examples are `rank`'s
+    assert "linalg" not in run["loaded"]
+    # the document runners load for a document command, which `--help` and a
+    # usage error are not, even when the command line names one
+    assert ("document" in run["loaded"]) == (code != 2 and argv[0] in DOCUMENT_COMMANDS)
     # a document's digest comes from the builtin SHA-256, so no command loads OpenSSL
     assert run["openssl"] is False
     # the command line is parsed without argparse, which loads gettext and locale

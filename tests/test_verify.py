@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from crtrans import crmap, linalg, verify
 from crtrans.hypersurface import Convention
 from crtrans.verdict import certified_false, certified_true, unknown
 from crtrans.verify import (
@@ -324,3 +325,28 @@ def test_other_convention_also_runs_clean():
     rep = run_all(degree=8, convention=Convention.I)
     assert rep["falsified"] is False
     assert sum(rep["counts"].values()) == 102
+
+
+@pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
+def test_determinant_witnesses_match_the_bareiss_determinant(monkeypatch, conv):
+    """The analyses take their scalar determinants (the automorphism verdict's
+    differential at 0, easystuff's `det`) as the constant term of `rank._det`;
+    the verify and examples reports are those of the Bareiss determinant of
+    `linalg`, every witness included."""
+
+    def reports():
+        return (verify.verify_report(None, 10, conv), verify.examples_report(10, conv))
+
+    got = reports()
+    calls = {"crmap": 0, "verify": 0}
+
+    def bareiss(module):
+        def det(rows):
+            calls[module] += 1
+            return linalg.scalar_determinant(rows)
+        return det
+
+    monkeypatch.setattr(crmap, "constant_determinant", bareiss("crmap"))
+    monkeypatch.setattr(verify, "constant_determinant", bareiss("verify"))
+    assert reports() == got
+    assert calls["crmap"] > 0 and calls["verify"] > 0
