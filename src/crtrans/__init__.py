@@ -18,7 +18,8 @@ __version__ = "0.1.0"  # the version in pyproject.toml
 # private helper `_nested` on first use
 _EXPORTS = {
     "scalar": ("GaussianRational",),
-    "series": ("Series", "compose", "exp_series"),
+    "series": ("Series", "exp_series"),
+    "substitution": ("compose",),
     "fracseries": ("FracSeries",),
     "rank": ("GenericRank", "SeriesMatrix", "determinant", "generic_rank"),
     "linalg": (

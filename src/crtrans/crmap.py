@@ -23,7 +23,8 @@ from .multiindex import unit
 from .rank import constant_determinant, determinant, generic_rank
 from .record import Record
 from .scalar import ZERO
-from .series import Series, compose
+from .series import Series
+from .substitution import compose
 from .verdict import (Verdict, certified_false, certified_true, coefficient_witness, lowest_power,
                       unknown, vanishes)
 

@@ -22,7 +22,8 @@ from .errors import ArityMismatch, ConstructionError, StructureError
 from .rank import RankState, generic_rank
 from .record import Record
 from .scalar import GaussianRational
-from .series import Series, compose, identity_components, solve_implicit
+from .series import Series
+from .substitution import compose, identity_components, solve_implicit
 from .verdict import (Status, Verdict, certified_false, certified_true, coefficient_witness,
                       lowest_power, unknown, vanishes)
 

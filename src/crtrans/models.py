@@ -20,7 +20,8 @@ from .hypersurface import (
     from_graph,
 )
 from .scalar import GaussianRational, RationalLike
-from .series import Series, compose, exp_series, solve_implicit
+from .series import Series, exp_series
+from .substitution import compose, solve_implicit
 
 
 def _check_degree(degree: int, needed: int, what: str) -> None:

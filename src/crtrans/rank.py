@@ -46,8 +46,6 @@ from .scalar import GaussianRational, ScalarLike
 from .series import Series
 from .verdict import Verdict, certified_true, unknown
 
-MatrixLike = Union["SeriesMatrix", Sequence[Sequence[Series]]]
-
 
 class SeriesMatrix(Record):
     rows: tuple
@@ -79,6 +77,9 @@ class SeriesMatrix(Record):
 
     def entry(self, i: int, j: int) -> Series:
         return self.rows[i][j]
+
+
+MatrixLike = Union[SeriesMatrix, Sequence[Sequence[Series]]]
 
 
 def _as_matrix(m: MatrixLike) -> SeriesMatrix:

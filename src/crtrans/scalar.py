@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, TypeAlias, Union
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-RationalLike = Union[int, "Fraction"]
-ScalarLike = Union["GaussianRational", int, "Fraction"]
+# string aliases: a quoted name inside a Union builds a typing.ForwardRef, which
+# compiles its text at import, and `Fraction` is never imported at run time
+RationalLike: TypeAlias = "Union[int, Fraction]"
+ScalarLike: TypeAlias = "Union[GaussianRational, int, Fraction]"
 
 
 class GaussianRational:

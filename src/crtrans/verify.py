@@ -29,7 +29,8 @@ from .models import (
 from .rank import constant_determinant
 from .record import Record
 from .scalar import GaussianRational, qr
-from .series import Series, compose, exp_series
+from .series import Series, exp_series
+from .substitution import compose
 from .verdict import Verdict, certified_false, certified_true, unknown, vanishes
 
 __all__ = [

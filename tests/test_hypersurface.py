@@ -2,7 +2,7 @@
 
 import pytest
 
-from crtrans import hypersurface, series
+from crtrans import hypersurface, substitution
 from crtrans.errors import ArityMismatch, StructureError
 from crtrans.hypersurface import (
     Convention,
@@ -127,7 +127,7 @@ def test_solve_implicit_composes_each_step_only_through_the_degree_it_certifies(
     z, chi, s = (Series.variable(i, 3, d) for i in range(3))
     phi = z * chi * exp_series(z * chi + s * s) + z**2 * chi**2
     orders, degrees, solving = [], [], []
-    horner, solve = series._horner, hypersurface.solve_implicit
+    horner, solve = substitution._horner, hypersurface.solve_implicit
 
     def traced_horner(groups, powers, arity, degree, den):
         if solving and powers:  # one composition; its nested evaluations have no powers left
@@ -142,7 +142,7 @@ def test_solve_implicit_composes_each_step_only_through_the_degree_it_certifies(
         finally:
             solving.pop()
 
-    monkeypatch.setattr(series, "_horner", traced_horner)
+    monkeypatch.setattr(substitution, "_horner", traced_horner)
     monkeypatch.setattr(hypersurface, "solve_implicit", traced_solve)
     m = from_graph(phi, Convention.TWO_I)
     assert m.validity.status is Status.CERTIFIED_TRUE

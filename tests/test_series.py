@@ -22,14 +22,8 @@ from crtrans.errors import (
 )
 from crtrans.linalg import evaluate_row
 from crtrans.scalar import GaussianRational, I, qr
-from crtrans.series import (
-    Series,
-    compose,
-    exp_series,
-    identity_components,
-    invert_unit,
-    solve_implicit,
-)
+from crtrans.series import Series, exp_series, invert_unit
+from crtrans.substitution import compose, identity_components, solve_implicit
 
 from test_multiindex import iter_up_to
 

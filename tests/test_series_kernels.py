@@ -26,7 +26,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from crtrans import multiindex as mi, series  # noqa: E402
 from crtrans.errors import CrtransError  # noqa: E402
 from crtrans.scalar import ONE, ZERO, GaussianRational, qr  # noqa: E402
-from crtrans.series import Series, compose, exp_series, solve_implicit  # noqa: E402
+from crtrans.series import Series, exp_series  # noqa: E402
+from crtrans.substitution import compose, solve_implicit  # noqa: E402
 
 from test_multiindex import iter_up_to  # noqa: E402
 

@@ -81,8 +81,10 @@ FRONT = {"cli", "errors"}
 PARSE = FRONT | {"document", "grammar", "record"}
 BASE = PARSE | {"multiindex", "scalar", "series"}
 # every rank and determinant a command takes is `rank`'s, the scalar ones of
-# the map analyses and easystuff included, so no command loads `linalg`
-RANK = {"hypersurface", "rank", "verdict"}
+# the map analyses and easystuff included, so no command loads `linalg`; the
+# analyses substitute into series through `substitution`, which `prolong`
+# never loads
+RANK = {"hypersurface", "rank", "substitution", "verdict"}
 MAPS = RANK | {"crmap", "models"}
 REGISTRY = (BASE - {"document", "grammar"}) | MAPS | {"verify"}
 DOCUMENT_COMMANDS = ("classify", "check-map", "prolong")
@@ -199,6 +201,11 @@ def test_tracer_installs_over_lazy_modules(tmp_path):
     calls = traced_calls(tmp_path, *SUBCOMMANDS["classify a degenerate graph"][:2])
     assert calls["linalg.generic_rank"] > 0
     assert calls["linalg.det"] > 0
+    # the tracer reads compose and solve_implicit from `series`, whose module
+    # `__getattr__` hands it those of `substitution`: a graph's classify must
+    # still reach the wrappers
+    assert calls["series.compose"] > 0
+    assert calls["series.solve_implicit"] > 0
     calls = traced_calls(tmp_path, *SUBCOMMANDS["check-map"][:2])
     assert calls["linalg.generic_rank"] > 0
     assert calls["linalg.det"] > 0
@@ -243,6 +250,23 @@ def test_no_source_file_imports_fractions_at_module_level():
              for line in p.read_text().splitlines()
              if line.startswith(("from fractions ", "import fractions"))]
     assert users == []
+
+
+def test_loading_every_module_compiles_only_source_files():
+    # a quoted name inside a typing.Union builds a ForwardRef, which compiles its text
+    code = (
+        "import builtins\n"
+        "compiled, real = [], builtins.compile\n"
+        "def hook(source, filename, *args, **kwargs):\n"
+        "    compiled.append(str(filename))\n"
+        "    return real(source, filename, *args, **kwargs)\n"
+        "builtins.compile = hook\n"
+        "import crtrans\n"
+        "for module in crtrans._EXPORTS:\n"
+        "    vars(getattr(crtrans, module))\n"
+        "print([f for f in compiled if not f.endswith('.py')])\n"
+    )
+    assert fresh(code).strip() == "[]"
 
 
 def test_version_matches_pyproject():
