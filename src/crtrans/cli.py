@@ -23,13 +23,14 @@ from __future__ import annotations
 import atexit
 import os
 import sys
-from typing import List, NoReturn, Optional, Sequence, Tuple
+from typing import Callable, List, NoReturn, Optional, Sequence, Tuple
 
 # modules, not names: a module loads when a command first reads from it
 from . import __version__, document, grammar_text, hypersurface, verify
 from .errors import CrtransError
 
 SCHEMA = "crtrans-report/1"
+CHUNK = 1 << 14  # characters the report writer gathers before it sends them on
 
 __all__ = ["main", "run", "SCHEMA"]
 
@@ -37,10 +38,12 @@ __all__ = ["main", "run", "SCHEMA"]
 # ---------------- the report ----------------
 
 
-def _report_text(report: dict) -> str:
-    """`json.dumps(report, sort_keys=True, indent=2)`, byte for byte, for what a
-    report holds: dicts with str keys, lists, tuples, str, int, bool and None.
-    Anything else, a float or a non-str key included, raises TypeError.
+def _send_report(report: dict, send: Callable[[str], object]) -> None:
+    """Send `json.dumps(report, sort_keys=True, indent=2) + "\n"`, byte for byte,
+    to `send`, for what a report holds: dicts with str keys, lists, tuples, str,
+    int, bool and None. Anything else, a float or a non-str key included,
+    raises TypeError. Each piece it sends, the last aside, is the first run of
+    whole tokens to reach CHUNK characters, so it holds one piece at a time.
 
     Strings are quoted by the function json itself uses. The `json` package
     is not imported: its import costs about as much as writing a report, and
@@ -53,7 +56,15 @@ def _report_text(report: dict) -> str:
     except ImportError:  # an interpreter built without json's accelerator
         from json.encoder import py_encode_basestring_ascii as quote
     parts: List[str] = []
-    put = parts.append
+    size = 0
+
+    def put(text: str) -> None:  # `text` is whole tokens, so a cut after it splits none
+        nonlocal parts, size
+        parts.append(text)
+        size += len(text)
+        if size >= CHUNK:
+            send("".join(parts))
+            parts, size = [], 0
 
     def write(value, indent: str) -> None:
         # the order of json's own type checks; `indent` starts with the newline
@@ -93,7 +104,7 @@ def _report_text(report: dict) -> str:
             raise TypeError(f"a report holds no {type(value).__name__}")
 
     write(report, "\n")
-    return "".join(parts)
+    send("".join(parts) + "\n")
 
 
 def _say(line: str) -> None:
@@ -109,17 +120,17 @@ def _say(line: str) -> None:
         pass
 
 
-def _write(text: str, path: Optional[str], what: str) -> bool:
-    """Write `text` to `path`, or to stdout when `path` is None. False, after
-    one `error:` line naming `what`, when it cannot be written."""
+def _write(path: Optional[str], what: str, render: Callable) -> bool:
+    """Write what `render(write)` writes to `path`, or to stdout when `path` is
+    None. False, after one `error:` line naming `what`, when it cannot be written."""
     try:
         if path:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                render(fh.write)
         elif sys.stdout is None:  # the process started with stdout closed
             raise OSError("stdout is closed")
         else:
-            sys.stdout.write(text)
+            render(sys.stdout.write)
             sys.stdout.flush()
     except OSError as exc:
         if not path and sys.stdout is not None:
@@ -136,7 +147,7 @@ def _write(text: str, path: Optional[str], what: str) -> bool:
 def _emit(report: dict, json_path: Optional[str], summary: List[str], code: int) -> int:
     """Write the report, then the summary; return `code`, or 2 with one error
     line and no summary when the report cannot be written."""
-    if not _write(_report_text(report) + "\n", json_path, "report"):
+    if not _write(json_path, "report", lambda send: _send_report(report, send)):
         return 2
     for line in summary:
         _say(line)
@@ -198,7 +209,7 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _help() -> NoReturn:
-    raise SystemExit(0 if _write(_HELP, None, "help") else 2)
+    raise SystemExit(0 if _write(None, "help", lambda send: send(_HELP)) else 2)
 
 
 def _is_flag(arg: str, flags) -> bool:
@@ -271,7 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command, opts = _parse_command_line(sys.argv[1:] if argv is None else argv)
 
     if command == "print-grammar":
-        return 0 if _write(grammar_text.GRAMMAR_TEXT, None, "grammar") else 2
+        return 0 if _write(None, "grammar", lambda send: send(grammar_text.GRAMMAR_TEXT)) else 2
 
     if command not in ("verify", "examples"):
         return document.run(command, opts)

@@ -625,9 +625,7 @@ def exp_series(f: Series) -> Series:
             break
         fact *= j
         acc = acc + Series._reduced(p.arity, p.degree, p._num, p._den * fact, p.exact)  # p / j!
-    if not f.is_zero:
-        acc = acc._with_exact(False)
-    return acc
+    return acc._with_exact(f.is_zero and f.exact)  # exp(f) is a polynomial only for f = 0
 
 
 def __getattr__(name: str):

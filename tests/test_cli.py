@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from crtrans import verify
-from crtrans.cli import SCHEMA, main
+from crtrans.cli import CHUNK, SCHEMA, _envelope, main
+from crtrans.hypersurface import Convention
 from crtrans.models import MAX_N
 from crtrans.verdict import certified_false
 
@@ -174,6 +175,26 @@ def test_verify_json_file_is_byte_stable(capsys, tmp_path):
     assert main(["verify", "--seed", "5", "--json", str(p2)]) == 0
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# the largest reports: verify's spans many of the writer's pieces, examples' fits in one
+@pytest.mark.parametrize(
+    "command, degree, conv",
+    [("verify", 10, "2i"), ("verify", 10, "i"), ("examples", 14, "2i"), ("examples", 14, "i")],
+)
+def test_a_report_is_json_dumps_on_stdout_and_in_the_json_file(capsys, tmp_path, command, degree, conv):
+    argv = [command, "--degree", str(degree), "--complexify", conv]
+    if command == "verify":
+        body = verify.verify_report(None, degree, Convention(conv))
+    else:
+        body = verify.examples_report(degree, Convention(conv))
+    expected = json.dumps({**_envelope(command, degree, conv, 0), **body}, sort_keys=True, indent=2) + "\n"
+    assert len(expected) > 4 * CHUNK if command == "verify" else len(expected) < CHUNK
+    code, out, _ = run(capsys, argv)
+    path = tmp_path / "report.json"
+    assert main(argv + ["--json", str(path)]) == code == 0
+    assert out == expected
+    assert path.read_bytes() == expected.encode()
 
 
 # argv -> stdin document (None for the commands that read none): a dense and

@@ -56,7 +56,8 @@ def test_exit_code_is_the_code_of_main(capsys, monkeypatch, argv, stdin, expecte
 
 @pytest.mark.parametrize(
     "argv, stdin",
-    [(["classify", "--degree", "6"], VALID_DOC), (["verify", "--suite", "easystuff"], "")],
+    [(["classify", "--degree", "6"], VALID_DOC), (["verify", "--suite", "easystuff"], ""),
+     (["verify", "--degree", "10"], "")],  # the last in many pieces
 )
 def test_stdout_is_byte_identical_to_main(capsys, monkeypatch, argv, stdin):
     _, out, err = in_process(capsys, monkeypatch, argv, stdin)
@@ -176,6 +177,21 @@ def test_stdout_closed_before_the_report_exits_two():
         child.stdout.close()  # long before the report: start-up alone takes longer
         err = child.stderr.read()
         returncode = child.wait(timeout=120)
+    assert_one_error_line(returncode, err, "Broken pipe")
+
+
+def test_stdout_closed_in_the_middle_of_the_report_exits_two():
+    # the 140 KB report is sent in pieces of cli.CHUNK characters and does not
+    # fit in a pipe (64 KB on Linux), so pieces are still to come when the reader
+    # has gone
+    with subprocess.Popen([sys.executable, "-m", "crtrans", "verify", "--degree", "10"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                          env=child_env()) as child:
+        head = child.stdout.read(64)
+        child.stdout.close()
+        err = child.stderr.read()
+        returncode = child.wait(timeout=120)
+    assert head.startswith(b'{\n  "command": "verify"')
     assert_one_error_line(returncode, err, "Broken pipe")
 
 

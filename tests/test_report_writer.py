@@ -1,13 +1,15 @@
-"""The report writer `cli._report_text` against `json.dumps(v, sort_keys=True,
-indent=2)`: byte for byte on nested dicts, lists, tuples, str, int, bool and
-None, with the strings json escapes (control characters, quotes, backslashes,
-non-ASCII text and lone surrogates), large ints and empty containers; a
-TypeError for a float and for a non-str key, which json would write. Needs the
-optional `hypothesis` package (the `test` extra); the module is skipped
-without it.
+"""The report writer `cli._send_report` against `json.dumps(v, sort_keys=True,
+indent=2) + "\n"`: byte for byte on nested dicts, lists, tuples, str, int, bool
+and None, with the strings json escapes (control characters, quotes,
+backslashes, non-ASCII text and lone surrogates), large ints and empty
+containers; a TypeError for a float and for a non-str key, which json would
+write. With the piece size made small, every value spans many pieces, and each
+piece but the last reaches it and ends between two tokens. Needs the optional
+`hypothesis` package (the `test` extra); the module is skipped without it.
 """
 
 import json
+import re
 import sys
 
 import pytest
@@ -15,11 +17,31 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from crtrans.cli import _report_text  # noqa: E402
+from crtrans import cli  # noqa: E402
 
 
 def dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2)
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def pieces(value) -> list:
+    out = []
+    cli._send_report(value, out.append)
+    return out
+
+
+def sent(value) -> str:
+    return "".join(pieces(value))
+
+
+STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def assert_cut_between_tokens(out) -> None:
+    for piece in out:
+        assert STRING.sub("", piece).count('"') == 0, piece  # no string is cut
+    for left, right in zip(out, out[1:]):
+        assert not (left[-1].isalnum() and right[0].isalnum()), (left, right)  # nor a number or literal
 
 
 CHARS = st.one_of(
@@ -49,7 +71,18 @@ VALUES = st.recursive(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(VALUES)
 def test_writer_matches_json_dumps(value):
-    assert _report_text(value) == dumps(value)
+    assert sent(value) == dumps(value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(VALUES, st.integers(1, 40))
+def test_writer_sends_pieces_of_at_least_chunk_characters_cut_between_tokens(value, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CHUNK", chunk)
+        out = pieces(value)
+    assert "".join(out) == dumps(value)
+    assert all(len(piece) >= chunk for piece in out[:-1])
+    assert_cut_between_tokens(out)
 
 
 def test_writer_matches_json_dumps_on_a_report_shape():
@@ -58,14 +91,14 @@ def test_writer_matches_json_dumps_on_a_report_shape():
         "results": [{"task": "classify", "class_cm": None, "exact": True, "ok": False,
                      "witness": {"index": [1, 1, 0], "value": "2i"}, "pair": ("a", 2**70)}],
     }
-    assert _report_text(report) == dumps(report)
+    assert sent(report) == dumps(report)
 
 
 def test_writer_quotes_without_json_accelerator(monkeypatch):
     # `None` in sys.modules makes `import _json` raise ImportError
     monkeypatch.setitem(sys.modules, "_json", None)
     value = {"é\ud800\"\\\x01": ["tab\there", 7, None]}
-    assert _report_text(value) == dumps(value)
+    assert sent(value) == dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -75,4 +108,4 @@ def test_writer_quotes_without_json_accelerator(monkeypatch):
 )
 def test_writer_refuses_what_json_would_coerce_or_refuse(value):
     with pytest.raises(TypeError):
-        _report_text(value)
+        sent(value)

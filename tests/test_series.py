@@ -443,6 +443,15 @@ def test_exp_series_is_homomorphism():
         exp_series(Series.one(1, 4))
 
 
+def test_exp_series_is_exact_only_for_an_exact_zero():
+    assert exp_series(Series.zero(1, 4)).exact
+    # x^6 truncated at degree 4 reads zero, but its exp is 1 + x^6 + ..., no polynomial
+    hidden = Series(1, 4, {(6,): 1})
+    assert hidden.is_zero and not hidden.exact
+    assert exp_series(hidden) == Series.one(1, 4)
+    assert not exp_series(hidden).exact
+
+
 # ---------------- display ----------------
 
 
