@@ -18,10 +18,10 @@ that `linalg._bareiss` applies to scalars. Each solved jet is numerators
 N_gamma over one power p^e_gamma, where e_gamma = 1 + the largest e_j among
 the jets its equation subtracts, so e grows linearly in |gamma|:
 
-    N_gamma = t_beta p^m - sum_j N_j A_delta p^(m - e_j),    m = e_gamma - 1,
+    N_gamma = t_beta p^m - S_beta,    S_beta = sum_j N_j A_delta p^(m - e_j),
 
-with t_beta = v_beta / beta! and delta = beta - j. No series fraction is
-formed, and the powers of p are built once per (exponent, degree).
+with m = e_gamma - 1, t_beta = v_beta / beta! and delta = beta - j. No series
+fraction is formed, and each power of p is built once per (exponent, degree).
 
 Alpha's values keep the denominator that cross-multiplied `FracSeries`
 arithmetic gives them, p^E with E = 1 + the sum of the predecessors' E, so E
@@ -40,12 +40,12 @@ and negative when no coefficient is certified.
 
 The triangularity is not taken on faith: whenever a not-yet-solved unknown
 would enter an equation, the solver asserts that its A-coefficient vanishes.
-Then each supplied equation of reachable order that the solve did not use
-(those it used hold by construction of N_gamma) is checked once, on the
-common power p^m of its terms: sum_j N_j A_delta p^(m - e_j) = t_beta p^m,
-through every degree both sides know. When p(0) != 0 this is the equation of
-the fractions; when p(0) = 0 it is at least as strict, and consistent data
-still pass.
+Each equation is built once: the solve uses the rows beta = alpha0 + gamma,
+which then hold by construction, and checks every other supplied row of order
+at most |alpha| + |alpha0| as S_beta = t_beta p^m, through every degree both
+sides know. When p(0) != 0 this is the equation of the fractions; when
+p(0) = 0 it is at least as strict, and consistent data still pass. The solve
+reads order |alpha| + |alpha0| at |gamma| = |alpha|: `max_jet_order_used`.
 """
 
 from __future__ import annotations
@@ -155,105 +155,87 @@ def _add(a: Series, b: Series, sign: int = 1) -> Series:
     return _plus(a, b, sign)
 
 
+def _targets(instance: ProlongationInstance, beta: Tuple[int, ...]) -> Tuple[Series, ...]:
+    """The supplied jet at beta over beta!."""
+    if beta not in instance.jets:
+        raise StructureError(f"jet data for beta = {beta} is required but was not supplied")
+    fact = mi.factorial(beta)
+    return tuple(s / fact if fact != 1 else s for s in instance.jets[beta])
+
+
+def _equation(blocks: list, beta: Tuple[int, ...], degree: int) -> list:
+    """(gamma', A_{beta - gamma'}) for every nonzero (delta, A_delta) of `blocks`
+    with delta <= beta, gamma' in lex order; A is known through `degree`."""
+    if mi.degree(beta) > degree:  # A_beta itself is not known
+        raise TruncationMismatch(
+            f"coefficient block of degree {mi.degree(beta)} beyond truncation {degree}"
+        )
+    row = [(mi.subtract(beta, delta), block)
+           for delta, block in blocks if all(d <= b for d, b in zip(delta, beta))]
+    return sorted(row, key=lambda term: term[0])
+
+
 def prolongation_solve(
     instance: ProlongationInstance, alpha: Sequence[int]
 ) -> ProlongationSolution:
     """Solve for the alpha-jet of b, checking consistency of all reachable data."""
     alpha = tuple(alpha)
-    a = instance.a
-    n = instance.n
+    a, n = instance.a, instance.n
     if len(alpha) != n:
         raise StructureError(f"alpha must have length {n}")
-    width = instance.width
-    if width == 0:
+    if not instance.width:
         raise StructureError("no jet data supplied")
-    z_block = tuple(range(n))
 
     pivot = minimal_ordered_nonzero(a, n)
-    k = mi.degree(pivot)
-    level = mi.degree(alpha)
-
-    a_blocks = a.coefficient_blocks(z_block)
+    reach = mi.degree(alpha) + mi.degree(pivot)
+    a_blocks = a.coefficient_blocks(tuple(range(n)))
     p = a_blocks[pivot]
-
-    used_orders = [0]
-    targets: Dict[Tuple[int, ...], Tuple[Series, ...]] = {}
-
-    def normalized(beta: Tuple[int, ...]) -> Tuple[Series, ...]:
-        """The supplied jet at beta over beta!, built on first use."""
-        if beta not in targets:
-            if beta not in instance.jets:
-                raise StructureError(
-                    f"jet data for beta = {beta} is required but was not supplied"
-                )
-            used_orders.append(mi.degree(beta))
-            fact = mi.factorial(beta)
-            targets[beta] = tuple(s / fact if fact != 1 else s for s in instance.jets[beta])
-        return targets[beta]
-
     blocks = [(delta, block) for delta, block in a_blocks.items() if not block.is_zero]
-    equations: Dict[Tuple[int, ...], list] = {}
-
-    def equation(beta: Tuple[int, ...]) -> list:
-        """(gamma', A_{beta - gamma'}) for every gamma' <= beta with that block
-        nonzero, gamma' in lex order; built on first use."""
-        if beta not in equations:
-            if mi.degree(beta) > a.degree:  # A_beta itself is not known
-                raise TruncationMismatch(
-                    f"coefficient block of degree {mi.degree(beta)} beyond truncation {a.degree}"
-                )
-            equations[beta] = sorted(
-                ((mi.subtract(beta, delta), block)
-                 for delta, block in blocks
-                 if all(d <= b for d, b in zip(delta, beta))),
-                key=lambda row: row[0],
-            )
-        return equations[beta]
 
     # p^j by (j, degree); the degree is None when p is exact, as its powers
     # are then whole polynomials
     powers: Dict[Tuple[int, Optional[int]], Series] = {(1, None if p.exact else p.degree): p}
 
-    def cached(j: int, d: Optional[int]) -> Optional[Series]:
-        """p^j through degree d if it is cached, or cut from a cached one of higher degree."""
-        if (j, d) not in powers and d is not None:
-            for (i, e), s in list(powers.items()):
-                if i == j and e > d:
-                    powers[j, d] = s.truncate(d)
-                    break
-        return powers.get((j, d))
-
     def power(j: int, d: int) -> Series:
         """p^j through degree d, or the whole polynomial when p is exact: built
-        once, by one product from p^(j-1) when that is at hand, else by squaring."""
+        once, cut from a higher degree, else by one product with p^(j-1) when
+        that is at hand, else by squaring."""
         e = None if p.exact else min(d, p.degree)
-        s = cached(j, e)
-        if s is None:
-            prev = cached(j - 1, e)
-            if prev is not None:
-                s = _times(prev, cached(1, e))
+        if (j, e) not in powers:
+            # exponent -> the first power cached through degree e or beyond
+            # (every degree is None when p is exact)
+            near = {i: s for (i, f), s in reversed(powers.items()) if f == e or f > e}
+            if j in near:
+                powers[j, e] = near[j].truncate(e)
+            elif j - 1 in near:
+                powers[j, e] = _times(power(j - 1, e), power(1, e))
             else:
-                s = (p.lift(j * p.poly_degree) if p.exact else p.truncate(e)) ** j
-            powers[j, e] = s
-        return s
+                powers[j, e] = (p.lift(j * p.poly_degree) if p.exact else p.truncate(e)) ** j
+        return powers[j, e]
 
     def scaled(s: Series, j: int) -> Series:
         """s p^j through every degree s knows."""
-        if not j:
-            return s
-        return _mul(s, power(j, p.degree if s.exact else s.degree))
+        return _mul(s, power(j, p.degree if s.exact else s.degree)) if j else s
 
     # gamma -> e_gamma, the numerators N_gamma, and E_gamma, the exponent of
     # the cross-multiplied chain's denominator: 1 + the sum over the predecessors
     exps: Dict[Tuple[int, ...], int] = {}
     nums: Dict[Tuple[int, ...], Tuple[Series, ...]] = {}
     chain: Dict[Tuple[int, ...], int] = {}
-    for ell in range(level + 1):
+
+    def summed(acc: Series, row: list, i: int, m: int, sign: int = 1) -> Series:
+        """acc + sign * S, S = sum_j N_j A_delta p^(m - e_j) over the (j, A_delta)
+        of row in component i, added to acc term by term."""
+        for gp, block in row:
+            acc = _add(acc, scaled(_mul(nums[gp][i], block), m - exps[gp]), sign)
+        return acc
+
+    for ell in range(mi.degree(alpha) + 1):
         for gamma in sorted(mi.iter_degree(n, ell)):
             beta = mi.add(pivot, gamma)
-            ts = normalized(beta)
+            ts = _targets(instance, beta)
             preds = []
-            for gp, block in equation(beta):
+            for gp, block in _equation(blocks, beta, a.degree):
                 if gp == gamma:
                     continue
                 if gp not in exps:
@@ -264,24 +246,18 @@ def prolongation_solve(
                     )
                 preds.append((gp, block))
             m = max((exps[gp] for gp, _ in preds), default=0)
-            # N_gamma = t p^m - sum N_j A_delta p^(m - e_j)
-            acc = [scaled(t, m) for t in ts]
-            for gp, block in preds:
-                for i in range(width):
-                    acc[i] = _add(acc[i], scaled(_mul(nums[gp][i], block), m - exps[gp]), -1)
+            nums[gamma] = tuple(summed(scaled(t, m), preds, i, m, -1) for i, t in enumerate(ts))
             exps[gamma] = m + 1
-            nums[gamma] = tuple(acc)
             chain[gamma] = 1 + sum(chain[gp] for gp, _ in preds)
 
     # consistency: every supplied equation of reachable order must hold; the
     # ones the solve used hold by construction of N_gamma
-    reach = level + k
     solved_rows = {mi.add(pivot, gamma) for gamma in exps}
     for beta in sorted(instance.jets, key=mi.grlex_key):
         if mi.degree(beta) > reach or beta in solved_rows:
             continue
-        ts = normalized(beta)
-        row = equation(beta)
+        ts = _targets(instance, beta)
+        row = _equation(blocks, beta, a.degree)
         for gp, _ in row:
             if gp not in exps:
                 raise StructureError(
@@ -289,20 +265,12 @@ def prolongation_solve(
                 )
         m = max((exps[gp] for gp, _ in row), default=0)
         for i, t in enumerate(ts):
-            lhs = Series.zero(t.arity, a.degree)
-            for gp, block in row:
-                lhs = _add(lhs, scaled(_mul(nums[gp][i], block), m - exps[gp]))
+            lhs = summed(Series.zero(t.arity, a.degree), row, i, m)
             if not _series_eq(lhs, scaled(t, m)):
                 raise InconsistentData(
                     f"supplied jet data at beta = {beta}, component {i}, "
                     "contradicts the solved prolongation"
                 )
-
-    max_used = max(used_orders)
-    if max_used > reach:
-        raise StructureError(
-            f"solver touched jets of order {max_used} beyond the bound {reach}"
-        )  # pragma: no cover
 
     def over(s: Series, j: int) -> FracSeries:
         """s / p^j, with p^j through every degree s knows."""
@@ -323,7 +291,7 @@ def prolongation_solve(
         pivot=pivot,
         values=jets_out[alpha],
         jets=jets_out,
-        max_jet_order_used=max_used,
+        max_jet_order_used=reach,
         degree_used=None if cert == math.inf else cert,
     )
 

@@ -154,7 +154,7 @@ def test_jet_order_instrumentation_bound():
     b = Series.polynomial(2, 8, {(0, 1): 1, (1, 0): 4})
     sol = prolongation_solve(expand_instance(a, 1, [b], 5), (3,))
     assert sol.pivot == (2,)
-    assert sol.max_jet_order_used <= 3 + 2
+    assert sol.max_jet_order_used == 3 + 2
     assert sol.jets[(3,)][0] == FracSeries.from_series(jets_of(b, (3,)))
 
 
@@ -233,12 +233,18 @@ PROLONG = {
     (4, (2, 1), 9): "a31d59d4b8b4954bee2ec843feb94646a99c5039450eeddaa69a4715813b27ca",
 }
 
-# the same for documents deep enough that the reported denominators are P^511
-# and P^63, recorded before the solve went fraction-free
+# the same for documents deep enough that alpha's denominators are P^511 and
+# P^63, recorded before the solve went fraction-free; b's jets vanish at those
+# orders, so the reports print the values "0" with degree_used 0
 DEEP_PROLONG = {
     (0, (8, 8), 17): "6b794c28be5170ebae9ded7702490501b29bb7d1666cb97e3e45d993c6b56677",
     (5, (5, 5), 11): "fd60e69ee404c4a91c59aed7d9e4fef01f97b0387f9012c2a44e01a7a967b1f4",
 }
+
+# (general products, all series products) each deep report makes: p^E is
+# built by squaring, where one product at a time would take E - 1 of them,
+# one-term products where the degree the numerator knows cuts p to a constant
+DEEP_PRODUCTS = {(0, (8, 8), 17): (90, 600), (5, (5, 5), 11): (106, 743)}
 
 
 @pytest.mark.parametrize("case", list(PROLONG), ids=lambda c: f"data{c[0]}-{c[1][0]}{c[1][1]}-D{c[2]}")
@@ -246,6 +252,7 @@ def test_prolong_report_is_byte_stable(case):
     data, alpha, degree = case
     body, digest = prolong_report(data, alpha, degree)
     assert body["matches_direct_expansion"]
+    assert body["max_jet_order_used"] == sum(alpha) + sum(body["pivot"])
     if data < 2:  # exp data: every value has a non-constant denominator
         assert all(v.startswith("(") and ") / (" in v for v in body["values"])
     else:  # polynomial data: the quotient is exact
@@ -254,10 +261,16 @@ def test_prolong_report_is_byte_stable(case):
 
 
 @pytest.mark.parametrize("case", list(DEEP_PROLONG), ids=lambda c: f"data{c[0]}-{c[1][0]}{c[1][1]}-D{c[2]}")
-def test_deep_prolong_report_is_byte_stable(case):
+def test_deep_prolong_report_is_byte_stable(case, monkeypatch):
+    general, products = [], []
+    product, mul = series._product, Series.__mul__
+    monkeypatch.setattr(series, "_product", lambda *args: general.append(1) or product(*args))
+    monkeypatch.setattr(Series, "__mul__", lambda *args: products.append(1) or mul(*args))
     body, digest = prolong_report(*case)
     assert body["matches_direct_expansion"]
     assert digest == DEEP_PROLONG[case]
+    assert 0 < len(general) <= DEEP_PRODUCTS[case][0]
+    assert len(products) <= DEEP_PRODUCTS[case][1]
 
 
 def prolong_report(data, alpha, degree):
@@ -286,8 +299,8 @@ def test_solve_makes_few_products(monkeypatch):
 
 
 def test_solve_computes_each_difference_once(monkeypatch):
-    """Each (beta, gamma') difference is taken once, shared by the solve loop
-    and the consistency loop."""
+    """Each (beta, gamma') difference is taken once: each equation is built
+    once, as the rows the solve uses and the rows it checks are disjoint."""
     calls = []
     subtract = mi.subtract
 
