@@ -26,7 +26,7 @@ from .scalar import ZERO
 from .series import Series
 from .substitution import compose
 from .verdict import (Verdict, certified_false, certified_true, coefficient_witness, lowest_power,
-                      unknown, vanishes)
+                      nonzero, unknown, vanishes)
 
 
 class CRMap(Record):
@@ -97,10 +97,7 @@ def is_automorphism(h: CRMap) -> Verdict:
     """Invertibility of the formal map; decided exactly from the linear part."""
     if h.target_n != h.source_n:
         return certified_false({"note": "map is not equidimensional"}, h.degree)
-    det = constant_determinant(dh0(h))
-    if det:
-        return certified_true({"determinant": str(det)}, h.degree)
-    return certified_false({"determinant": "0"}, h.degree)
+    return nonzero("determinant", constant_determinant(dh0(h)), h.degree)
 
 
 # ---------------- pointwise analyzers ----------------
@@ -110,10 +107,7 @@ def is_cr_transversal(h: CRMap) -> Verdict:
     """Nonvanishing of dG/dw at 0; exact either way."""
     if h.g.degree < 1:
         raise TruncationMismatch("need degree >= 1 to read dG/dw at 0")
-    c = h.g.terms.get(unit(h.g.arity, h.w_index), ZERO)
-    if c:
-        return certified_true({"coefficient": str(c)}, h.g.degree)
-    return certified_false({"coefficient": "0"}, h.g.degree)
+    return nonzero("coefficient", h.g.terms.get(unit(h.g.arity, h.w_index), ZERO), h.g.degree)
 
 
 def is_transversally_flat(h: CRMap) -> Verdict:

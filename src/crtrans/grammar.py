@@ -259,8 +259,8 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # parentheses, exp( and unary minuses open at the current token
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]

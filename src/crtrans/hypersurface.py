@@ -24,7 +24,7 @@ from .record import Record
 from .scalar import GaussianRational
 from .series import Series
 from .substitution import compose, identity_components, solve_implicit
-from .verdict import (Status, Verdict, certified_false, certified_true, coefficient_witness,
+from .verdict import (Verdict, certified_false, certified_true, coefficient_witness,
                       lowest_power, unknown, vanishes)
 
 
@@ -254,8 +254,6 @@ def _gradient_family_rank(src: Series, n: int, grad_vars: Tuple[int, ...]) -> Ve
         for alpha in sorted(mi.iter_degree(n, k)):
             c = blocks[alpha]
             rows.append([c.derivative(j) for j in grad_vars])
-        if not rows:
-            continue
         g = generic_rank(rows, state=state)
         last = g
         if g.r >= target:
@@ -269,9 +267,7 @@ def _gradient_family_rank(src: Series, n: int, grad_vars: Tuple[int, ...]) -> Ve
     # rows with |alpha| >= poly_degree have constant coefficient series and
     # zero gradients, so for an exact source the family is already complete
     exhausted = src.exact and k_cap >= src.poly_degree - 1
-    if exhausted and last is None:
-        return certified_false(wit, src.degree)
-    if exhausted and last.at_most.status is Status.CERTIFIED_TRUE and last.r < target:
+    if exhausted and (last is None or last.at_most.is_true):
         return certified_false(wit, src.degree)
     return unknown(wit, src.degree)
 

@@ -126,7 +126,15 @@ def exp_model(
     return m
 
 
-# ---------------- power self-maps ----------------
+# ---------------- power self-maps and the blowup family ----------------
+
+
+def _monomial_map(root: int, b: int, c: int, degree: int, what: str) -> CRMap:
+    """(z, w) -> (root z w^b, w^c); `what` names the map if degree is too low."""
+    _check_degree(degree, max(b + 1, c), what)
+    f = Series.polynomial(2, degree, {(1, b): root})
+    g = Series.polynomial(2, degree, {(0, c): 1})
+    return CRMap((f,), g)
 
 
 @lru_cache(maxsize=None)
@@ -134,10 +142,7 @@ def tk_map(k: int, degree: int = 10) -> CRMap:
     """(z, w) -> (z, w^k)."""
     if k < 1:
         raise StructureError("k must be a positive integer")
-    _check_degree(degree, k, "the power map")
-    f = Series.variable(0, 2, degree)
-    g = Series.polynomial(2, degree, {(0, k): 1})
-    return CRMap((f,), g)
+    return _monomial_map(1, 0, k, degree, "the power map")
 
 
 @lru_cache(maxsize=None)
@@ -150,21 +155,7 @@ def hk_map(k: int, degree: int = 10) -> CRMap:
         raise FieldRestriction(
             f"sqrt({k}) is not rational; this map leaves the Gaussian rationals"
         )
-    _check_degree(degree, k, "the power map")
-    f = Series.polynomial(2, degree, {(1, 0): root})
-    g = Series.polynomial(2, degree, {(0, k): 1})
-    return CRMap((f,), g)
-
-
-# ---------------- the blowup family ----------------
-
-
-def _blowup_map(b: int, c: int, degree: int, root: int) -> CRMap:
-    """(z, w) -> (root z w^b, w^c)."""
-    _check_degree(degree, max(b + 1, c), "the blowup map")
-    f = Series.polynomial(2, degree, {(1, b): root})
-    g = Series.polynomial(2, degree, {(0, c): 1})
-    return CRMap((f,), g)
+    return _monomial_map(root, 0, k, degree, "the power map")
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +168,7 @@ def blowup_map(b: int, c: int, degree: int = 10) -> CRMap:
         raise FieldRestriction(
             f"sqrt({c}) is not rational; use unscaled_blowup_map with a rescaled target"
         )
-    return _blowup_map(b, c, degree, root)
+    return _monomial_map(root, b, c, degree, "the blowup map")
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +176,7 @@ def unscaled_blowup_map(b: int, c: int, degree: int = 10) -> CRMap:
     """(z, w) -> (z w^b, w^c), defined over the rationals for every b, c."""
     if b < 1 or c < 1:
         raise StructureError("b and c must be positive integers")
-    return _blowup_map(b, c, degree, 1)
+    return _monomial_map(1, b, c, degree, "the blowup map")
 
 
 @lru_cache(maxsize=None)

@@ -130,29 +130,15 @@ def forward_expand(
     return out
 
 
-def _mul(a: Series, b: Series) -> Series:
-    """a * b through every degree its inexact factors know.
-
-    Two exact factors give the whole product, as in `FracSeries`; an exact
-    factor next to an inexact one is lifted to that one's degree first, so
-    its own truncation degree never cuts the product.
-    """
-    if a.exact and b.exact:
-        return _times(a, b)
-    if a.exact:
-        a = a.lift(b.degree)
-    elif b.exact:
-        b = b.lift(a.degree)
-    return a * b
-
-
-def _add(a: Series, b: Series, sign: int = 1) -> Series:
-    """a + sign * b, lifting an exact operand next to an inexact one as `_mul` does."""
+def _lifted(a: Series, b: Series) -> Tuple[Series, Series]:
+    """a and b, an exact one next to an inexact one lifted to that one's degree,
+    so its own truncation degree never cuts a product or sum; two exact
+    operands stay as they are, for `_times` and `_plus` take them whole."""
     if a.exact and not b.exact:
-        a = a.lift(b.degree)
-    elif b.exact and not a.exact:
-        b = b.lift(a.degree)
-    return _plus(a, b, sign)
+        return a.lift(b.degree), b
+    if b.exact and not a.exact:
+        return a, b.lift(a.degree)
+    return a, b
 
 
 def _targets(instance: ProlongationInstance, beta: Tuple[int, ...]) -> Tuple[Series, ...]:
@@ -215,7 +201,7 @@ def prolongation_solve(
 
     def scaled(s: Series, j: int) -> Series:
         """s p^j through every degree s knows."""
-        return _mul(s, power(j, p.degree if s.exact else s.degree)) if j else s
+        return _times(*_lifted(s, power(j, p.degree if s.exact else s.degree))) if j else s
 
     # gamma -> e_gamma, the numerators N_gamma, and E_gamma, the exponent of
     # the cross-multiplied chain's denominator: 1 + the sum over the predecessors
@@ -227,7 +213,7 @@ def prolongation_solve(
         """acc + sign * S, S = sum_j N_j A_delta p^(m - e_j) over the (j, A_delta)
         of row in component i, added to acc term by term."""
         for gp, block in row:
-            acc = _add(acc, scaled(_mul(nums[gp][i], block), m - exps[gp]), sign)
+            acc = _plus(*_lifted(acc, scaled(_times(*_lifted(nums[gp][i], block)), m - exps[gp])), sign)
         return acc
 
     for ell in range(mi.degree(alpha) + 1):

@@ -145,10 +145,7 @@ def determinant(m: MatrixLike) -> Series:
     if mat.nrows == 0:
         raise StructureError("determinant of an empty matrix")
     dmin = min(e.degree for row in mat.rows for e in row)
-    det = _det(mat.rows)
-    if det.degree < dmin:
-        return det.lift(dmin)
-    return det.truncate(dmin)
+    return _det(mat.rows).lift(dmin)
 
 
 def constant_determinant(rows: Sequence[Sequence[ScalarLike]]) -> GaussianRational:

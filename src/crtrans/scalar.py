@@ -136,15 +136,7 @@ class GaussianRational:
     def __pow__(self, power: int) -> "GaussianRational":
         if power < 0:
             return ONE / (self ** (-power))
-        out = ONE
-        base = self
-        k = power
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return square_and_multiply(ONE, self, power)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -200,6 +192,18 @@ def _ratio_str(n: int, d: int) -> str:
     """str(Fraction(n, d))."""
     g = math.gcd(n, d)
     return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def square_and_multiply(out, base, k: int):
+    """out * base^k for k >= 0: one product per set bit of k and one squaring
+    per bit below the highest, as a last square would go unused."""
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
 
 
 def qr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:

@@ -43,7 +43,8 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import ArityMismatch, NotAUnit, NotPointed, StructureError, TruncationMismatch
 from .multiindex import MultiIndex, degree as idx_degree, unit
-from .scalar import ONE, ZERO, GaussianRational, ScalarLike, _parts, _reduced as _scalar
+from .scalar import (ONE, ZERO, GaussianRational, ScalarLike, _parts, _reduced as _scalar,
+                     square_and_multiply)
 
 Order = Union[int, float]  # math.inf marks "no visible nonzero term"
 INFINITE_ORDER: float = math.inf
@@ -444,15 +445,7 @@ class Series:
         """Square-and-multiply; values and `exact` match repeated multiplication."""
         if power < 0:
             raise StructureError("negative series powers live in the fraction field")
-        out = Series.one(self.arity, self.degree)
-        base = self
-        while power:
-            if power & 1:
-                out = out * base
-            power >>= 1
-            if power:
-                base = base * base
-        return out
+        return square_and_multiply(Series.one(self.arity, self.degree), self, power)
 
     # ---------------- coefficient reshaping ----------------
 

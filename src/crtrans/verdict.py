@@ -63,6 +63,12 @@ def vanishes(s: "Series", witness: Mapping[str, Any]) -> Verdict:
     return certified_false(coefficient_witness(s), s.degree)
 
 
+def nonzero(key: str, value: Any, degree: Optional[int]) -> Verdict:
+    """certified_true when the exact scalar `value` is nonzero, else
+    certified_false; the witness holds it under `key` either way."""
+    return (certified_true if value else certified_false)({key: str(value)}, degree)
+
+
 def coefficient_witness(
     s: "Series", idx: Optional[MultiIndex] = None, **context: Any
 ) -> Dict[str, Any]:

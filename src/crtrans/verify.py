@@ -31,7 +31,7 @@ from .record import Record
 from .scalar import GaussianRational, qr
 from .series import Series, exp_series
 from .substitution import compose
-from .verdict import Verdict, certified_false, certified_true, unknown, vanishes
+from .verdict import Verdict, certified_false, certified_true, nonzero, unknown, vanishes
 
 __all__ = [
     "SuiteStatus",
@@ -434,12 +434,7 @@ def suite_easystuff(instances: Sequence[IntertwinedInstance]) -> List[TheoremSui
             [c.coefficient(tuple(1 if k == j else 0 for k in range(n))) for j in range(n)]
             for c in inst.b
         ]
-        det = constant_determinant(db0)
-        conclusion = (
-            certified_true({"det": str(det)}, inst.a.degree)
-            if det != GaussianRational(0)
-            else certified_false({"det": "0"}, inst.a.degree)
-        )
+        conclusion = nonzero("det", constant_determinant(db0), inst.a.degree)
         out.append(
             _row(
                 "intertwining_map_is_invertible",
