@@ -93,7 +93,6 @@ _EXPORTS = {
         "SuiteStatus",
         "TheoremSuiteResult",
         "build_registry",
-        "run_all",
         "suite_easystuff",
         "suite_finite_type",
         "suite_infinite_type",

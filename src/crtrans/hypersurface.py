@@ -25,7 +25,7 @@ from .scalar import GaussianRational
 from .series import Series
 from .substitution import compose, identity_components, solve_implicit
 from .verdict import (Verdict, certified_false, certified_true, coefficient_witness,
-                      lowest_power, unknown, vanishes)
+                      lowest_power, unknown)
 
 
 class Convention(enum.Enum):
@@ -295,15 +295,6 @@ class ExceptionalLocus(Record):
     """The complex hypersurface w = 0 inside an infinite-type model."""
 
     n: int
-
-    @property
-    def description(self) -> str:
-        return "w = 0"
-
-    def contains_image(self, normal_component: Series) -> Verdict:
-        """Does a map with this normal component send everything into w = 0?"""
-        g = normal_component
-        return vanishes(g, {"note": "normal component vanishes", "exact": g.exact})
 
 
 def exceptional_hypersurface(m: NormalHypersurface) -> ExceptionalLocus:

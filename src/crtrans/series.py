@@ -155,9 +155,6 @@ class _Terms(Mapping):
     def __len__(self) -> int:
         return len(self._num)
 
-    def __contains__(self, idx: object) -> bool:
-        return _key(idx, self._arity) in self._num
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _Terms):  # only an empty view equals one of another arity
             return (self._den, self._num) == (other._den, other._num) and (
@@ -457,6 +454,8 @@ class Series:
     def derivative(self, var: int) -> "Series":
         if not 0 <= var < self.arity:
             raise StructureError(f"variable index {var} out of range")
+        if self.degree < 1 and not self.exact:
+            raise TruncationMismatch("need degree >= 1 to differentiate a truncated series")
         d = max(self.degree - 1, 0)
         shift = (self.arity - 1 - var) * _W
         step = (1 << (self.arity * _W)) + (1 << shift)  # one off the degree and off x_var
@@ -465,8 +464,7 @@ class Series:
             e = (k >> shift) & _MASK
             if e:
                 out[k - step] = (re * e, im * e)
-        exact = self.exact if (self.degree > 0 or self.exact) else False
-        return Series._reduced(self.arity, d, out, self._den, exact)
+        return Series._reduced(self.arity, d, out, self._den, self.exact)
 
     def set_zero(self, variables: Sequence[int]) -> "Series":
         """Substitute 0 for the listed variables (arity is preserved)."""

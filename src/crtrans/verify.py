@@ -43,7 +43,6 @@ __all__ = [
     "suite_infinite_type",
     "suite_easystuff",
     "suite_report",
-    "run_all",
     "verify_report",
     "FAMILIES",
     "examples_report",
@@ -467,10 +466,6 @@ def suite_report(suites: Mapping[str, Sequence[TheoremSuiteResult]]) -> dict:
         "counts": counts,
         "falsified": counts["falsified"] > 0,
     }
-
-
-def run_all(degree: int = 10, convention: Convention = Convention.TWO_I) -> dict:
-    return verify_report(None, degree, convention)
 
 
 def verify_report(suite: Optional[str], degree: int, convention: Convention) -> dict:

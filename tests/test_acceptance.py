@@ -52,7 +52,7 @@ from crtrans.prolongation import (
 from crtrans.rank import generic_rank
 from crtrans.scalar import GaussianRational
 from crtrans.series import Series
-from crtrans.verify import build_registry, run_all, suite_finite_type
+from crtrans.verify import build_registry, suite_finite_type, verify_report
 
 
 def _passed(num: int, name: str) -> None:
@@ -220,7 +220,7 @@ def test_criterion_07_graph_model_finite_type_suite():
 
 
 def test_criterion_08_singular_factor_separation():
-    report = run_all(degree=10)
+    report = verify_report(None, 10, Convention.TWO_I)
     note = report["instance_notes"]["singular_factor_map"]
     assert "convention" in note
 
@@ -239,7 +239,7 @@ def test_criterion_08_singular_factor_separation():
 
 
 def test_criterion_09_unit_scale_law_and_automorphisms():
-    report = run_all(degree=10)
+    report = verify_report(None, 10, Convention.TWO_I)
     rows = {
         (r["theorem"], r["instance"]): r
         for suite in report["suites"].values()

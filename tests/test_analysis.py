@@ -19,7 +19,7 @@ from crtrans import crmap, grammar
 from crtrans.cli import main
 from crtrans.document import _run_checkmap
 from crtrans.hypersurface import Convention
-from crtrans.verify import build_registry, run_all, verify_report
+from crtrans.verify import build_registry, verify_report
 
 
 def digest(body) -> str:
@@ -62,7 +62,7 @@ def checkmap(shape, conv: Convention) -> dict:
 
 @pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
 def test_run_all_report_is_byte_stable(conv):
-    assert digest(run_all(degree=10, convention=conv)) == RUN_ALL[conv]
+    assert digest(verify_report(None, 10, conv)) == RUN_ALL[conv]
 
 
 @pytest.mark.parametrize("suite", sorted(SINGLE_SUITE))
@@ -114,7 +114,7 @@ def sends_into_calls(monkeypatch):
 
 def test_run_all_decides_containment_once_per_map_instance(sends_into_calls):
     maps, _ = build_registry(8)
-    run_all(degree=8)
+    verify_report(None, 8, Convention.TWO_I)
     assert len(sends_into_calls) == len(maps)
     assert len(set(sends_into_calls)) == len(sends_into_calls)
 

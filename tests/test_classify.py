@@ -20,7 +20,7 @@ import pytest
 from crtrans import grammar, hypersurface, rank
 from crtrans.document import _run_classify
 from crtrans.hypersurface import Convention
-from crtrans.verify import run_all
+from crtrans.verify import verify_report
 
 
 def digest(body) -> str:
@@ -116,7 +116,7 @@ def test_classify_types_an_infinite_type_surface_once(classify_type_calls):
 
 def test_run_all_types_each_surface_once(classify_type_calls):
     # the registry shares surfaces between instances
-    run_all(degree=9)
+    verify_report(None, 9, Convention.TWO_I)
     assert classify_type_calls
     assert len({id(m) for m in classify_type_calls}) == len(classify_type_calls)
 

@@ -283,12 +283,8 @@ def test_hnd_unknown_when_inexact():
 
 
 def test_exceptional_locus():
-    exc = exceptional_hypersurface(blowup_hypersurface(4, 4, D))
-    assert exc.description == "w = 0"
-    inside = exc.contains_image(Series.zero(2, D))
-    outside = exc.contains_image(Series.polynomial(2, D, {(0, 4): 1}))
-    assert inside.status is Status.CERTIFIED_TRUE
-    assert outside.status is Status.CERTIFIED_FALSE
+    # whether a map lands in w = 0 is crmap.is_transversally_flat (tests/test_crmap.py)
+    assert exceptional_hypersurface(blowup_hypersurface(4, 4, D)).n == 1
 
 
 def test_exceptional_locus_needs_infinite_type():

@@ -61,8 +61,8 @@ def test_readme_has_the_examples():
     assert subcommands == ["classify", "check-map", "prolong", "verify", "examples"]
 
 
-@pytest.mark.parametrize("command, summary", EXAMPLES, ids=[s.split(":")[0] for _, s in EXAMPLES])
-def test_readme_example(command, summary):
+def example_run(command: str):
+    """(crtrans arguments, stdin) of one example command line."""
     stdin = ""
     if "|" in command:
         producer, command = (part.strip() for part in command.split("|"))
@@ -71,7 +71,12 @@ def test_readme_example(command, summary):
         stdin = text.replace("\\n", "\n")
     argv = shlex.split(command)
     assert argv[0] == "crtrans"
-    proc = crtrans(argv[1:], stdin)
+    return argv[1:], stdin
+
+
+@pytest.mark.parametrize("command, summary", EXAMPLES, ids=[s.split(":")[0] for _, s in EXAMPLES])
+def test_readme_example(command, summary):
+    proc = crtrans(*example_run(command))
     assert proc.returncode == 0, proc.stderr
     assert summary in proc.stderr.splitlines()
 

@@ -234,6 +234,14 @@ def test_derivative():
     assert lhs == rhs
 
 
+def test_derivative_of_a_truncated_degree_0_series_is_refused():
+    # its constant term would be the unknown degree-1 coefficient of f
+    with pytest.raises(TruncationMismatch):
+        Series(2, 0, {(0, 0): 3}, exact=False).derivative(0)
+    exact = Series(2, 0, {(0, 0): 3}).derivative(0)
+    assert exact.is_zero and exact.exact and exact.degree == 0
+
+
 def test_set_zero_and_coefficient_series():
     f = Series.polynomial(3, 5, {(2, 1, 0): 1, (0, 1, 1): 3, (0, 0, 2): 7})
     assert f.set_zero([0]).terms == {(0, 1, 1): qr(3), (0, 0, 2): qr(7)}

@@ -13,16 +13,16 @@ from crtrans.verify import (
     _negate,
     _row,
     build_registry,
-    run_all,
     suite_easystuff,
     suite_finite_type,
     suite_infinite_type,
+    verify_report,
 )
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_all(degree=10)
+    return verify_report(None, 10, Convention.TWO_I)
 
 
 def rows_by_key(report):
@@ -109,7 +109,7 @@ def test_report_counts_and_sizes(report):
 
 
 def test_report_is_deterministic_json(report):
-    again = run_all(degree=10)
+    again = verify_report(None, 10, Convention.TWO_I)
     assert json.dumps(again, sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
@@ -322,7 +322,7 @@ def test_suites_respect_realm_tags():
 
 
 def test_other_convention_also_runs_clean():
-    rep = run_all(degree=8, convention=Convention.I)
+    rep = verify_report(None, 8, Convention.I)
     assert rep["falsified"] is False
     assert sum(rep["counts"].values()) == 102
 
