@@ -9,21 +9,32 @@ Normality means Q(z, 0, tau) = Q(0, chi, tau) = tau; the reality condition
 Q(z, chi, conj(Q)(chi, z, w)) = w makes the pair of equations describe one
 real hypersurface. Graph form uses the real defining function phi with
 Im w = phi(z, chi, Re w) (or 2 Im w = ..., see Convention).
+
+A surface built by `from_graph` is valid by construction, so it takes its
+`validity` from there and composes nothing to re-prove it. phi is checked to
+vanish when z = 0 or chi = 0, which gives normality. q is the unique formal
+solution of Q = tau + f phi(z, chi, (tau + Q)/2) through degree d, and the
+factor f (i or 2i) has conj(f) = -f. Conjugating that equation, swapping z
+with chi and using that phi is real shows that T = conj(q)(chi, z, tau)
+solves tau = T + f phi(z, chi, (T + tau)/2): q's equation with tau and T
+exchanged. Uniqueness then gives q(z, chi, T) = tau through d, which is the
+reality condition. `validate` composes and stays the verdict of every other
+surface.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from . import multiindex as mi
-from .errors import ArityMismatch, ConstructionError, StructureError
+from .errors import ArityMismatch, StructureError
 from .rank import RankState, generic_rank
 from .record import Record
 from .scalar import GaussianRational
 from .series import Series
-from .substitution import compose, identity_components, solve_implicit
+from .substitution import _fits, _group, _shift_key, compose, identity_components, solve_implicit
 from .verdict import (Verdict, certified_false, certified_true, coefficient_witness,
                       lowest_power, unknown)
 
@@ -100,7 +111,8 @@ class NormalHypersurface(Record):
 
     @cached_property
     def validity(self) -> Verdict:
-        """`validate(self)`, decided once per surface."""
+        """`validate(self)`, decided once per surface; `from_graph` decides it
+        by construction instead."""
         return validate(self)
 
     @cached_property
@@ -109,31 +121,56 @@ class NormalHypersurface(Record):
         return classify_type(self)
 
 
+# the checks of a validity verdict, in report order
+_CHECKS = ("normality_chi_zero", "normality_z_zero", "reality")
+
+
+def _reality_components(m: NormalHypersurface) -> List[Series]:
+    """(z, chi, conj(Q)(chi, z, tau)): what the reality condition substitutes into Q."""
+    ids = identity_components(m.q.arity, m.degree)
+    return list(ids[: 2 * m.n]) + [m.conjugate_swapped()]
+
+
 def validate(m: NormalHypersurface) -> Verdict:
-    """Check normality and the reality condition up to the truncation degree."""
+    """Check normality and the reality condition up to the truncation degree.
+
+    Composes Q(z, chi, conj(Q)(chi, z, tau)). This is the validity of every
+    surface not built by `from_graph`: models given by Q and `hypersurface(...)`
+    documents.
+    """
     q = m.q
     d = q.degree
     tau = Series.variable(m.tau_index, q.arity, d)
-
-    checks = []
-    for name, restricted in (
-        ("normality_chi_zero", q.set_zero(m.chi_block)),
-        ("normality_z_zero", q.set_zero(m.z_block)),
-    ):
-        residual = restricted - tau
-        checks.append((name, residual))
-
-    s = m.conjugate_swapped()
-    ids = identity_components(q.arity, d)
-    reality = compose(q, list(ids[: 2 * m.n]) + [s]) - tau
-    checks.append(("reality", reality))
-
+    residuals = (
+        q.set_zero(m.chi_block) - tau,
+        q.set_zero(m.z_block) - tau,
+        compose(q, _reality_components(m)) - tau,
+    )
     exact = True
-    for name, residual in checks:
+    for name, residual in zip(_CHECKS, residuals):
         if not residual.is_zero:
             return certified_false(coefficient_witness(residual, check=name), d)
         exact = exact and residual.exact
-    return certified_true({"checks": [n for n, _ in checks], "exact": exact}, d)
+    return certified_true({"checks": list(_CHECKS), "exact": exact}, d)
+
+
+def _valid_by_construction(m: NormalHypersurface) -> Verdict:
+    """The verdict `validate` gives a surface that `from_graph` built, without a product.
+
+    The residuals vanish through d (see the module docstring). Their `exact`
+    flag is that of the reality composition, which also needs q exact, as the
+    normality residuals do: `compose`'s own rule, `_group` and `_fits` over the
+    z/chi shifts and conj(Q)(chi, z, tau).
+    """
+    q, d = m.q, m.degree
+    exact = q.exact
+    if exact:
+        comps = _reality_components(m)
+        shifts = [_shift_key(c) for c in comps]
+        groups, exact = _group(q, d, shifts)
+        others = [c for c, x in zip(comps, shifts) if x is None]
+        exact = exact and _fits(groups, others, q.arity, d)
+    return certified_true({"checks": list(_CHECKS), "exact": exact}, d)
 
 
 def from_graph(
@@ -143,6 +180,10 @@ def from_graph(
 
     phi must be pointed, vanish when either block of tangential variables is
     set to zero, and be fixed by conjugation composed with the z/chi swap.
+    The surface's `validity` is decided by this construction: phi passes
+    those checks and q solves its equation uniquely, which proves normality
+    and reality (see the module docstring), so no composition re-proves it.
+    The one composition is phi's substitution into the graph equation.
     """
     if phi.arity < 3 or phi.arity % 2 == 0:
         raise ArityMismatch("phi needs arity 2n+1 with the real variable last")
@@ -171,9 +212,8 @@ def from_graph(
     q = solve_implicit(rhs)
 
     m = NormalHypersurface(n, q, convention)
-    verdict = m.validity
-    if not verdict.is_true:
-        raise ConstructionError(f"graph data produced an invalid normal form: {verdict.witness}")
+    # fills the cached property, the one place a surface's validity is read
+    m.__dict__["validity"] = _valid_by_construction(m)
     return m
 
 

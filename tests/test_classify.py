@@ -1,7 +1,8 @@
-"""classify reports: byte-stable digests, one validity and one type decision
-per surface, rank scans that never expand a minor through an exact-zero row
-or column, and rank families that expand each minor once over all k and take
-every row from one grouping pass over their source.
+"""classify reports: byte-stable digests, one validity decision per surface
+(by construction for a graph, with no composition after the solve), one type
+decision per surface, rank scans that never expand a minor through an
+exact-zero row or column, and rank families that expand each minor once over
+all k and take every row from one grouping pass over their source.
 
 The digests were recorded before the minor scan skipped exact-zero rows and
 columns, before scalar rank and determinant moved to the Bareiss kernel and
@@ -17,7 +18,7 @@ import sys
 
 import pytest
 
-from crtrans import grammar, hypersurface, rank
+from crtrans import grammar, hypersurface, rank, substitution
 from crtrans.document import _run_classify
 from crtrans.hypersurface import Convention
 from crtrans.verify import verify_report
@@ -79,17 +80,20 @@ def replace_everywhere(monkeypatch, original, wrapper) -> None:
 
 
 def test_classify_validates_a_graph_surface_once(monkeypatch):
-    original = hypersurface.validate
-    calls = []
+    # a graph surface's validity is decided once, by its construction: no
+    # `validate` call, and the one composition is phi's, before the solve
+    events = []
+    for original in (hypersurface.validate, hypersurface._valid_by_construction,
+                     substitution.compose, substitution.solve_implicit):
+        def recording(*args, _original=original):
+            events.append(_original.__name__)
+            return _original(*args)
 
-    def counting(m):
-        calls.append(id(m))
-        return original(m)
-
-    replace_everywhere(monkeypatch, original, counting)
+        replace_everywhere(monkeypatch, original, recording)
     body = classify("z*chi + z^2*chi^2*s", 6, Convention.TWO_I)
-    assert body["validate"]["status"] == "certified_true"
-    assert len(calls) == 1
+    assert body["validate"] == {"status": "certified_true", "degree_used": 6, "witness": {
+        "checks": ["normality_chi_zero", "normality_z_zero", "reality"], "exact": False}}
+    assert events == ["compose", "solve_implicit", "_valid_by_construction"]
 
 
 @pytest.fixture

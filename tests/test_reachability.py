@@ -12,7 +12,8 @@ The holders a reason names: `perfbench/tracer.py`, which wraps its LAYERS and
 OPERATORS by name and counts SCALAR_COUNTS, so deleting one breaks the
 benchmark until ROADMAP item 1 refreshes it (items 6 and 11 then delete
 them); a test file or the README that uses it as public API; process exit;
-and the names ROADMAP item 6 keeps.
+the names ROADMAP item 6 keeps; and validity by composition, which only the
+surfaces that `from_graph` does not build need.
 """
 
 import json
@@ -29,6 +30,9 @@ RECORD = "Record equality, hashing, repr and immutability (tests/test_record.py)
 SHOWN = "printed by pytest when an assertion on one fails"
 EXIT = "process exit: only `crtrans` and `python -m crtrans` run it (tests/test_process_exit.py)"
 KEPT = "a name ROADMAP item 6 keeps: acceptance tests and items 5 and 16 use it"
+VALIDITY = ("the validity of a surface not built by from_graph, which takes it from its "
+            "construction: exp_model and hypersurface(...) documents; no audited command reads "
+            "one (tests/test_hypersurface.py, tests/test_graph_validity.py)")
 
 ALLOWED = {
     # perfbench/tracer.py LAYERS, until item 1 frees the names; item 6 deletes them
@@ -93,6 +97,13 @@ ALLOWED = {
     "cli.run": EXIT,
     "cli._interpreter_needed": EXIT,
     "cli._flushed": EXIT,
+    # validity by composition, for the surfaces from_graph does not build
+    "hypersurface.validate": VALIDITY,
+    "hypersurface.NormalHypersurface.validity": f"{VALIDITY}: the cached entry that runs validate",
+    "hypersurface.NormalHypersurface.z_block": f"{VALIDITY}: read by validate; "
+                                               "tests/test_hypersurface.py",
+    "hypersurface.NormalHypersurface.chi_block": f"{VALIDITY}: read by validate; "
+                                                 "tests/test_hypersurface.py",
     # ROADMAP item 6's names that stay
     "crmap.compose_maps": KEPT,
     "models.scaled_heisenberg": KEPT,
