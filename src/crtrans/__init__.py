@@ -41,7 +41,6 @@ _EXPORTS = {
         "NotSolvableAtTruncation",
         "InconsistentData",
         "NoWitness",
-        "ConstructionError",
         "StructureError",
         "GrammarError",
     ),

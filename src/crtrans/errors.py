@@ -51,10 +51,6 @@ class NoWitness(CrtransError):
     """A certification was requested but no witness exists up to truncation."""
 
 
-class ConstructionError(CrtransError):
-    """A model constructor produced an object failing its own contract."""
-
-
 class StructureError(CrtransError):
     """An object violates a structural precondition of the operation."""
 

@@ -195,9 +195,9 @@ def _tokenize(text: str) -> List[_Token]:
             pos += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             out.append(_Token("INT", text[start:pos], line, col))
             col += pos - start
@@ -229,10 +229,9 @@ def _coordinate_index(name: str) -> Optional[Tuple[str, int]]:
     for block in ("chi", "z"):
         if name == block:
             return block, 1
-        if name.startswith(block) and name[len(block) :].isdigit():
-            sub = int(name[len(block) :])
-            if sub >= 1:
-                return block, sub
+        sub = name[len(block) :]
+        if name.startswith(block) and sub.isascii() and sub.isdigit() and int(sub) >= 1:
+            return block, int(sub)
     if name in ("tau", "s", "w"):
         return name, 0
     return None

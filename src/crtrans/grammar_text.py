@@ -36,6 +36,7 @@ atom        := INT | "i" | NAME | "exp" "(" expr ")" | "(" expr ")"
 
 Coordinates: z, z1, z2, ... and chi, chi1, ... (z and chi mean z1 and chi1),
 tau in defining functions, s in graph functions, w in map components.
-Rational coefficients are written p/q. "#" starts a comment to end of line.
+Rational coefficients are written p/q, and INT and subscripts take the ASCII
+digits 0-9 only. "#" starts a comment to end of line.
 Parentheses, exp(...) and unary minus nest at most 100 deep.
 """

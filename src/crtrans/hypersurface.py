@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import List, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from . import multiindex as mi
 from .errors import ArityMismatch, StructureError
@@ -34,7 +34,7 @@ from .rank import RankState, generic_rank
 from .record import Record
 from .scalar import GaussianRational
 from .series import Series
-from .substitution import _fits, _group, _shift_key, compose, identity_components, solve_implicit
+from .substitution import compose, identity_components, solve_implicit
 from .verdict import (Verdict, certified_false, certified_true, coefficient_witness,
                       lowest_power, unknown)
 
@@ -125,12 +125,6 @@ class NormalHypersurface(Record):
 _CHECKS = ("normality_chi_zero", "normality_z_zero", "reality")
 
 
-def _reality_components(m: NormalHypersurface) -> List[Series]:
-    """(z, chi, conj(Q)(chi, z, tau)): what the reality condition substitutes into Q."""
-    ids = identity_components(m.q.arity, m.degree)
-    return list(ids[: 2 * m.n]) + [m.conjugate_swapped()]
-
-
 def validate(m: NormalHypersurface) -> Verdict:
     """Check normality and the reality condition up to the truncation degree.
 
@@ -141,10 +135,11 @@ def validate(m: NormalHypersurface) -> Verdict:
     q = m.q
     d = q.degree
     tau = Series.variable(m.tau_index, q.arity, d)
+    ids = identity_components(q.arity, d)
     residuals = (
         q.set_zero(m.chi_block) - tau,
         q.set_zero(m.z_block) - tau,
-        compose(q, _reality_components(m)) - tau,
+        compose(q, [*ids[: 2 * m.n], m.conjugate_swapped()]) - tau,
     )
     exact = True
     for name, residual in zip(_CHECKS, residuals):
@@ -157,20 +152,13 @@ def validate(m: NormalHypersurface) -> Verdict:
 def _valid_by_construction(m: NormalHypersurface) -> Verdict:
     """The verdict `validate` gives a surface that `from_graph` built, without a product.
 
-    The residuals vanish through d (see the module docstring). Their `exact`
-    flag is that of the reality composition, which also needs q exact, as the
-    normality residuals do: `compose`'s own rule, `_group` and `_fits` over the
-    z/chi shifts and conj(Q)(chi, z, tau).
+    The residuals vanish through d (see the module docstring), and they are
+    exact when q is. An exact q is tau + f phi(z, chi) with phi free of s (a
+    polynomial Q whose inverse in tau is a polynomial is linear in tau), so
+    Q(z, chi, conj(Q)(chi, z, tau)) = conj(Q)(chi, z, tau) + f phi(z, chi) is a
+    polynomial of q's degree, within d: `compose` would flag it exact too.
     """
-    q, d = m.q, m.degree
-    exact = q.exact
-    if exact:
-        comps = _reality_components(m)
-        shifts = [_shift_key(c) for c in comps]
-        groups, exact = _group(q, d, shifts)
-        others = [c for c, x in zip(comps, shifts) if x is None]
-        exact = exact and _fits(groups, others, q.arity, d)
-    return certified_true({"checks": list(_CHECKS), "exact": exact}, d)
+    return certified_true({"checks": list(_CHECKS), "exact": m.q.exact}, m.degree)
 
 
 def from_graph(
@@ -278,24 +266,20 @@ def _gradient_family_rank(src: Series, n: int, grad_vars: Tuple[int, ...]) -> Ve
     Rows are indexed by z-exponents alpha with |alpha| <= k; the k loop runs
     up to src.degree - 1, the highest degree whose coefficients still have a
     known gradient, and stops at the first certified rank >= target, the
-    number of gradient variables. Step k only appends the rows of degree k,
-    and earlier rows stay the same Series objects, so one RankState serves
-    every step: each minor, named by its (row indices, column indices), is
+    number of gradient variables. Step k appends the rows of degree k to one
+    RankState, so each minor, named by its (row indices, column indices), is
     expanded once.
     """
     z_block = tuple(range(n))
     target = len(grad_vars)
     k_cap = src.degree - 1
     blocks = src.coefficient_blocks(z_block)
-    rows = []
     state = RankState()
     last = None
     for k in range(k_cap + 1):
-        for alpha in sorted(mi.iter_degree(n, k)):
-            c = blocks[alpha]
-            rows.append([c.derivative(j) for j in grad_vars])
-        g = generic_rank(rows, state=state)
-        last = g
+        rows = [[blocks[alpha].derivative(j) for j in grad_vars]
+                for alpha in sorted(mi.iter_degree(n, k))]
+        g = last = generic_rank(rows, state=state)
         if g.r >= target:
             wit = {"k": k}
             if g.at_least.witness:

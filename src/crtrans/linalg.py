@@ -177,7 +177,7 @@ def solve_triangular(lower: MatrixLike, rhs: Sequence) -> list:
         raise StructureError("right-hand side length does not match")
     for i in range(n):
         for j in range(i + 1, n):
-            if not mat.entry(i, j).is_zero:
+            if not mat.rows[i][j].is_zero:
                 raise StructureError(f"entry ({i},{j}) above the diagonal is nonzero")
     arity = mat.arity
     degree = min(e.degree for row in mat.rows for e in row)
@@ -186,10 +186,10 @@ def solve_triangular(lower: MatrixLike, rhs: Sequence) -> list:
     for i in range(n):
         acc = FracSeries.coerce(rhs[i], arity, degree)
         for j in range(i):
-            lij = mat.entry(i, j)
+            lij = mat.rows[i][j]
             if not lij.is_zero:
                 acc = acc - xs[j] * lij
-        diag = mat.entry(i, i)
+        diag = mat.rows[i][i]
         if diag.is_zero:
             raise NotSolvableAtTruncation(
                 f"diagonal entry {i} vanishes up to truncation degree {diag.degree}"

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .crmap import CRMap
-from .errors import ConstructionError, FieldRestriction, StructureError, TruncationMismatch
+from .errors import FieldRestriction, StructureError, TruncationMismatch
 from .hypersurface import (
     Convention,
     NormalHypersurface,
@@ -119,11 +119,7 @@ def exp_model(
     _check_degree(degree, 3, "the exponential model")
     zchi = Series.polynomial(3, degree, {(1, 1, 0): GaussianRational(0, 1) / k})
     q = exp_series(zchi) * Series.variable(2, 3, degree)
-    m = NormalHypersurface(1, q, convention)
-    cls = m.classification
-    if not (cls.is_infinite and cls.m == 1):
-        raise ConstructionError("exponential model failed its type check")
-    return m
+    return NormalHypersurface(1, q, convention)
 
 
 # ---------------- power self-maps and the blowup family ----------------
@@ -202,12 +198,7 @@ def theta_profile(b: int, c: int, degree: int = 10) -> Series:
             GaussianRational(sign * math.comb(c, 2 * k + 1)) / c
         )
     rhs = Series(3, degree, terms)  # high powers may fall past the degree
-    theta = solve_implicit(rhs)
-
-    linear = theta.coefficient_series([1], (0,))
-    if linear.terms != {(1,): GaussianRational(1)}:
-        raise ConstructionError("profile does not reduce to x on the axis s = 0")
-    return theta
+    return solve_implicit(rhs)
 
 
 @lru_cache(maxsize=None)
@@ -221,14 +212,7 @@ def blowup_hypersurface(
     zchi = Series.polynomial(3, degree, {(1, 1, 0): 1})
     s_var = Series.variable(2, 3, degree)
     phi = compose(theta, [zchi, s_var]) * Series.polynomial(3, degree, {(0, 0, d): 1})
-    m = from_graph(phi, convention)
-    cls = m.classification
-    if not (cls.is_infinite and cls.m == d):
-        raise ConstructionError(
-            f"blowup model ({b}, {c}) classified as {cls.kind.value}, m = {cls.m}; "
-            f"expected infinite type {d}"
-        )
-    return m
+    return from_graph(phi, convention)
 
 
 # ---------------- a rational infinite-type instance ----------------

@@ -22,9 +22,9 @@ entries; so no starting size other than 1 could change the answer.
 
 A gradient family grows one degree at a time and is asked for its rank after
 each step, so `generic_rank` runs through a `RankState` that the caller may
-keep between calls. It holds the rows and every minor expanded so far, keyed
-by (row indices, column indices). Rows are only appended and keep their
-Series objects, which `RankState.extend` checks by identity, so a key names
+keep between calls. It holds the rows with their exact-zero patterns, the
+least entry degree and every minor expanded so far, keyed by (row indices,
+column indices). A step hands it only the rows it appends, so a key names
 the same minor at every step, and the scan visits minors in the same order
 and returns the same witness as one from scratch.
 
@@ -74,9 +74,6 @@ class SeriesMatrix(Record):
             for e in r:
                 return e.arity
         raise StructureError("empty matrix has no arity")
-
-    def entry(self, i: int, j: int) -> Series:
-        return self.rows[i][j]
 
 
 MatrixLike = Union[SeriesMatrix, Sequence[Sequence[Series]]]
@@ -155,26 +152,28 @@ def constant_determinant(rows: Sequence[Sequence[ScalarLike]]) -> GaussianRation
 
 
 class RankState:
-    """Rows and expanded minors of a growing row family.
+    """Rows, exact-zero patterns and expanded minors of a growing row family.
 
-    `extend` takes appended rows only, checked by identity, so the
-    (row indices, column indices) key of `dets` names the same minor at every
-    step (see the module docstring).
+    `append` takes only the rows a step adds, so the (row indices, column
+    indices) key of `dets` names the same minor at every step (see the module
+    docstring).
     """
 
     def __init__(self) -> None:
-        self.mat = SeriesMatrix(())
+        self.rows: list = []
+        self.zero: list = []  # per row, whether each entry is an exact zero
+        self.degree_used = 0  # the least entry degree; 0 while there is no entry
         self.dets: dict = {}  # (rows, cols) -> determinant of that minor
 
-    def extend(self, m: MatrixLike) -> "RankState":
-        """Take `m`, whose leading rows must be the rows held so far."""
-        mat = _as_matrix(m)
-        old = self.mat.rows
-        if len(mat.rows) < len(old) or any(
-            a is not b for ra, rb in zip(old, mat.rows) for a, b in zip(ra, rb)
-        ):
-            raise StructureError("a rank state only takes appended rows")
-        self.mat = mat
+    def append(self, m: MatrixLike) -> "RankState":
+        """Take the rows `m` appends to the family."""
+        new = _as_matrix(m).rows
+        degrees = [e.degree for row in new for e in row]
+        if self.rows and self.rows[0]:
+            degrees.append(self.degree_used)
+        self.degree_used = min(degrees, default=0)
+        self.rows += new
+        self.zero += [[e.is_zero and e.exact for e in row] for row in new]
         return self
 
 
@@ -197,18 +196,17 @@ def _scan_minors(state: RankState, size: int):
     out of the column combinations. The witness keeps the original indices.
     A minor the state has expanded before is not expanded again.
     """
-    mat, dets = state.mat, state.dets
-    zero = [[e.is_zero and e.exact for e in row] for row in mat.rows]
+    entries, zero, dets = state.rows, state.zero, state.dets
     live_rows = [i for i, z in enumerate(zero) if not all(z)]
     all_exact = True
     for rows in itertools.combinations(live_rows, size):
-        live_cols = [j for j in range(mat.ncols) if not all(zero[i][j] for i in rows)]
+        live_cols = [j for j in range(len(entries[0])) if not all(zero[i][j] for i in rows)]
         for cols in itertools.combinations(live_cols, size):
             if any(all(zero[i][j] for j in cols) for i in rows):
                 continue
             det = dets.get((rows, cols))
             if det is None:
-                det = dets[rows, cols] = _det([[mat.entry(i, j) for j in cols] for i in rows])
+                det = dets[rows, cols] = _det([[entries[i][j] for j in cols] for i in rows])
             if det.is_zero:
                 all_exact = all_exact and det.exact
             else:
@@ -228,13 +226,13 @@ def _scan_minors(state: RankState, size: int):
 def generic_rank(m: MatrixLike, state: Optional[RankState] = None) -> GenericRank:
     """Generic rank of `m`, with a certified lower and upper bound.
 
-    Pass the same `state` while rows are appended to `m`, and no minor is
-    expanded twice; without one, a fresh state is used.
+    Without `state`, `m` is the whole matrix. With one, `m` is the rows
+    appended to the family since the last call, and no minor is expanded
+    twice.
     """
-    state = (state or RankState()).extend(m)
-    mat = state.mat
-    maxs = min(mat.nrows, mat.ncols)
-    degree_used = min((e.degree for row in mat.rows for e in row), default=0)
+    state = (state or RankState()).append(m)
+    maxs = min(len(state.rows), len(state.rows[0]) if state.rows else 0)
+    degree_used = state.degree_used
 
     r, wit, above_exact = 0, None, True
     while r < maxs:

@@ -376,6 +376,15 @@ def test_usage_error_is_one_error_line(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "doc", ["M = graph(z\u00b2*chi)", "M = graph(z*chi*\u00b2)", "M = heisenberg(\u00b2)"]
+)
+def test_a_non_ascii_digit_is_one_error_line(capsys, monkeypatch, doc):
+    code, out, err = run(capsys, ["classify", "-"], doc + "\nclassify M\n", monkeypatch)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [["classify", "--degree", "0", "-"], ["verify", "--degree=0"], ["prolong", "--degree", "-1"],
      ["examples", "--degree=-5"], ["check-map", "--degree", "0", "--degree", "6"]],

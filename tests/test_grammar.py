@@ -134,6 +134,25 @@ def test_error_positions():
     assert err.value.column == 11
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("M = graph(z\u00b2*chi)", "undeclared name 'z\u00b2'"),
+        ("M = graph(z*chi*\u00b2)", "unexpected character '\u00b2'"),
+        ("M = heisenberg(\u00b2)", "unexpected character '\u00b2'"),
+        ("degree \u0663\nM = heisenberg(1)", "unexpected character '\u0663'"),
+        ("M = graph(z\u0661*chi1)", "undeclared name 'z\u0661'"),
+    ],
+    ids=["superscript subscript", "superscript factor", "superscript argument",
+         "arabic-indic degree", "arabic-indic subscript"],
+)
+def test_integers_and_subscripts_take_ascii_digits_only(text, message):
+    # str.isdigit accepts these characters, and int() refuses some of them
+    with pytest.raises(GrammarError) as err:
+        parse(text + "\nclassify M\n")
+    assert err.value.message == message
+
+
 # ---------------- declarations ----------------
 
 

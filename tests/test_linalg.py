@@ -15,7 +15,7 @@ from crtrans.linalg import (
     solve_triangular,
     span_membership,
 )
-from crtrans.rank import RankState, SeriesMatrix, generic_rank
+from crtrans.rank import SeriesMatrix, generic_rank
 from crtrans.scalar import qr
 from crtrans.series import Series
 
@@ -144,18 +144,6 @@ def test_generic_rank_monotone_under_row_append():
     rows = [[rand_poly(rng, 2, 3) for _ in range(3)] for _ in range(2)]
     extra = [rand_poly(rng, 2, 3) for _ in range(3)]
     assert generic_rank(rows + [extra]).r >= generic_rank(rows).r
-
-
-def test_rank_state_takes_appended_rows_only():
-    rng = random.Random(54)
-    rows = [[rand_poly(rng, 2, 3) for _ in range(2)] for _ in range(3)]
-    state = RankState()
-    generic_rank(rows[:2], state=state)
-    generic_rank(rows, state=state)
-    with pytest.raises(StructureError):
-        generic_rank(rows[:2], state=state)  # rows dropped
-    with pytest.raises(StructureError):
-        generic_rank([rows[1], rows[0], rows[2]], state=state)  # rows reordered
 
 
 def test_generic_rank_truncation_unknown():

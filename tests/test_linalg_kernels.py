@@ -130,7 +130,7 @@ def ref_scan_minors(mat, size):
     all_exact = True
     for rows in itertools.combinations(range(mat.nrows), size):
         for cols in itertools.combinations(range(mat.ncols), size):
-            det = _det([[mat.entry(i, j) for j in cols] for i in rows])
+            det = _det([[mat.rows[i][j] for j in cols] for i in rows])
             if det.is_zero:
                 all_exact = all_exact and det.exact
             else:
@@ -345,11 +345,11 @@ def test_rank_and_determinant_match_sympy(rows, square):
 @given(series_matrix())
 def test_generic_rank_matches_reference_scan(mat):
     for size in range(1, min(mat.nrows, mat.ncols) + 1):
-        assert _scan_minors(RankState().extend(mat), size) == ref_scan_minors(mat, size)
+        assert _scan_minors(RankState().append(mat), size) == ref_scan_minors(mat, size)
     got = generic_rank(mat).to_json()
-    # generic_rank hands its RankState to the scan; the reference reads its matrix
+    # generic_rank hands its RankState to the scan; the reference reads its rows
     with mock.patch.object(rank, "_scan_minors",
-                           lambda state, size: ref_scan_minors(state.mat, size)):
+                           lambda state, size: ref_scan_minors(SeriesMatrix(state.rows), size)):
         want = generic_rank(mat).to_json()
     assert got == want
 
@@ -386,19 +386,20 @@ def test_truncating_rows_never_raises_the_rank(mat, k):
 def test_incremental_rank_matches_from_scratch_on_every_prefix(mat):
     state = RankState()
     for p in range(1, mat.nrows + 1):
-        rows = mat.rows[:p]
-        got = generic_rank(rows, state=state).to_json()
-        assert got == generic_rank(rows).to_json()
+        got = generic_rank(mat.rows[p - 1 : p], state=state).to_json()
+        assert got == generic_rank(mat.rows[:p]).to_json()
 
 
 @pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
 def test_incremental_rank_matches_from_scratch_on_a_degenerate_family(monkeypatch, conv):
     # every step of class C and holomorphic nondegeneracy runs to the cap k = 7
-    calls = []
+    calls, families = [], {}
 
     def recording(rows, state=None):
+        family = families.setdefault(state, [])  # the key keeps each state alive
+        family += rows
         g = rank.generic_rank(rows, state=state)
-        calls.append((list(rows), g.to_json()))
+        calls.append((list(family), g.to_json()))
         return g
 
     monkeypatch.setattr(hypersurface, "generic_rank", recording)

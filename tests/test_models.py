@@ -51,6 +51,19 @@ def test_blowup_model_orders():
         assert m == 2 * b - c + 1
 
 
+@pytest.mark.parametrize("conv", list(Convention), ids=lambda c: c.value)
+def test_models_have_their_type_under_both_conventions(conv):
+    # what exp_model, theta_profile and blowup_hypersurface assert by construction
+    for k in (1, 2, 3):
+        cl = classify_type(exp_model(k, D, conv))
+        assert (cl.is_infinite, cl.m) == (True, 1), k
+    for b, c in [(1, 1), (2, 3), (3, 4), (4, 4), (2, 1), (3, 1)]:
+        cl = classify_type(blowup_hypersurface(b, c, D, conv))
+        assert (cl.is_infinite, cl.m) == (True, 2 * b - c + 1), (b, c)
+        # Theta(x, 0) = x: the profile reduces to x on the axis s = 0
+        assert theta_profile(b, c, D).coefficient_series([1], (0,)).terms == {(1,): qr(1)}
+
+
 def test_blowup_normal_forms_frozen():
     assert blowup_hypersurface(4, 4, D).q.terms == {(0, 0, 1): qr(1), (1, 1, 5): qr(0, 2)}
     assert blowup_hypersurface(3, 4, D).q.terms == {

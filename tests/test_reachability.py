@@ -104,6 +104,8 @@ ALLOWED = {
                                                "tests/test_hypersurface.py",
     "hypersurface.NormalHypersurface.chi_block": f"{VALIDITY}: read by validate; "
                                                  "tests/test_hypersurface.py",
+    "hypersurface.NormalHypersurface.conjugate_swapped": f"{VALIDITY}: read by validate; "
+                                                         "tests/test_hypersurface.py",
     # ROADMAP item 6's names that stay
     "crmap.compose_maps": KEPT,
     "models.scaled_heisenberg": KEPT,
